@@ -10,12 +10,12 @@ discarding the smallest radius as preasymptotic.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import thread_count
 from .fourier import GridFunction, TrigPoly, grid_from_spectrum
 from .norms import lp_norm
 
@@ -101,15 +101,6 @@ def dirichlet_norm(spec: DirichletSpec, p: float, n_per_axis: int | None = None)
     return lp_norm(dirichlet_kernel_grid(spec, n), p)
 
 
-def _thread_count(threads: int | None = None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("RIESZ_LAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
 @dataclass(frozen=True)
 class GrowthFit:
     """Least-squares growth fit log||D|| ~ exponent * log R + intercept."""
@@ -156,7 +147,7 @@ def growth_fit(
     def norm_of(spec: DirichletSpec) -> float:
         return dirichlet_norm(spec, p, n_per_axis)
 
-    workers = _thread_count(threads)
+    workers = thread_count(threads)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             norms = list(pool.map(norm_of, specs))

@@ -7,7 +7,11 @@ per axis.  The default half-cell offset keeps symmetric lattice zeros of
 real polynomials off the quadrature nodes, which matters for
 geometric-mean quadrature; transforms carry explicit phase corrections
 for the offset, so frequency recovery is exact (up to rounding) for
-band-limited data at any offset.
+band-limited data at any offset.  :func:`sample` folds the offset phase
+into the sparse coefficients, c_alpha e^{2 pi i offset sum(alpha)/N}:
+the samples of a polynomial on the shifted grid are those of its
+translate on the unshifted grid, so one O(terms) pass replaces d
+full-grid phase multiplies.
 
 All transforms go through numpy's FFT.  Inner products are normalized
 against Lebesgue measure of total mass one, i.e. plain means over grid
@@ -17,8 +21,9 @@ nodes, and numpy's pairwise summation keeps reductions reproducible.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Mapping
 
@@ -55,6 +60,8 @@ class TrigPoly:
         for alpha, c in self.coeffs.items():
             idx = _as_multi_index(alpha, self.dim)
             c = complex(c)
+            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+                raise ValueError(f"non-finite coefficient {c!r} at {idx}")
             if c != 0:
                 cleaned[idx] = c
         object.__setattr__(self, "coeffs", cleaned)
@@ -158,9 +165,14 @@ class TrigPoly:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "TrigPoly":
+        if not isinstance(doc, Mapping):
+            raise ValueError("a TrigPoly document must be a JSON object")
         dim = int(doc["dim"])
+        terms = doc["terms"]
+        if not isinstance(terms, list) or not all(isinstance(t, Mapping) for t in terms):
+            raise ValueError("TrigPoly terms must be a list of JSON objects")
         coeffs: dict[MultiIndex, complex] = {}
-        for term in doc["terms"]:
+        for term in terms:
             alpha = _as_multi_index(term["alpha"], dim)
             coeffs[alpha] = coeffs.get(alpha, 0.0) + complex(float(term["re"]), float(term["im"]))
         return cls(dim=dim, coeffs=coeffs)
@@ -238,6 +250,13 @@ def _freq_grids(dim: int, n: int) -> list[np.ndarray]:
     return list(np.meshgrid(*([f] * dim), indexing="ij"))
 
 
+def _along(vec: np.ndarray, ax: int, dim: int) -> np.ndarray:
+    """View of a 1-D array that broadcasts along axis ``ax`` of a dim-d grid."""
+    shape = [1] * dim
+    shape[ax] = vec.size
+    return vec.reshape(shape)
+
+
 def grid_spectrum(grid: GridFunction) -> np.ndarray:
     """Fourier coefficients indexed fftfreq-style, offset phases removed.
 
@@ -249,24 +268,21 @@ def grid_spectrum(grid: GridFunction) -> np.ndarray:
     if grid.offset != 0.0:
         phase = np.exp(-2j * np.pi * grid.offset * _int_freqs(n) / n)
         for ax in range(grid.dim):
-            shape = [1] * grid.dim
-            shape[ax] = n
-            spec = spec * phase.reshape(shape)
+            spec *= _along(phase, ax, grid.dim)
     return spec
 
 
 def grid_from_spectrum(
     spec: np.ndarray, dim: int, n: int, offset: float, aliasing_bound: float | None = None
 ) -> GridFunction:
-    """Inverse of :func:`grid_spectrum`."""
-    work = np.array(spec, dtype=np.complex128, copy=True)
+    """Inverse of :func:`grid_spectrum`; ``spec`` is left unchanged."""
+    work = np.asarray(spec, dtype=np.complex128)
     if offset != 0.0:
         phase = np.exp(2j * np.pi * offset * _int_freqs(n) / n)
-        for ax in range(dim):
-            shape = [1] * dim
-            shape[ax] = n
-            work = work * phase.reshape(shape)
-    samples = np.fft.ifftn(work) * float(n) ** dim
+        work = work * _along(phase, 0, dim)
+        for ax in range(1, dim):
+            work *= _along(phase, ax, dim)
+    samples = np.fft.ifftn(work, norm="forward")
     return GridFunction(dim=dim, n_per_axis=n, samples=samples, offset=offset, aliasing_bound=aliasing_bound)
 
 
@@ -289,10 +305,15 @@ def sample(poly: TrigPoly, n_per_axis: int, offset: float = 0.5) -> GridFunction
             f"grid n_per_axis={n} too small for bandwidth {poly.bandwidth()}; "
             f"need at least {2 * (poly.bandwidth() + 1)}"
         )
+    alphas = np.array(list(poly.coeffs), dtype=np.int64).reshape(-1, poly.dim)
+    values = np.fromiter(poly.coeffs.values(), dtype=np.complex128, count=len(poly.coeffs))
+    if offset != 0.0:
+        values *= np.exp(2j * np.pi * offset * alphas.sum(axis=1) / n)
     spec = np.zeros((n,) * poly.dim, dtype=np.complex128)
-    for alpha, c in poly.coeffs.items():
-        spec[tuple(a % n for a in alpha)] += c
-    return grid_from_spectrum(spec, poly.dim, n, offset)
+    spec[tuple((alphas % n).T)] = values  # distinct bins: the check above rules out aliasing
+    grid = grid_from_spectrum(spec, poly.dim, n, 0.0)
+    grid.offset = offset
+    return grid
 
 
 def coefficients(grid: GridFunction, cutoff: int) -> TrigPoly:

@@ -26,15 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .fourier import GridFunction, TrigPoly, sample
 from .norms import conjugate, lp_norm, nonlinear_map
 from .series import (
     DEFAULT_CONTROL,
     SeriesControl,
     central_binomial,
-    general_binomial,
     require_converged,
     sum_series,
 )

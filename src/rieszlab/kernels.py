@@ -26,7 +26,6 @@ from .norms import conjugate
 from .series import (
     DEFAULT_CONTROL,
     SeriesControl,
-    general_binomial,
     require_converged,
     sum_series,
 )

@@ -4,9 +4,14 @@ Candidates come from four families -- seeded random polynomials, the
 point-kernel family over w (d=1), the perturbed 2-homogeneous family
 over eps (d=2), and frequency-shifted spherical Dirichlet kernels --
 followed by coordinate-wise ascent on the coefficients of the best
-candidates.  A certificate is emitted only when the measured ratio
-clears 1 + RATIO_MARGIN *and* survives re-verification on a grid of
-twice the resolution; merely grazing 1 proves nothing at grid accuracy.
+candidates.  Ascent trials are scored incrementally on running sample
+arrays (one coefficient changes, so the samples change by one
+separable wave; no FFT), but the ratio the search reports for the
+ascended polynomial is recomputed from scratch by
+:func:`projection_ratio`.  A certificate is emitted only when the
+measured ratio clears 1 + RATIO_MARGIN *and* survives re-verification
+on a grid of twice the resolution; merely grazing 1 proves nothing at
+grid accuracy.
 
 Everything is deterministic for a fixed seed: candidates are generated
 up front, evaluated in a fixed order (optionally on a thread pool,
@@ -19,13 +24,14 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .config import RunConfig, thread_count
-from .dirichlet import DirichletSpec, MAX_RADIUS, lattice_points
-from .fourier import GridFunction, TrigPoly, coefficients, riesz_project, sample
+from .dirichlet import lattice_points
+from .fourier import TrigPoly, axis_angles, coefficients, riesz_project, sample
 from .homog2 import PerturbedFamily, kernel_polynomial
 from .kernels import point_extremal_function
 from .norms import conjugate, lp_norm, nonlinear_map
@@ -198,33 +204,78 @@ def _ascend(
     offset: float,
     steps: int,
 ) -> tuple[TrigPoly, float, int]:
-    """Coordinate-wise ascent on coefficient real/imag parts."""
-    best = psi
-    best_ratio = projection_ratio(psi, p, q, n_per_axis, offset)
+    """Coordinate-wise ascent on coefficient real/imag parts.
+
+    A trial moves one coefficient c_alpha by delta, which moves the
+    samples of psi by delta e^{i alpha.theta}, and those of P+ psi too
+    when alpha >= 0 (otherwise the numerator norm is reused).  On the
+    grid that wave is an outer product of cached 1-D exponentials, so a
+    trial is scored in O(N^d) on running sample arrays, with no FFT.
+    The returned ratio is recomputed from scratch by
+    :func:`projection_ratio`.
+    """
+    dim = psi.dim
+    coeffs = dict(psi.coeffs)
+    plus = sum(min(a) >= 0 for a in coeffs)  # terms of P+ psi
+    angles = axis_angles(n_per_axis, offset)
+    waves: dict[int, np.ndarray] = {}
+    cur = sample(psi, n_per_axis, offset)
+    cur_plus = sample(riesz_project(psi), n_per_axis, offset)
+    trial = cur.with_samples(np.empty_like(cur.samples))  # the only scratch array
+    num = lp_norm(cur_plus, p) if plus else 0.0
+    best_ratio = num / lp_norm(cur, q)
     evals = 1
     step = 0.1
-    keys = sorted(best.coeffs.keys())
+    keys = sorted(coeffs)
     while evals < steps and step > 1e-4:
         improved = False
         for alpha in keys:
-            base = best.coeffs.get(alpha, 0.0 + 0.0j)
+            base = coeffs.get(alpha, 0.0 + 0.0j)
             scale = max(abs(base), 0.1)
+            analytic = min(alpha) >= 0
+            for a in alpha:
+                if a not in waves:
+                    waves[a] = np.exp(1j * a * angles)
+            head = waves[alpha[0]].reshape((-1,) + (1,) * (dim - 1))
+            tail = reduce(np.multiply.outer, [waves[a] for a in alpha[1:]], np.ones(()))
             for delta in (step * scale, -step * scale, 1j * step * scale, -1j * step * scale):
                 if evals >= steps:
                     break
-                trial_coeffs = dict(best.coeffs)
-                trial_coeffs[alpha] = base + delta
-                trial = TrigPoly(best.dim, trial_coeffs)
-                if not trial.coeffs:
+                value = base + delta
+                held = alpha in coeffs
+                if value == 0 and len(coeffs) == held:
                     continue
-                ratio = projection_ratio(trial, p, q, n_per_axis, offset)
+                shift = head * delta  # trial.samples below becomes delta e^{i alpha.theta}
+                trial_num = num
+                if analytic:
+                    trial_num = 0.0
+                    if value != 0 or plus > held:
+                        np.multiply(shift, tail, out=trial.samples)
+                        trial.samples += cur_plus.samples
+                        trial_num = lp_norm(trial, p)
+                np.multiply(shift, tail, out=trial.samples)
+                trial.samples += cur.samples
+                ratio = trial_num / lp_norm(trial, q)
                 evals += 1
                 if ratio > best_ratio * (1.0 + 1e-12):
-                    best, best_ratio = trial, ratio
-                    base = trial.coeffs.get(alpha, 0.0 + 0.0j)
+                    best_ratio, num = ratio, trial_num
+                    cur, trial = trial, cur
+                    if analytic:  # replay the accepted wave onto P+ psi
+                        np.multiply(shift, tail, out=trial.samples)
+                        cur_plus.samples += trial.samples
+                        plus += (value != 0) - held
+                    if value != 0:
+                        coeffs[alpha] = value
+                    else:
+                        del coeffs[alpha]
+                    base = coeffs.get(alpha, 0.0 + 0.0j)
                     improved = True
         if not improved:
             step *= 0.5
+    del cur, cur_plus, trial  # free the running samples before resampling
+    best = TrigPoly(dim, coeffs)
+    if best.coeffs != psi.coeffs:
+        best_ratio = projection_ratio(best, p, q, n_per_axis, offset)
     return best, best_ratio, evals
 
 

@@ -16,7 +16,6 @@ from . import dirichlet, figures, homog2, kernels
 from .fourier import (
     TrigPoly,
     coefficients,
-    grid_inner,
     partial_project,
     poly_inner,
     riesz_project,

@@ -62,6 +62,24 @@ def test_norm_stdin_csv(capsys, monkeypatch):
     assert float(norm) == pytest.approx(math.sqrt(6.0), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"dim":1,"terms":[{"alpha":[1],"re":NaN,"im":0}]}',
+        '{"dim":1,"terms":[{"alpha":[1],"re":1,"im":Infinity}]}',
+        "[1,2]",
+        '{"dim":1,"terms":5}',
+        '{"dim":1,"terms":[[1]]}',
+    ],
+)
+def test_bad_poly_json_exit_code(capsys, monkeypatch, doc):
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, err = run(capsys, ["norm", "--p", "2"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_norm_json_handles_inf_strictly(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(poly_json(TrigPoly(1, {(3,): 1.0}))))
     code, out, _ = run(capsys, ["norm", "--p", "inf", "--format", "json"])

@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -37,6 +38,12 @@ def test_zero_coefficients_dropped():
     assert (0,) not in f.coeffs
     assert f.coeff((1,)) == 2.0
     assert f.coeff((5,)) == 0.0
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, complex(0.0, -math.inf), complex(math.nan, 1.0)])
+def test_non_finite_coefficients_rejected(c):
+    with pytest.raises(ValueError, match="non-finite"):
+        TrigPoly(1, {(0,): 1.0, (2,): c})
 
 
 def test_monomial_and_bandwidth():
@@ -103,6 +110,9 @@ def test_json_round_trip():
 
 
 def test_json_rejects_bad_docs():
+    for doc in ("[1, 2]", '{"dim": 1, "terms": 3}', '{"dim": 1, "terms": [[1]]}'):
+        with pytest.raises(ValueError):
+            TrigPoly.from_json(doc)
     with pytest.raises((ValueError, KeyError)):
         TrigPoly.from_json('{"terms": []}')
     with pytest.raises((ValueError, KeyError)):
@@ -142,6 +152,20 @@ def test_sample_matches_evaluate_2d():
     assert np.allclose(grid.samples, direct, atol=1e-13)
 
 
+@pytest.mark.parametrize("offset", [0.0, 0.25, 0.5])
+@pytest.mark.parametrize("dim,n", [(1, 12), (2, 8), (3, 6)])
+def test_sample_matches_evaluate_at_offsets(dim, n, offset):
+    # the offset phase is folded into the coefficients; the labels stay
+    rng = np.random.default_rng(dim)
+    span = range(-2, 3)
+    f = TrigPoly(dim, {a: complex(*rng.standard_normal(2)) for a in product(span, repeat=dim)})
+    grid = sample(f, n, offset)
+    assert grid.offset == offset
+    angles = axis_angles(n, offset)
+    direct = np.array([f.evaluate(theta) for theta in product(angles, repeat=dim)]).reshape((n,) * dim)
+    assert np.max(np.abs(grid.samples - direct)) <= 1e-12
+
+
 def test_sample_refuses_aliasing():
     f = TrigPoly.monomial((4,))
     with pytest.raises(ValueError):
@@ -166,6 +190,16 @@ def test_spectrum_inverse():
     grid = GridFunction(2, 8, rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
     back = grid_from_spectrum(grid_spectrum(grid), 2, 8, grid.offset)
     assert np.allclose(back.samples, grid.samples, atol=1e-13)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_grid_from_spectrum_leaves_input_unchanged(offset):
+    rng = np.random.default_rng(6)
+    spec = rng.standard_normal((8, 8, 8)) + 1j * rng.standard_normal((8, 8, 8))
+    before = spec.copy()
+    grid = grid_from_spectrum(spec, 3, 8, offset)
+    assert np.array_equal(spec, before)
+    assert not np.shares_memory(grid.samples, spec)
 
 
 def test_grid_from_function():

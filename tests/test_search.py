@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from rieszlab.fourier import TrigPoly
@@ -8,6 +9,8 @@ from rieszlab.search import (
     RATIO_MARGIN,
     SearchResult,
     ViolationCertificate,
+    _ascend,
+    _random_poly,
     projection_ratio,
     violation_search,
 )
@@ -29,6 +32,68 @@ def test_projection_ratio_analytic_input_q2_p2():
 def test_projection_ratio_zero_denominator():
     with pytest.raises(ValueError):
         projection_ratio(TrigPoly(1, {}), 2.0, 2.0, 32)
+
+
+def reference_ascend(psi, p, q, n_per_axis, offset, steps):
+    """The ascent scored from scratch: every trial re-samples psi and P+ psi."""
+    best = psi
+    best_ratio = projection_ratio(psi, p, q, n_per_axis, offset)
+    evals = 1
+    step = 0.1
+    keys = sorted(best.coeffs.keys())
+    while evals < steps and step > 1e-4:
+        improved = False
+        for alpha in keys:
+            base = best.coeffs.get(alpha, 0.0 + 0.0j)
+            scale = max(abs(base), 0.1)
+            for delta in (step * scale, -step * scale, 1j * step * scale, -1j * step * scale):
+                if evals >= steps:
+                    break
+                trial_coeffs = dict(best.coeffs)
+                trial_coeffs[alpha] = base + delta
+                trial = TrigPoly(best.dim, trial_coeffs)
+                if not trial.coeffs:
+                    continue
+                ratio = projection_ratio(trial, p, q, n_per_axis, offset)
+                evals += 1
+                if ratio > best_ratio * (1.0 + 1e-12):
+                    best, best_ratio = trial, ratio
+                    base = trial.coeffs.get(alpha, 0.0 + 0.0j)
+                    improved = True
+        if not improved:
+            step *= 0.5
+    return best, best_ratio, evals
+
+
+@pytest.mark.parametrize(
+    "dim,q,p,n,offset,steps",
+    [
+        (1, 4.0 / 3.0, 1.2, 32, 0.5, 120),
+        (1, math.inf, 4.0, 32, 0.0, 80),
+        (1, 3.0, 0.0, 32, 0.5, 80),
+        (2, 3.0, 2.6, 16, 0.5, 80),
+        (2, 4.0 / 3.0, math.inf, 16, 0.25, 60),
+        (3, 3.0, 2.6, 10, 0.5, 60),
+    ],
+)
+def test_incremental_ascent_matches_reference(dim, q, p, n, offset, steps):
+    rng = np.random.default_rng(dim + steps)
+    for _ in range(2):
+        psi = _random_poly(rng, dim, 8 // dim)
+        got = _ascend(psi, p, q, n, offset, steps)
+        want = reference_ascend(psi, p, q, n, offset, steps)
+        assert got[0].coeffs == want[0].coeffs
+        assert got[0].coeffs != psi.coeffs  # the ascent moved
+        assert abs(got[1] - want[1]) <= 1e-12
+        assert got[2] == want[2]
+
+
+def test_incremental_ascent_without_analytic_part():
+    # P+ psi = 0 and no trial can change that: the ratio stays exactly 0
+    psi = TrigPoly(2, {(-1, 0): 1.0, (1, -2): 0.5j})
+    got, ratio, evals = _ascend(psi, 2.0, 2.0, 8, 0.5, 30)
+    assert ratio == 0.0 and evals == 30
+    assert got.coeffs == psi.coeffs
 
 
 def test_search_finds_violation_d1():
