@@ -31,6 +31,7 @@ from .fourier import (
     TrigPoly,
     load_grid,
     partial_project,
+    resolving_grid,
     riesz_project,
     riesz_project_minus,
     sample,
@@ -149,9 +150,7 @@ def cmd_norm(args, cfg: RunConfig) -> int:
         grid = load_grid(args.infile)
     else:
         poly = _load_poly(args.infile)
-        n = max(cfg.grid_for(poly.dim), 2 * poly.bandwidth() + 2)
-        n += n % 2
-        grid = sample(poly, n, cfg.offset)
+        grid = sample(poly, resolving_grid(poly, cfg.grid_for(poly.dim)), cfg.offset)
     value = lp_norm(grid, p)
     if cfg.fmt == "json":
         _write_text(_json_text({"p": p, "norm": value, "n_per_axis": grid.n_per_axis}), cfg.out)
@@ -258,19 +257,11 @@ def cmd_dirichlet(args, cfg: RunConfig) -> int:
     radii = _float_list(args.radii) if args.radii else _default_radii(dim)
     rows = []
     row_docs = []
-    for p in ps:
-        for radius in radii:
-            spec = DirichletSpec(radius=radius, dim=dim)
-            norm = dirichlet_norm(spec, p, n_per_axis=args.grid)
-            count = lattice_count(radius, dim)
-            rows.append(",".join(_cell(v) for v in (dim, p, radius, norm, count)))
-            row_docs.append(
-                {"d": dim, "p": p, "R": radius, "norm": norm, "lattice_count": count}
-            )
     fits = []
-    if args.fit:
-        for p in ps:
+    for p in ps:
+        if args.fit:
             fit = growth_fit(dim, p, radii, n_per_axis=args.grid, threads=cfg.threads)
+            norms = fit.norms
             fits.append(
                 {
                     "d": dim,
@@ -282,6 +273,17 @@ def cmd_dirichlet(args, cfg: RunConfig) -> int:
                     "method": "log-log least squares, smallest radius dropped",
                     "note": "empirical rate only; absolute constants are not certified",
                 }
+            )
+        else:
+            norms = [
+                dirichlet_norm(DirichletSpec(radius=radius, dim=dim), p, n_per_axis=args.grid)
+                for radius in radii
+            ]
+        for radius, norm in zip(radii, norms):
+            count = lattice_count(radius, dim)
+            rows.append(",".join(_cell(v) for v in (dim, p, radius, norm, count)))
+            row_docs.append(
+                {"d": dim, "p": p, "R": radius, "norm": norm, "lattice_count": count}
             )
     if cfg.fmt == "json":
         doc = {"rows": row_docs}

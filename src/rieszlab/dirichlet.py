@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import thread_count
-from .fourier import GridFunction, TrigPoly, grid_from_spectrum
+from .fourier import TrigPoly, sample
 from .norms import lp_norm
 
 #: Refuse to enumerate lattice balls beyond this many points.
@@ -76,29 +76,17 @@ def default_grid(spec: DirichletSpec, p: float) -> int:
     """
     m = int(math.floor(spec.radius))
     even_integer = p > 0 and not math.isinf(p) and float(p).is_integer() and int(p) % 2 == 0
-    n = int(p) * m + 2 if even_integer else 4 * (2 * m + 2)
-    return n + (n % 2)
-
-
-def dirichlet_kernel_grid(spec: DirichletSpec, n_per_axis: int, offset: float = 0.5) -> GridFunction:
-    """Sample the kernel via a dense spectrum and one inverse FFT."""
-    m = int(math.floor(spec.radius))
-    if n_per_axis < 2 * m + 2:
-        raise ValueError(f"grid {n_per_axis} does not resolve bandwidth {m}; need >= {2 * m + 2}")
-    n = int(n_per_axis)
-    spectrum = np.zeros((n,) * spec.dim, dtype=np.complex128)
-    for row in lattice_points(spec.radius, spec.dim):
-        spectrum[tuple(int(v) % n for v in row)] += 1.0
-    return grid_from_spectrum(spectrum, spec.dim, n, offset)
+    return int(p) * m + 2 if even_integer else 4 * (2 * m + 2)
 
 
 def dirichlet_norm(spec: DirichletSpec, p: float, n_per_axis: int | None = None) -> float:
-    """||D_{R,d}||_p; the sup norm is the lattice count exactly."""
+    """||D_{R,d}||_p; the sup norm is the lattice count exactly, other p
+    use quadrature on an N^d grid, which must resolve bandwidth floor(R)."""
     p = float(p)
     if math.isinf(p):
         return float(lattice_count(spec.radius, spec.dim))
     n = int(n_per_axis) if n_per_axis is not None else default_grid(spec, p)
-    return lp_norm(dirichlet_kernel_grid(spec, n), p)
+    return lp_norm(sample(spherical_dirichlet(spec), n), p)
 
 
 @dataclass(frozen=True)

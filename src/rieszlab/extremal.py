@@ -32,8 +32,10 @@ from scipy.optimize import minimize
 from .fourier import (
     GridFunction,
     TrigPoly,
+    _int_freqs,
     axis_angles,
     coefficients,
+    grid_from_spectrum,
     grid_inner,
     grid_spectrum,
     riesz_project,
@@ -66,13 +68,11 @@ def outer_from_modulus(m: GridFunction) -> GridFunction:
     log_m = m.with_samples(np.log(mags).astype(np.complex128))
     spec = grid_spectrum(log_m)
     n = m.n_per_axis
-    freqs = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    freqs = _int_freqs(n)
     weight = np.zeros(n)
     weight[freqs == 0] = 1.0
     weight[freqs > 0] = 2.0  # negative and Nyquist bins stay zero
     analytic = spec * weight
-    from .fourier import grid_from_spectrum
-
     completion = grid_from_spectrum(analytic, 1, n, m.offset)
     return m.with_samples(np.exp(completion.samples))
 

@@ -27,7 +27,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .norms import conjectured_exponent
+from .norms import conjectured_exponent, interpolation_lower_bound
 
 
 @dataclass(frozen=True)
@@ -57,16 +57,6 @@ def _q_samples() -> list[float]:
     return qs
 
 
-def _lower_d1(q: float) -> tuple[float, str]:
-    if q < 4.0 / 3.0:
-        return 0.0, "endpoint"
-    if q < 2.0:
-        return 2.0 * q / (4.0 - q), "interpolation"
-    if math.isinf(q):
-        return 4.0, "interpolation"
-    return 4.0 * q / (q + 2.0), "interpolation"
-
-
 def _lower_d2(q: float) -> tuple[float, str]:
     if q < 4.0 / 3.0:
         return -1.0, "exact"
@@ -88,7 +78,8 @@ def figure_tables(dim: int) -> BoundTable:
         if dim == 1:
             upper = conjectured_exponent(1, q) if q > 1 else 0.0
             upper_source = "conjectured" if q > 1 else "exact"
-            lower, lower_source = _lower_d1(q)
+            lower = interpolation_lower_bound(q)
+            lower_source = "endpoint" if q < 4.0 / 3.0 else "interpolation"
         else:
             if q < 4.0 / 3.0:
                 upper, upper_source = -1.0, "exact"

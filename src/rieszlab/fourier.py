@@ -69,10 +69,6 @@ class TrigPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_coeffs(cls, dim: int, coeffs: Mapping[Iterable[int], complex]) -> "TrigPoly":
-        return cls(dim=dim, coeffs=dict(coeffs))
-
-    @classmethod
     def zero(cls, dim: int) -> "TrigPoly":
         return cls(dim=dim, coeffs={})
 
@@ -294,17 +290,12 @@ def grid_from_spectrum(
 def sample(poly: TrigPoly, n_per_axis: int, offset: float = 0.5) -> GridFunction:
     """Evaluate a TrigPoly on the N^d grid (exact; refuses to alias).
 
-    Requires even N with N >= 2 * (bandwidth + 1) so every stored
-    frequency has an unambiguous bin.
+    Requires even N >= 2 * (bandwidth + 1), see :func:`resolving_grid`,
+    so every stored frequency has an unambiguous bin.
     """
     n = int(n_per_axis)
-    if n % 2 or n < 2:
-        raise ValueError("n_per_axis must be even and >= 2")
-    if n < 2 * (poly.bandwidth() + 1):
-        raise ValueError(
-            f"grid n_per_axis={n} too small for bandwidth {poly.bandwidth()}; "
-            f"need at least {2 * (poly.bandwidth() + 1)}"
-        )
+    if resolving_grid(poly, n) != n:
+        raise ValueError(f"grid n_per_axis={n} must be even and >= 2 * (bandwidth {poly.bandwidth()} + 1)")
     alphas = np.array(list(poly.coeffs), dtype=np.int64).reshape(-1, poly.dim)
     values = np.fromiter(poly.coeffs.values(), dtype=np.complex128, count=len(poly.coeffs))
     if offset != 0.0:
@@ -314,6 +305,13 @@ def sample(poly: TrigPoly, n_per_axis: int, offset: float = 0.5) -> GridFunction
     grid = grid_from_spectrum(spec, poly.dim, n, 0.0)
     grid.offset = offset
     return grid
+
+
+def resolving_grid(poly: TrigPoly, n_per_axis: int) -> int:
+    """Smallest even grid size >= n_per_axis that :func:`sample` accepts
+    for ``poly``, i.e. at least 2 * (bandwidth + 1)."""
+    n = int(n_per_axis)
+    return max(n + n % 2, 2 * (poly.bandwidth() + 1))
 
 
 def coefficients(grid: GridFunction, cutoff: int) -> TrigPoly:

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .fourier import GridFunction, TrigPoly, sample
-from .norms import conjugate, lp_norm, nonlinear_map
+from .norms import conjugate, nonlinear_map
 from .series import (
     DEFAULT_CONTROL,
     SeriesControl,
@@ -35,11 +36,6 @@ from .series import (
     require_converged,
     sum_series,
 )
-
-#: Series convergence guard: the projection norm series is summed only
-#: while b*eps/a < 1/2 (radius of the central-binomial series); beyond
-#: it the quadrature route takes over.
-SERIES_GUARD = 0.5
 
 
 def base_polynomial() -> TrigPoly:
@@ -74,8 +70,8 @@ class PerturbedFamily:
     def __post_init__(self) -> None:
         if not 0.0 < self.eps < 0.25:
             raise ValueError("eps must lie in (0, 1/4)")
-        if not self.q_star >= 1.0:
-            raise ValueError("q_star must be >= 1")
+        if not 1.0 <= self.q_star < math.inf:
+            raise ValueError(f"q must exceed 1 (q* = {self.q_star} must be finite and >= 1)")
 
     @property
     def q(self) -> float:
@@ -138,21 +134,11 @@ def kernel_norm_series(fam: PerturbedFamily, q: float) -> float:
     return total ** (1.0 / q)
 
 
-class ProjectionCoefficients:
+class ProjectionCoefficients(NamedTuple):
     """Coefficients (a, b) of P+ psi = a z1 z2 + eps b (z1^2 - z2^2)."""
 
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: float, b: float):
-        self.a = a
-        self.b = b
-
-    def __iter__(self):
-        yield self.a
-        yield self.b
-
-    def __repr__(self) -> str:
-        return f"ProjectionCoefficients(a={self.a!r}, b={self.b!r})"
+    a: float
+    b: float
 
 
 def projection_coefficients(fam: PerturbedFamily) -> ProjectionCoefficients:
@@ -181,8 +167,11 @@ def projection_polynomial(fam: PerturbedFamily) -> TrigPoly:
 def projection_norm_series(fam: PerturbedFamily, p: float) -> float:
     """||P+ psi||_p from the series; p = 0 gives the geometric mean.
 
-    Falls back to quadrature if the series argument b*eps/a leaves the
-    convergence disc (cannot happen for eps < 1/4 with moderate q*).
+    The series in x = b*eps/a converges for |x| < 1/2 (the radius of the
+    central-binomial series), which covers eps < 1/4 at every finite q*.
+    Outside that disc it terminates only for even integer p, where the
+    value stays exact; otherwise the infinite tail bound makes
+    ``require_converged`` raise ``NonconvergenceError``.
     """
     p = float(p)
     if p < 0:
@@ -192,9 +181,6 @@ def projection_norm_series(fam: PerturbedFamily, p: float) -> float:
     if math.isinf(p):
         # |phi|^2 = a^2 + 4 (b eps)^2 sin^2(t1 - t2) peaks at sin^2 = 1
         return a * math.sqrt(1.0 + 4.0 * x * x)
-    if not abs(x) < SERIES_GUARD:
-        phi = projection_polynomial(fam)
-        return lp_norm(sample(phi, 128), p)
     x2 = x * x
     if p == 0.0:
         tally = sum_series(

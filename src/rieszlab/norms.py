@@ -26,6 +26,9 @@ from .fourier import GridFunction
 #: quadrature finite without biasing smooth integrands.
 GEOMEAN_FLOOR = 1e-300
 
+#: Smallest normal float64; a mean of |g|^p below it has lost digits.
+_TINY = np.finfo(np.float64).tiny
+
 
 def lp_norm(g: GridFunction, p: float) -> float:
     """L^p quasinorm of grid samples; p=0 geometric mean, p=inf sup."""
@@ -41,7 +44,15 @@ def lp_norm(g: GridFunction, p: float) -> float:
         return float(np.exp(np.mean(np.log(np.maximum(mags, GEOMEAN_FLOOR)))))
     if math.isinf(p):
         return float(mags.max())
-    return float(np.mean(mags**p) ** (1.0 / p))
+    with np.errstate(over="ignore", under="ignore"):
+        mean = np.mean(mags**p)
+        if not math.isfinite(mean) or (mean < _TINY and mags.any()):
+            # mags**p left the normal range: ||g||_p = max * ||g / max||_p
+            top = float(mags.max())
+            if not math.isfinite(top):
+                raise ValueError("grid samples are not finite")
+            return top * float(np.mean((mags / top) ** p) ** (1.0 / p))
+    return float(mean ** (1.0 / p))
 
 
 def nonlinear_map(g: GridFunction, p: float) -> GridFunction:

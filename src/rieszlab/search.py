@@ -31,8 +31,8 @@ import numpy as np
 
 from .config import RunConfig, thread_count
 from .dirichlet import lattice_points
-from .fourier import TrigPoly, axis_angles, coefficients, riesz_project, sample
-from .homog2 import PerturbedFamily, kernel_polynomial
+from .fourier import TrigPoly, axis_angles, coefficients, resolving_grid, riesz_project, sample
+from .homog2 import PerturbedFamily, build_family, kernel_polynomial
 from .kernels import point_extremal_function
 from .norms import conjugate, lp_norm, nonlinear_map
 
@@ -72,9 +72,7 @@ class ViolationCertificate:
         return self.ratio > 1.0 + RATIO_MARGIN
 
     def recompute_ratio(self, scale: int = 1) -> float:
-        n = self.n_per_axis * scale
-        n = max(n, 2 * (self.psi.bandwidth() + 1))
-        n += n % 2
+        n = resolving_grid(self.psi, self.n_per_axis * scale)
         return projection_ratio(self.psi, self.p, self.q, n, self.offset)
 
     def to_json_dict(self) -> dict:
@@ -139,12 +137,12 @@ class SearchResult:
 # ---------------------------------------------------------------------------
 
 
-def _random_poly(rng: np.random.Generator, dim: int, max_degree: int) -> TrigPoly:
-    rng_degree = int(rng.integers(1, max_degree + 1))
-    span = range(-rng_degree, rng_degree + 1)
+def _random_poly(rng: np.random.Generator, dim: int, degree: int) -> TrigPoly:
+    """Every |alpha_i| <= degree gets a standard complex Gaussian
+    coefficient, drawn (re, im) in row-major order of alpha."""
     coeffs = {}
-    for alpha in np.ndindex(*([2 * rng_degree + 1] * dim)):
-        idx = tuple(a - rng_degree for a in alpha)
+    for alpha in np.ndindex(*([2 * degree + 1] * dim)):
+        idx = tuple(a - degree for a in alpha)
         re, im = rng.standard_normal(2)
         coeffs[idx] = complex(re, im)
     return TrigPoly(dim, coeffs)
@@ -168,12 +166,9 @@ def _homog2_candidates(q: float, n_per_axis: int) -> list[tuple[str, TrigPoly]]:
     out = []
     for eps in (0.02, 0.05, 0.1, 0.2):
         fam = PerturbedFamily(eps=eps, q_star=q_star)
-        half = q_star / 2.0
-        if abs(half - round(half)) < 1e-12 and round(half) >= 1:
-            psi = kernel_polynomial(fam)
-        else:
-            from .homog2 import build_family
-
+        try:
+            psi = kernel_polynomial(fam)  # exact when q* is an even integer
+        except ValueError:
             _, psi_grid = build_family(eps, q_star, n_per_axis)
             psi = coefficients(psi_grid, min(16, n_per_axis // 2 - 1)).prune(1e-13)
         out.append((f"homog2(eps={eps})", psi))
@@ -306,8 +301,10 @@ def violation_search(
 
     candidates: list[tuple[str, TrigPoly]] = []
     n_random = max(4, int(budget * 0.25))
+    max_degree = min(cfg.max_degree, 8 // dim + 2)
     for _ in range(n_random):
-        candidates.append(("random", _random_poly(rng, dim, min(cfg.max_degree, 8 // dim + 2))))
+        degree = int(rng.integers(1, max_degree + 1))
+        candidates.append(("random", _random_poly(rng, dim, degree)))
     if dim == 1 and q > 1:
         candidates.extend(_kernel_family_candidates(q, max(n, 256)))
     if dim == 2 and q > 1:
@@ -315,10 +312,8 @@ def violation_search(
     candidates.extend(_shifted_dirichlet_candidates(rng, dim, count=max(4, budget // 20)))
 
     def evaluate(item: tuple[str, TrigPoly]) -> float:
-        name, poly = item
-        needed = 2 * (poly.bandwidth() + 1)
-        grid = n if n >= needed else needed + (needed % 2)
-        return projection_ratio(poly, p, q, grid, cfg.offset)
+        _, poly = item
+        return projection_ratio(poly, p, q, resolving_grid(poly, n), cfg.offset)
 
     workers = thread_count(cfg.threads)
     if workers > 1 and len(candidates) > 8:
@@ -335,8 +330,7 @@ def violation_search(
 
     ascent_budget = max(0, budget - evaluations)
     if ascent_budget > 10:
-        needed = 2 * (best_poly.bandwidth() + 1)
-        grid = n if n >= needed else needed + (needed % 2)
+        grid = resolving_grid(best_poly, n)
         improved, improved_ratio, used = _ascend(best_poly, p, q, grid, cfg.offset, ascent_budget)
         evaluations += used
         if improved_ratio > best_ratio:
@@ -345,8 +339,6 @@ def violation_search(
 
     certificate = None
     if best_ratio > 1.0 + RATIO_MARGIN:
-        needed = 2 * (best_poly.bandwidth() + 1)
-        grid = n if n >= needed else needed + (needed % 2)
         cert = ViolationCertificate(
             dim=dim,
             q=float(q),
@@ -354,7 +346,7 @@ def violation_search(
             psi=best_poly,
             ratio=best_ratio,
             seed=seed,
-            n_per_axis=grid,
+            n_per_axis=resolving_grid(best_poly, n),
             offset=cfg.offset,
             family=best_family,
         )

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import dirichlet, figures, homog2, kernels
 from .fourier import (
-    TrigPoly,
     coefficients,
     partial_project,
     poly_inner,
@@ -23,15 +22,7 @@ from .fourier import (
     sample,
 )
 from .norms import conjectured_exponent, conjugate, lp_norm, nonlinear_map
-
-
-def _random_poly(rng, dim, degree):
-    coeffs = {}
-    for alpha in np.ndindex(*([2 * degree + 1] * dim)):
-        idx = tuple(a - degree for a in alpha)
-        re, im = rng.standard_normal(2)
-        coeffs[idx] = complex(re, im)
-    return TrigPoly(dim, coeffs)
+from .search import _random_poly
 
 
 def check_projection_idempotent():

@@ -89,6 +89,14 @@ def test_norm_json_handles_inf_strictly(capsys, monkeypatch):
     assert float(doc["norm"]) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_norm_huge_coefficient_is_finite(capsys, monkeypatch, recwarn):
+    monkeypatch.setattr("sys.stdin", io.StringIO(poly_json(TrigPoly(1, {(1,): 1e300}))))
+    code, out, err = run(capsys, ["norm", "--p", "4"])
+    assert code == 0 and err == ""
+    assert float(out.split("\n")[1].split(",")[1]) == pytest.approx(1e300, rel=1e-14)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_norm_respects_config_file_and_flag(capsys, monkeypatch, tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("grid_1d = 512\n")
@@ -224,6 +232,15 @@ def test_d2_scan_csv_and_sidecar(capsys, tmp_path):
     assert scan_meta["extrapolated"] == pytest.approx(2.5, abs=0.01)
 
 
+@pytest.mark.parametrize("q", ["1", "0.5"])
+def test_d2_scan_rejects_q_at_most_one(capsys, q):
+    code, out, err = run(capsys, ["d2-scan", "--q", q])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "q must" in err
+
+
 def test_dirichlet_csv(capsys):
     code, out, _ = run(capsys, ["dirichlet", "--d", "2", "--p", "1", "--radii", "5,10"])
     assert code == 0
@@ -231,6 +248,24 @@ def test_dirichlet_csv(capsys):
     assert lines[0] == "d,p,R,norm,lattice_count"
     counts = [int(line.split(",")[4]) for line in lines[1:]]
     assert counts == [81, 317]
+
+
+def test_dirichlet_fit_computes_each_norm_once(capsys, monkeypatch):
+    from rieszlab import dirichlet
+
+    calls = []
+    real = dirichlet.dirichlet_norm
+
+    def counted(spec, p, n_per_axis=None):
+        calls.append((spec.radius, p))
+        return real(spec, p, n_per_axis)
+
+    monkeypatch.setattr("rieszlab.dirichlet.dirichlet_norm", counted)
+    monkeypatch.setattr("rieszlab.cli.dirichlet_norm", counted)
+    code, out, _ = run(capsys, ["dirichlet", "--d", "2", "--p", "0.5,1", "--fit"])
+    assert code == 0
+    assert len(out.strip().split("\n")) == 1 + 8
+    assert sorted(calls) == sorted((r, p) for p in (0.5, 1.0) for r in (5.0, 10.0, 20.0, 40.0))
 
 
 def test_dirichlet_fit_needs_enough_radii(capsys):

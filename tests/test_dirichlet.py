@@ -6,7 +6,6 @@ import pytest
 from rieszlab.dirichlet import (
     DirichletSpec,
     default_grid,
-    dirichlet_kernel_grid,
     dirichlet_norm,
     growth_fit,
     lattice_count,
@@ -105,15 +104,10 @@ def test_fractional_p_grid_stability():
     assert base == pytest.approx(refined, rel=5e-3)
 
 
-def test_kernel_grid_matches_poly():
-    spec = DirichletSpec(2.0, 2)
-    grid = dirichlet_kernel_grid(spec, 16)
-    from rieszlab.fourier import sample
-
-    direct = sample(spherical_dirichlet(spec), 16)
-    assert np.allclose(grid.samples, direct.samples, atol=1e-12)
+def test_norm_refuses_unresolving_grid():
+    # bandwidth floor(R) = 2 needs at least 2 * (2 + 1) = 6 points per axis
     with pytest.raises(ValueError):
-        dirichlet_kernel_grid(spec, 4)
+        dirichlet_norm(DirichletSpec(2.0, 2), 1.0, n_per_axis=4)
 
 
 def test_growth_fit_d2():

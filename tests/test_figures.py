@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +84,12 @@ def test_csv_deterministic():
     assert lines[0] == "q,upper,lower,upper_source,lower_source"
     assert len(lines) == 35  # header + 33 rows + trailing newline
     assert lines[-2].startswith("inf,4,4,")
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_csv_matches_pinned_bytes(dim):
+    pinned = Path(__file__).resolve().parent.parent / "bench" / "pinned" / f"figures_d{dim}.csv"
+    assert table_csv(figure_tables(dim)).encode() == pinned.read_bytes()
 
 
 def test_csv_d2_exact_region():

@@ -6,6 +6,7 @@ import pytest
 from rieszlab.fourier import coefficients, riesz_project, sample
 from rieszlab.homog2 import (
     PerturbedFamily,
+    ProjectionCoefficients,
     base_polynomial,
     build_family,
     family_polynomial,
@@ -20,7 +21,7 @@ from rieszlab.homog2 import (
     threshold_scan,
 )
 from rieszlab.norms import conjugate, lp_norm
-from rieszlab.series import SeriesControl
+from rieszlab.series import NonconvergenceError, SeriesControl
 
 Q_GRID = [1.5, 2.0, 3.0, 4.0]
 EPS_GRID = [0.05, 0.1, 0.2]
@@ -152,6 +153,28 @@ def test_geometric_mean_closed_form_agrees_with_series():
 def test_projection_norm_rejects_negative_p():
     with pytest.raises(ValueError):
         projection_norm_series(PerturbedFamily(eps=0.1, q_star=2.0), -1.0)
+
+
+def test_projection_norm_outside_series_disc(monkeypatch):
+    # (a, b) = (1, 3) at eps = 0.2 puts x = b eps / a = 0.6 outside the
+    # disc |x| < 1/2: even integer p terminates and stays exact, any
+    # other p must refuse rather than switch method.
+    monkeypatch.setattr(
+        "rieszlab.homog2.projection_coefficients", lambda fam: ProjectionCoefficients(1.0, 3.0)
+    )
+    fam = PerturbedFamily(eps=0.2, q_star=2.0)
+    phi = base_polynomial() + perturbation_polynomial().scale(0.6)
+    for p in (2.0, 4.0):
+        quad = lp_norm(sample(phi, 16), p)  # exact: |phi|^p is a trig polynomial
+        assert projection_norm_series(fam, p) == pytest.approx(quad, rel=1e-14)
+    for p in (2.6, 1.0, 0.0):
+        with pytest.raises(NonconvergenceError):
+            projection_norm_series(fam, p)
+
+
+def test_perturbed_family_needs_finite_q_star():
+    with pytest.raises(ValueError, match="q must exceed 1"):
+        PerturbedFamily(eps=0.1, q_star=math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,23 @@ def test_lp_norm_validation():
         lp_norm(zero, 0.0)
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e-161, 1e-200])
+@pytest.mark.parametrize("p", [0.5, 2.0, 2.6, 4.0])
+def test_extreme_magnitudes_rescale(scale, p):
+    # |g|^p overflows or underflows (to subnormals or 0) while ||g||_p does not
+    f = TrigPoly(1, {(0,): 1.0, (1,): 0.5})
+    unit = lp_norm(sample(f, 16), p)
+    with np.errstate(all="raise"):  # a stray overflow warning would raise here
+        got = lp_norm(sample(f.scale(scale), 16), p)
+    assert got == pytest.approx(unit * scale, rel=1e-14)
+
+
+def test_non_finite_samples_refused():
+    g = GridFunction(1, 4, np.array([1.0, np.inf, 0.0, 2.0], dtype=np.complex128))
+    with pytest.raises(ValueError):
+        lp_norm(g, 2.0)
+
+
 def test_even_p_quadrature_exact():
     # ||f||_4^4 of f = 1 + z is sum over a+b=c+d of 1 = 6 for indices in {0,1}
     f = TrigPoly(1, {(0,): 1.0, (1,): 1.0})

@@ -79,7 +79,7 @@ def reference_ascend(psi, p, q, n_per_axis, offset, steps):
 def test_incremental_ascent_matches_reference(dim, q, p, n, offset, steps):
     rng = np.random.default_rng(dim + steps)
     for _ in range(2):
-        psi = _random_poly(rng, dim, 8 // dim)
+        psi = _random_poly(rng, dim, int(rng.integers(1, 8 // dim + 1)))
         got = _ascend(psi, p, q, n, offset, steps)
         want = reference_ascend(psi, p, q, n, offset, steps)
         assert got[0].coeffs == want[0].coeffs
