@@ -5,8 +5,10 @@ dirichlet, search, figures, selftest.
 
 Exit codes: 0 success, 2 validation/usage error, 3 a series or solver
 failed to converge.  Settings resolve as defaults < config file
-(``key=value`` lines, ``#`` comments) < flags; ``RIESZ_LAB_THREADS``
-caps worker threads.
+(``key=value`` lines, ``#`` comments) < flags; each subcommand accepts
+only the shared flags it reads.  ``--grid`` is a floor rounded up by
+``resolving_grid`` for norm and search, the exact size for dirichlet and
+dual-extremal.  ``RIESZ_LAB_THREADS`` caps the search scan's workers.
 
 Polynomials travel as JSON ({"dim": d, "terms": [{"alpha": [...],
 "re": x, "im": y}, ...]}); grid samples as the RLGF binary dump.
@@ -198,8 +200,8 @@ def cmd_dual_extremal(args, cfg: RunConfig) -> int:
         phi,
         q=float(args.q),
         trunc_degree=args.trunc_degree,
-        tol=args.tol if args.tol is not None else 1e-6,
-        n_per_axis=args.grid,
+        tol=args.tol,
+        n_per_axis=args.n_per_axis,
         max_iter=args.max_iter,
     )
     _write_text(_json_text(triple.to_json_dict()), cfg.out)
@@ -260,7 +262,7 @@ def cmd_dirichlet(args, cfg: RunConfig) -> int:
     fits = []
     for p in ps:
         if args.fit:
-            fit = growth_fit(dim, p, radii, n_per_axis=args.grid, threads=cfg.threads)
+            fit = growth_fit(dim, p, radii, n_per_axis=args.n_per_axis)
             norms = fit.norms
             fits.append(
                 {
@@ -276,7 +278,7 @@ def cmd_dirichlet(args, cfg: RunConfig) -> int:
             )
         else:
             norms = [
-                dirichlet_norm(DirichletSpec(radius=radius, dim=dim), p, n_per_axis=args.grid)
+                dirichlet_norm(DirichletSpec(radius=radius, dim=dim), p, n_per_axis=args.n_per_axis)
                 for radius in radii
             ]
         for radius, norm in zip(radii, norms):
@@ -350,17 +352,26 @@ def cmd_selftest(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE", help="key=value settings file")
-    common.add_argument("--grid", type=int, help="points per axis for quadrature grids")
-    common.add_argument("--tol", type=float, help="tolerance override")
-    common.add_argument("--seed", type=int, help="RNG seed")
-    common.add_argument("--budget", type=int, help="evaluation budget for searches")
-    common.add_argument("--threads", type=int, help="worker-thread cap")
-    common.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
-    common.add_argument("--format", dest="fmt", choices=("csv", "json"), help="output format")
+#: Flags shared by several subcommands; each takes only those its handler reads.
+_SHARED_FLAGS = {
+    "--config": {"metavar": "FILE", "help": "key=value settings file"},
+    "--grid": {"type": int, "metavar": "N", "help": "points per axis, rounded up to resolve the input"},
+    "--seed": {"type": int, "help": "RNG seed"},
+    "--budget": {"type": int, "help": "evaluation budget"},
+    "--threads": {"type": int, "help": "worker-thread cap for the candidate scan"},
+    "--out": {"metavar": "FILE", "help": "write output here instead of stdout"},
+    "--format": {"dest": "fmt", "choices": ("csv", "json"), "help": "output format"},
+}
 
+
+def _even_grid(text: str) -> int:
+    n = int(text)
+    if n < 2 or n % 2:
+        raise argparse.ArgumentTypeError(f"grid must be even and >= 2, got {n}")
+    return n
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rieszlab",
         description="Numerical laboratory for Riesz projections on the torus.",
@@ -368,72 +379,73 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("project", parents=[common], help="analytic projection of a polynomial or grid dump")
+    def add(name: str, fn, summary: str, *shared: str) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=summary)
+        for flag in shared:
+            sp.add_argument(flag, **_SHARED_FLAGS[flag])
+        sp.set_defaults(fn=fn)
+        return sp
+
+    sp = add("project", cmd_project, "analytic projection of a polynomial or grid dump", "--config", "--out")
     sp.add_argument("--in", dest="infile", default="-", help="TrigPoly JSON or RLGF file ('-' = stdin)")
     sp.add_argument("--minus", action="store_true", help="strictly-negative part instead (d=1)")
     sp.add_argument("--axes", help="project these axes only, e.g. 1,2")
-    sp.set_defaults(fn=cmd_project)
 
-    sp = sub.add_parser("norm", parents=[common], help="L^p norm, 0 <= p <= inf")
+    sp = add("norm", cmd_norm, "L^p norm, 0 <= p <= inf", "--config", "--grid", "--out", "--format")
     sp.add_argument("--in", dest="infile", default="-", help="TrigPoly JSON or RLGF file ('-' = stdin)")
     sp.add_argument("--p", required=True, help="exponent (0, inf allowed)")
-    sp.set_defaults(fn=cmd_norm)
 
-    sp = sub.add_parser("rpk-check", parents=[common], help="coefficientwise kernel-norm comparison")
+    sp = add("rpk-check", cmd_rpk_check, "coefficientwise kernel-norm comparison",
+             "--config", "--out", "--format")
     sp.add_argument("--q", required=True, help="constraint exponent (q > 1 or inf)")
     sp.add_argument("--p", help="norm exponent (default 4/q*)")
     sp.add_argument("--n-max", type=int, default=50, help="compare coefficients up to this index")
     sp.add_argument("--r", help="also check the norm series against quadrature at these r=|w|^2")
-    sp.set_defaults(fn=cmd_rpk_check)
 
-    sp = sub.add_parser("dual-extremal", parents=[common], help="minimal-norm extension solver")
+    sp = add("dual-extremal", cmd_dual_extremal, "minimal-norm extension solver", "--config", "--out")
     sp.add_argument("--q", required=True, help="norm exponent (1 < q < inf)")
     sp.add_argument("--kernel", help="use a truncated point-evaluation kernel at this w")
     sp.add_argument("--degree", type=int, default=40, help="kernel truncation degree")
     sp.add_argument("--in", dest="infile", help="analytic TrigPoly JSON to extend")
     sp.add_argument("--trunc-degree", type=int, help="degree cap for the co-analytic part")
     sp.add_argument("--max-iter", type=int, default=4000)
-    sp.set_defaults(fn=cmd_dual_extremal)
+    sp.add_argument("--grid", dest="n_per_axis", metavar="N", type=_even_grid, help="exact grid size")
+    sp.add_argument("--tol", type=float, default=1e-6, help="duality-gap tolerance")
 
-    sp = sub.add_parser("d2-scan", parents=[common], help="threshold scan for the 2-d perturbed family")
+    sp = add("d2-scan", cmd_d2_scan, "threshold scan for the 2-d perturbed family",
+             "--config", "--out", "--format")
     sp.add_argument("--q", required=True, help="comma list of q values (inf allowed)")
     sp.add_argument("--eps", default="0.08,0.04,0.02", help="comma list of perturbation sizes")
     sp.add_argument("--p-lo", type=float, default=0.05)
     sp.add_argument("--p-hi", type=float, default=4.5)
     sp.add_argument("--resolution", type=float, default=1e-4)
-    sp.set_defaults(fn=cmd_d2_scan)
 
-    sp = sub.add_parser("dirichlet", parents=[common], help="spherical Dirichlet kernel norms")
+    sp = add("dirichlet", cmd_dirichlet, "spherical Dirichlet kernel norms", "--config", "--out", "--format")
     sp.add_argument("--d", type=int, required=True, choices=(1, 2, 3))
     sp.add_argument("--p", default="1", help="comma list of exponents")
     sp.add_argument("--radii", help="comma list of radii")
     sp.add_argument("--fit", action="store_true", help="also fit log-norm vs log-R growth")
-    sp.set_defaults(fn=cmd_dirichlet)
+    sp.add_argument("--grid", dest="n_per_axis", metavar="N", type=_even_grid, help="exact points per axis")
 
-    sp = sub.add_parser("search", parents=[common], help="search for norm-inflation certificates")
+    sp = add("search", cmd_search, "search for norm-inflation certificates",
+             "--config", "--grid", "--seed", "--budget", "--threads", "--out")
     sp.add_argument("--d", type=int, required=True, choices=(1, 2, 3))
     sp.add_argument("--q", required=True)
     sp.add_argument("--p", required=True)
-    sp.set_defaults(fn=cmd_search)
 
-    sp = sub.add_parser("figures", parents=[common], help="bound tables over q")
+    sp = add("figures", cmd_figures, "bound tables over q", "--config", "--out", "--format")
     sp.add_argument("--d", type=int, required=True, choices=(1, 2))
-    sp.set_defaults(fn=cmd_figures)
 
-    sp = sub.add_parser("selftest", parents=[common], help="run the invariant suite")
-    sp.set_defaults(fn=cmd_selftest)
+    add("selftest", cmd_selftest, "run the invariant suite")
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    overrides: dict = {}
-    if getattr(args, "grid", None) is not None:
-        overrides.update(grid_1d=args.grid, grid_2d=args.grid, grid_3d=args.grid)
-    for flag, key in (("tol", "tol"), ("seed", "seed"), ("budget", "budget"),
-                      ("threads", "threads"), ("out", "out"), ("fmt", "fmt")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            overrides[key] = val
+    """Resolve the RunConfig from the subcommand's shared flags."""
+    overrides = {key: getattr(args, key, None) for key in ("seed", "budget", "threads", "out", "fmt")}
+    grid = getattr(args, "grid", None)
+    if grid is not None:
+        overrides.update(grid_1d=grid, grid_2d=grid, grid_3d=grid)
     return make_config(getattr(args, "config", None), **overrides)
 
 

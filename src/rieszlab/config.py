@@ -1,7 +1,8 @@
 """Run configuration shared by the CLI and the search drivers.
 
 Precedence: built-in defaults < config file (key=value lines) < flags.
-``RIESZ_LAB_THREADS`` caps worker threads for the parallel loops.
+``RIESZ_LAB_THREADS`` caps the worker threads of the search candidate
+scan, the one parallel loop.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ class RunConfig:
     grid_2d: int = 128
     grid_3d: int = 64
     offset: float = 0.5
-    tol: float = 1e-10
     max_terms: int = 200
     rel_tol: float = 1e-16
     seed: int = 0
@@ -32,7 +32,7 @@ class RunConfig:
             n = getattr(self, name)
             if n < 2 or n % 2:
                 raise ValueError(f"{name} must be even and >= 2")
-        if self.tol <= 0 or self.rel_tol <= 0:
+        if self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
@@ -83,13 +83,9 @@ def parse_config_file(path) -> dict:
 
 
 def _coerce(key: str, value: str):
-    if key == "fmt":
+    if key in ("fmt", "out"):
         return value
-    if key == "out":
-        return value
-    if key == "threads":
-        return int(value)
-    if key in ("offset", "tol", "rel_tol"):
+    if key in ("offset", "rel_tol"):
         return float(value)
     return int(value)
 

@@ -10,12 +10,10 @@ discarding the smallest radius as preasymptotic.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import thread_count
 from .fourier import TrigPoly, sample
 from .norms import lp_norm
 
@@ -113,13 +111,7 @@ class GrowthFit:
         }
 
 
-def growth_fit(
-    dim: int,
-    p: float,
-    radii,
-    n_per_axis: int | None = None,
-    threads: int | None = None,
-) -> GrowthFit:
+def growth_fit(dim: int, p: float, radii, n_per_axis: int | None = None) -> GrowthFit:
     """Fit the growth exponent of R -> ||D_{R,d}||_p.
 
     Needs at least four increasing radii; the smallest is kept in the
@@ -131,16 +123,7 @@ def growth_fit(
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
     specs = [DirichletSpec(radius=r, dim=dim) for r in radii]
-
-    def norm_of(spec: DirichletSpec) -> float:
-        return dirichlet_norm(spec, p, n_per_axis)
-
-    workers = thread_count(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            norms = list(pool.map(norm_of, specs))
-    else:
-        norms = [norm_of(s) for s in specs]
+    norms = [dirichlet_norm(spec, p, n_per_axis) for spec in specs]
 
     log_r = np.log(np.asarray(radii[1:]))
     log_n = np.log(np.asarray(norms[1:]))

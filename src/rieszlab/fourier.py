@@ -298,6 +298,9 @@ def sample(poly: TrigPoly, n_per_axis: int, offset: float = 0.5) -> GridFunction
         raise ValueError(f"grid n_per_axis={n} must be even and >= 2 * (bandwidth {poly.bandwidth()} + 1)")
     alphas = np.array(list(poly.coeffs), dtype=np.int64).reshape(-1, poly.dim)
     values = np.fromiter(poly.coeffs.values(), dtype=np.complex128, count=len(poly.coeffs))
+    with np.errstate(over="ignore"):  # the l1 sum bounds every sample
+        if not np.isfinite(np.abs(values).sum()):
+            raise ValueError("coefficient l1 sum overflows float64, so the samples would too")
     if offset != 0.0:
         values *= np.exp(2j * np.pi * offset * alphas.sum(axis=1) / n)
     spec = np.zeros((n,) * poly.dim, dtype=np.complex128)
@@ -461,5 +464,7 @@ def load_grid(path) -> GridFunction:
     if len(raw) != expected:
         raise ValueError(f"grid file has {len(raw)} bytes, expected {expected}")
     flat = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size, count=count)
+    if not np.isfinite(flat).all():
+        raise ValueError("grid file holds non-finite samples")
     samples = flat.reshape((n,) * dim).astype(np.complex128)
     return GridFunction(dim=dim, n_per_axis=n, samples=samples, offset=half_cells / 2.0)

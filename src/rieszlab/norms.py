@@ -41,18 +41,22 @@ def lp_norm(g: GridFunction, p: float) -> float:
     if p == 0.0:
         if not mags.any():
             raise ValueError("geometric mean of identically zero samples")
-        return float(np.exp(np.mean(np.log(np.maximum(mags, GEOMEAN_FLOOR)))))
-    if math.isinf(p):
-        return float(mags.max())
-    with np.errstate(over="ignore", under="ignore"):
-        mean = np.mean(mags**p)
-        if not math.isfinite(mean) or (mean < _TINY and mags.any()):
-            # mags**p left the normal range: ||g||_p = max * ||g / max||_p
-            top = float(mags.max())
-            if not math.isfinite(top):
-                raise ValueError("grid samples are not finite")
-            return top * float(np.mean((mags / top) ** p) ** (1.0 / p))
-    return float(mean ** (1.0 / p))
+        value = float(np.exp(np.mean(np.log(np.maximum(mags, GEOMEAN_FLOOR)))))
+    elif math.isinf(p):
+        value = float(mags.max())
+    else:
+        with np.errstate(over="ignore", under="ignore"):
+            mean = np.mean(mags**p)
+            if not math.isfinite(mean) or (mean < _TINY and mags.any()):
+                # mags**p left the normal range: ||g||_p = max * ||g / max||_p
+                top = float(mags.max())
+                if not math.isfinite(top):
+                    raise ValueError("grid samples are not finite")
+                return top * float(np.mean((mags / top) ** p) ** (1.0 / p))
+        return float(mean ** (1.0 / p))
+    if not math.isfinite(value):
+        raise ValueError("grid samples are not finite")
+    return value
 
 
 def nonlinear_map(g: GridFunction, p: float) -> GridFunction:

@@ -14,9 +14,9 @@ on a grid of twice the resolution; merely grazing 1 proves nothing at
 grid accuracy.
 
 Everything is deterministic for a fixed seed: candidates are generated
-up front, evaluated in a fixed order (optionally on a thread pool,
-which does not change the reduction order), and ties are broken by
-candidate index.
+up front, scored on a thread pool whose ``map`` keeps their order
+(``--threads`` or ``RIESZ_LAB_THREADS`` caps its workers), and ties
+are broken by candidate index.
 """
 
 from __future__ import annotations
@@ -315,12 +315,8 @@ def violation_search(
         _, poly = item
         return projection_ratio(poly, p, q, resolving_grid(poly, n), cfg.offset)
 
-    workers = thread_count(cfg.threads)
-    if workers > 1 and len(candidates) > 8:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ratios = list(pool.map(evaluate, candidates))
-    else:
-        ratios = [evaluate(c) for c in candidates]
+    with ThreadPoolExecutor(max_workers=thread_count(cfg.threads)) as pool:
+        ratios = list(pool.map(evaluate, candidates))  # map keeps the candidate order
     evaluations = len(candidates)
 
     order = sorted(range(len(candidates)), key=lambda i: (-ratios[i], i))

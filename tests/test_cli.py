@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from rieszlab import cli
-from rieszlab.fourier import TrigPoly, load_grid, sample, save_grid
+from rieszlab.fourier import GridFunction, TrigPoly, load_grid, sample, save_grid
 
 PSI_L1 = TrigPoly(1, {(-1,): 1.0, (1,): 2.0, (3,): 1.0})
 
@@ -95,6 +96,26 @@ def test_norm_huge_coefficient_is_finite(capsys, monkeypatch, recwarn):
     assert code == 0 and err == ""
     assert float(out.split("\n")[1].split(",")[1]) == pytest.approx(1e300, rel=1e-14)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_norm_overflowing_samples_refused(capsys, monkeypatch, recwarn):
+    # |c_0| + |c_1| overflows float64, so the samples at theta = 0 would too
+    doc = poly_json(TrigPoly(1, {(0,): 1.7e308, (1,): 1.7e308}))
+    for p in ("inf", "0"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, out, err = run(capsys, ["norm", "--p", p])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_norm_non_finite_grid_file_refused(capsys, tmp_path):
+    src = tmp_path / "nan.rlgf"
+    save_grid(GridFunction(1, 4, np.array([1.0, np.nan, 2.0, 3.0], dtype=np.complex128)), str(src))
+    for p in ("inf", "0"):
+        code, out, err = run(capsys, ["norm", "--p", p, "--in", str(src)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_norm_respects_config_file_and_flag(capsys, monkeypatch, tmp_path):
@@ -311,3 +332,95 @@ def test_bad_config_file_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, ["figures", "--d", "1", "--config", str(cfgfile)])
     assert code == 2
     assert "bogus" in err
+
+
+def test_config_file_tol_is_unknown(capsys, tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("tol = 1e-8\n")
+    code, out, err = run(capsys, ["figures", "--d", "1", "--config", str(cfgfile)])
+    assert code == 2 and out == ""
+    assert "'tol'" in err
+
+
+# ---------------------------------------------------------------------------
+# each subcommand accepts only the shared flags its handler reads
+# ---------------------------------------------------------------------------
+
+SHARED_FLAGS = ("--config", "--grid", "--tol", "--seed", "--budget", "--threads", "--out", "--format")
+
+ACCEPTED = {
+    "project": {"--config", "--out"},
+    "norm": {"--config", "--grid", "--out", "--format"},
+    "rpk-check": {"--config", "--out", "--format"},
+    "dual-extremal": {"--config", "--grid", "--tol", "--out"},
+    "d2-scan": {"--config", "--out", "--format"},
+    "dirichlet": {"--config", "--grid", "--out", "--format"},
+    "search": {"--config", "--grid", "--seed", "--budget", "--threads", "--out"},
+    "figures": {"--config", "--out", "--format"},
+    "selftest": set(),
+}
+
+#: The required arguments of each subcommand, so that only the flag under
+#: test can make argparse fail.
+REQUIRED = {
+    "project": [],
+    "norm": ["--p", "2"],
+    "rpk-check": ["--q", "4"],
+    "dual-extremal": ["--q", "1.5", "--kernel", "0.5"],
+    "d2-scan": ["--q", "3"],
+    "dirichlet": ["--d", "1"],
+    "search": ["--d", "1", "--q", "2", "--p", "2"],
+    "figures": ["--d", "1"],
+    "selftest": [],
+}
+
+UNREAD = [(cmd, flag) for cmd, flags in ACCEPTED.items() for flag in SHARED_FLAGS if flag not in flags]
+
+
+def test_each_subcommand_accepts_only_the_shared_flags_it_reads():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {
+        name: {opt for action in sp._actions for opt in action.option_strings if opt in SHARED_FLAGS}
+        for name, sp in sub.choices.items()
+    }
+    assert accepted == ACCEPTED
+    assert sum(map(len, accepted.values())) == 29 and len(UNREAD) == 72 - 29
+    for cmd, argv in REQUIRED.items():
+        parser.parse_args([cmd, *argv])
+
+
+@pytest.mark.parametrize("cmd,flag", UNREAD)
+def test_unread_shared_flag_exits_2(capsys, cmd, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([cmd, *REQUIRED[cmd], flag, "json" if flag == "--format" else "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dirichlet", "--d", "2", "--p", "inf", "--grid", "7"],
+        ["dirichlet", "--d", "2", "--grid", "0"],
+        ["dual-extremal", "--q", "1.5", "--kernel", "0.5", "--grid", "255"],
+    ],
+)
+def test_exact_grid_must_be_even(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "grid must be even and >= 2" in capsys.readouterr().err
+
+
+def test_dual_extremal_tol_defaults(monkeypatch, capsys):
+    seen = {}
+
+    def fake_solve(phi, **kwargs):
+        seen.update(kwargs)
+        raise ValueError("stop")
+
+    monkeypatch.setattr(cli, "dual_extremal_solve", fake_solve)
+    argv = ["dual-extremal", "--q", "1.5", "--kernel", "0.5"]
+    assert run(capsys, argv)[0] == 2 and seen["tol"] == 1e-6
+    assert run(capsys, [*argv, "--tol", "1e-9"])[0] == 2 and seen["tol"] == 1e-9

@@ -24,8 +24,6 @@ def test_validation():
     with pytest.raises(ValueError):
         RunConfig(grid_2d=0)
     with pytest.raises(ValueError):
-        RunConfig(tol=0.0)
-    with pytest.raises(ValueError):
         RunConfig(budget=0)
     with pytest.raises(ValueError):
         RunConfig(fmt="yaml")
@@ -41,13 +39,12 @@ def test_parse_config_file(tmp_path):
     path.write_text(
         "# comment line\n"
         "grid_1d = 512\n"
-        "tol=1e-8   # trailing comment\n"
+        "seed = 3   # trailing comment\n"
         "\n"
-        "seed = 3\n"
         "fmt = json\n"
     )
     values = parse_config_file(path)
-    assert values == {"grid_1d": 512, "tol": 1e-8, "seed": 3, "fmt": "json"}
+    assert values == {"grid_1d": 512, "seed": 3, "fmt": "json"}
 
 
 def test_parse_config_file_bad_key(tmp_path):

@@ -129,10 +129,3 @@ def test_growth_fit_validation():
         growth_fit(2, 1.0, [5.0, 10.0, 20.0])
     with pytest.raises(ValueError):
         growth_fit(2, 1.0, [5.0, 5.0, 10.0, 20.0])
-
-
-def test_growth_fit_threads_agree():
-    serial = growth_fit(2, 0.5, [5.0, 10.0, 15.0, 20.0], threads=1)
-    parallel = growth_fit(2, 0.5, [5.0, 10.0, 15.0, 20.0], threads=4)
-    assert serial.norms == parallel.norms
-    assert serial.exponent == parallel.exponent

@@ -341,3 +341,20 @@ def test_load_rejects_truncated(tmp_path):
     path.write_bytes(data[:-8])
     with pytest.raises(ValueError):
         load_grid(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_load_rejects_non_finite_samples(tmp_path, bad):
+    grid = GridFunction(1, 4, np.array([1.0, bad, 2.0, 3.0], dtype=np.complex128))
+    path = tmp_path / "bad.rlgf"
+    save_grid(grid, path)
+    with pytest.raises(ValueError, match="non-finite"):
+        load_grid(path)
+
+
+def test_sample_refuses_overflowing_l1_sum(recwarn):
+    with pytest.raises(ValueError, match="l1 sum"):
+        sample(TrigPoly(1, {(0,): 1.7e308, (1,): 1.7e308}), 4)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    big = sample(TrigPoly(1, {(0,): 1e308, (1,): 1e307j}), 4)  # l1 sum still finite
+    assert np.isfinite(big.samples).all()

@@ -88,6 +88,15 @@ def test_non_finite_samples_refused():
         lp_norm(g, 2.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("p", [0.0, math.inf])
+def test_non_finite_samples_refused_at_p0_and_sup(p, bad, recwarn):
+    g = GridFunction(1, 4, np.array([1.0, bad, 2.0, 3.0], dtype=np.complex128))
+    with pytest.raises(ValueError, match="not finite"):
+        lp_norm(g, p)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_even_p_quadrature_exact():
     # ||f||_4^4 of f = 1 + z is sum over a+b=c+d of 1 = 6 for indices in {0,1}
     f = TrigPoly(1, {(0,): 1.0, (1,): 1.0})
