@@ -149,6 +149,8 @@ def cmd_project(args, cfg: RunConfig) -> int:
 def cmd_norm(args, cfg: RunConfig) -> int:
     p = float(args.p)
     if _is_grid_file(args.infile):
+        if args.grid is not None:
+            raise ValueError("a grid file keeps its own n_per_axis; --grid applies to polynomial input")
         grid = load_grid(args.infile)
     else:
         poly = _load_poly(args.infile)
@@ -441,12 +443,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    """Resolve the RunConfig from the subcommand's shared flags."""
+    """Resolve the RunConfig from the subcommand's config file and shared flags."""
     overrides = {key: getattr(args, key, None) for key in ("seed", "budget", "threads", "out", "fmt")}
     grid = getattr(args, "grid", None)
     if grid is not None:
         overrides.update(grid_1d=grid, grid_2d=grid, grid_3d=grid)
-    return make_config(getattr(args, "config", None), **overrides)
+    return make_config(getattr(args, "config", None), args.command, args.fn, **overrides)
 
 
 def main(argv: list[str] | None = None) -> int:

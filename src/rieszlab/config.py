@@ -1,14 +1,19 @@
 """Run configuration shared by the CLI and the search drivers.
 
 Precedence: built-in defaults < config file (key=value lines) < flags.
+A subcommand refuses a config-file key that its handler never reads;
+``fields_read`` finds those reads in the handler's source.
 ``RIESZ_LAB_THREADS`` caps the worker threads of the search candidate
 scan, the one parallel loop.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import inspect
 import os
+import textwrap
 from dataclasses import dataclass
 
 
@@ -90,9 +95,58 @@ def _coerce(key: str, value: str):
     return int(value)
 
 
-def make_config(file_path=None, **overrides) -> RunConfig:
+def fields_read(fn, receiver: str = "cfg") -> frozenset[str]:
+    """The RunConfig fields that ``fn`` reads through its ``receiver`` parameter.
+
+    Scans fn's source for ``receiver.<field>``, follows the RunConfig
+    methods it calls on the receiver, and the functions it passes the
+    receiver to.  A plain assignment or ``or`` of the receiver (``cfg =
+    config or RunConfig()``) binds another name to it.
+    """
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    names = {receiver}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and _mentions(node.value, names):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _mentions(node.value, names):
+            if node.attr in _FIELD_TYPES:
+                read.add(node.attr)
+            elif callable(getattr(RunConfig, node.attr, None)):
+                read |= fields_read(getattr(RunConfig, node.attr), "self")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            callee = fn.__globals__.get(node.func.id)
+            if not inspect.isfunction(callee):
+                continue
+            params = list(inspect.signature(callee).parameters)
+            passed = [p for p, arg in zip(params, node.args) if _mentions(arg, names)]
+            passed += [kw.arg for kw in node.keywords if _mentions(kw.value, names)]
+            for param in passed:
+                read |= fields_read(callee, param)
+    return frozenset(read)
+
+
+def _mentions(node: ast.AST, names: set[str]) -> bool:
+    """``node`` is one of ``names``, or an ``or``/``and`` with one as an operand."""
+    if isinstance(node, ast.BoolOp):
+        return any(_mentions(v, names) for v in node.values)
+    return isinstance(node, ast.Name) and node.id in names
+
+
+def make_config(file_path=None, command: str | None = None, handler=None, **overrides) -> RunConfig:
+    """Defaults < config file < the non-None ``overrides``.
+
+    With a ``handler``, a file key that it never reads is refused with a
+    message naming ``command``, as an unread flag is.
+    """
     values: dict = {}
     if file_path is not None:
         values.update(parse_config_file(file_path))
+        if handler is not None:
+            read = fields_read(handler)
+            unread = [key for key in values if key not in read]
+            if unread:
+                raise ValueError(f"{file_path}: {command} does not read config key {unread[0]!r}")
     values.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig(**values)

@@ -18,6 +18,9 @@ Two groups of tools:
   f = N_q(psi) certifies optimality: for analytic f,
   |<f, phi>| / ||f||_{q*} is a lower bound for the minimum, so the
   duality gap sandwiches the value.
+
+scipy.optimize is imported when the solver first runs (``optimize``), so
+only a solve pays for it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .fourier import (
     GridFunction,
@@ -42,6 +44,7 @@ from .fourier import (
     sample,
 )
 from .norms import conjugate, lp_norm, nonlinear_map
+from .optimize import minimize
 from .series import NonconvergenceError
 
 

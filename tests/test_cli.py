@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from rieszlab import cli
+from rieszlab.config import RunConfig, fields_read
 from rieszlab.fourier import GridFunction, TrigPoly, load_grid, sample, save_grid
 
 PSI_L1 = TrigPoly(1, {(-1,): 1.0, (1,): 2.0, (3,): 1.0})
@@ -116,6 +118,18 @@ def test_norm_non_finite_grid_file_refused(capsys, tmp_path):
         code, out, err = run(capsys, ["norm", "--p", p, "--in", str(src)])
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_norm_grid_flag_refused_on_grid_file(capsys, tmp_path):
+    src = tmp_path / "g.rlgf"
+    save_grid(sample(TrigPoly(1, {(1,): 1.0}), 16), str(src))
+    argv = ["norm", "--p", "2", "--in", str(src), "--format", "json"]
+    code, out, err = run(capsys, [*argv, "--grid", "64"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "grid file keeps its own n_per_axis" in err
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and json.loads(out)["n_per_axis"] == 16
 
 
 def test_norm_respects_config_file_and_flag(capsys, monkeypatch, tmp_path):
@@ -411,6 +425,78 @@ def test_exact_grid_must_be_even(capsys, argv):
         cli.main(argv)
     assert exc.value.code == 2
     assert "grid must be even and >= 2" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# each subcommand accepts only the config-file keys its handler reads
+# ---------------------------------------------------------------------------
+
+GRIDS = {"grid_1d", "grid_2d", "grid_3d"}
+
+CONFIG_READS = {
+    "project": {"out"},
+    "norm": GRIDS | {"offset", "out", "fmt"},
+    "rpk-check": {"max_terms", "rel_tol", "out", "fmt"},
+    "dual-extremal": {"out"},
+    "d2-scan": {"max_terms", "rel_tol", "out", "fmt"},
+    "dirichlet": {"out", "fmt"},
+    "search": GRIDS | {"offset", "seed", "budget", "max_degree", "threads", "out"},
+    "figures": {"out", "fmt"},
+    "selftest": set(),
+}
+
+#: A valid value for every RunConfig field.
+CONFIG_VALUES = {
+    "grid_1d": "64",
+    "grid_2d": "32",
+    "grid_3d": "32",
+    "offset": "0.25",
+    "max_terms": "300",
+    "rel_tol": "1e-15",
+    "seed": "5",
+    "budget": "10",
+    "max_degree": "4",
+    "threads": "4",
+    "out": "unused.txt",
+    "fmt": "json",
+}
+
+UNREAD_KEYS = [(cmd, key) for cmd, keys in CONFIG_READS.items() for key in CONFIG_VALUES if key not in keys]
+
+
+def test_config_keys_follow_the_handler():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(CONFIG_VALUES) == {f.name for f in dataclasses.fields(RunConfig)}
+    reads = {name: set(fields_read(sp.get_default("fn"))) for name, sp in sub.choices.items()}
+    assert reads == CONFIG_READS
+
+
+@pytest.mark.parametrize("cmd,key", [(c, k) for c, k in UNREAD_KEYS if c != "selftest"])
+def test_unread_config_key_exits_2(capsys, tmp_path, cmd, key):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{key} = {CONFIG_VALUES[key]}\n")
+    code, out, err = run(capsys, [cmd, *REQUIRED[cmd], "--config", str(cfgfile)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{cmd} does not read config key '{key}'" in err
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (["rpk-check", "--q", "4", "--r", "0.25"], "max_terms = 300\nrel_tol = 1e-15\n"),
+        (["d2-scan", "--q", "3", "--eps", "0.08"], "max_terms = 300\nrel_tol = 1e-15\n"),
+        (["search", "--d", "1", "--q", "2", "--p", "2"], "grid_3d = 32\nseed = 5\nbudget = 10\nthreads = 1\n"),
+        (["norm", "--p", "2"], "grid_1d = 64\noffset = 0.25\nfmt = json\n"),
+    ],
+)
+def test_config_keys_the_handler_reads_still_work(capsys, monkeypatch, tmp_path, argv, text):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(poly_json(PSI_L1)))
+    code, out, _ = run(capsys, [*argv, "--config", str(cfgfile)])
+    assert code == 0 and out
 
 
 def test_dual_extremal_tol_defaults(monkeypatch, capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from rieszlab.config import RunConfig, make_config, parse_config_file, thread_count
+from rieszlab.config import RunConfig, fields_read, make_config, parse_config_file, thread_count
 from rieszlab.series import SeriesControl
 
 
@@ -68,6 +68,37 @@ def test_make_config_precedence(tmp_path):
     assert cfg.grid_1d == 512  # from file
     assert cfg.seed == 9  # flag beats file
     assert cfg.budget == 200  # None override keeps default
+
+
+def _search_like(dim, config=None):
+    cfg = config or RunConfig()
+    return cfg.seed, cfg.grid_for(dim)
+
+
+def _handler_passing_on(args, cfg):
+    print(cfg)  # not a function with source: not followed
+    return _search_like(args.d, cfg), cfg.budget, args.threads
+
+
+def _handler_by_keyword(args, cfg):
+    return _search_like(args.d, config=cfg), cfg.series_control()
+
+
+def test_fields_read_follows_aliases_methods_and_callees():
+    grids = {"grid_1d", "grid_2d", "grid_3d"}
+    assert fields_read(_handler_passing_on) == grids | {"seed", "budget"}
+    assert fields_read(_handler_by_keyword) == grids | {"seed", "max_terms", "rel_tol"}
+    assert fields_read(_search_like, "config") == grids | {"seed"}
+
+
+def test_make_config_refuses_a_key_the_handler_never_reads(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("seed = 3\n")
+    assert make_config(path, "demo", _handler_by_keyword).seed == 3
+    path.write_text("seed = 3\nthreads = 2\n")
+    with pytest.raises(ValueError, match="demo does not read config key 'threads'"):
+        make_config(path, "demo", _handler_by_keyword)
+    assert make_config(path).threads == 2  # no handler: every field is a key
 
 
 def test_thread_count_explicit_wins(monkeypatch):

@@ -1,8 +1,10 @@
-"""Every module-level import in the library is used.
+"""Every module-level import in the library is used, and none is scipy.
 
 An ``ast`` scan stands in for a linter: a name bound by a module-level
 ``import`` or ``from ... import`` must be read somewhere in the module.
 ``__init__`` is skipped, because its imports are the package's API.
+scipy is imported only inside the function that runs it, so that
+``import rieszlab`` does not pay for it.
 """
 
 import ast
@@ -12,6 +14,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rieszlab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,3 +39,49 @@ def test_scanner_flags_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def eager_scipy_imports(source: str) -> list[str]:
+    """Imports of scipy that run at import time, outside any function body."""
+    found = []
+    pending = list(ast.parse(source).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, FUNCTIONS):
+            continue
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] if not node.level else []
+        else:
+            modules = []
+            pending.extend(ast.iter_child_nodes(node))
+        found += [f"line {node.lineno}: {m}" for m in modules if m.split(".")[0] == "scipy"]
+    return sorted(found)
+
+
+def test_scanner_flags_eager_scipy():
+    source = (
+        "import os, scipy.fft\n"
+        "from scipy.optimize import minimize\n"
+        "try:\n"
+        "    from scipy import special\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "class C:\n"
+        "    import scipy\n"
+        "def solve():\n"
+        "    from scipy.optimize import minimize\n"
+        "    return minimize\n"
+    )
+    assert eager_scipy_imports(source) == [
+        "line 1: scipy.fft",
+        "line 2: scipy.optimize",
+        "line 4: scipy",
+        "line 8: scipy",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_level_scipy_import(path):
+    assert eager_scipy_imports(path.read_text()) == []

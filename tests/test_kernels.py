@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -168,3 +169,12 @@ def test_poisson_kernel_mean_one():
     grid = poisson_kernel(0.4 + 0.3j, n_per_axis=512)
     assert float(np.mean(grid.samples.real)) == pytest.approx(1.0, rel=1e-12)
     assert float(np.abs(grid.samples.imag).max()) <= 1e-15
+
+
+@given(st.floats(0.5, 8.0), st.floats(0.0, 0.9))
+def test_szego_norm_matches_mpmath_hypergeometric(p, r):
+    # independent oracle: ||k_w||_p^p = 2F1(p/2, p/2; 1; |w|^2) at 40 digits
+    with mpmath.workdps(40):
+        half = mpmath.mpf(p) / 2
+        exact = float(mpmath.hyp2f1(half, half, 1, mpmath.mpf(r)) ** (1 / mpmath.mpf(p)))
+    assert szego_norm(math.sqrt(r), p, CTL) == pytest.approx(exact, rel=1e-13, abs=0)
