@@ -11,7 +11,7 @@ search (`search`).  `python -m rieszlab --help` lists the CLI.
 
 __version__ = "0.1.0"
 
-from .config import RunConfig, make_config, thread_count
+from .config import thread_count
 from .dirichlet import DirichletSpec, dirichlet_norm, growth_fit, lattice_count, spherical_dirichlet
 from .extremal import (
     ExtremalTriple,
@@ -66,7 +66,6 @@ __all__ = [
     "GridFunction",
     "NonconvergenceError",
     "PerturbedFamily",
-    "RunConfig",
     "SearchResult",
     "SeriesControl",
     "TrigPoly",
@@ -89,7 +88,6 @@ __all__ = [
     "lattice_count",
     "load_grid",
     "lp_norm",
-    "make_config",
     "minimal_admissible",
     "nonlinear_map",
     "outer_from_modulus",

@@ -4,11 +4,10 @@ Subcommands: project, norm, rpk-check, dual-extremal, d2-scan,
 dirichlet, search, figures, selftest.
 
 Exit codes: 0 success, 2 validation/usage error, 3 a series or solver
-failed to converge.  Settings resolve as defaults < config file
-(``key=value`` lines, ``#`` comments) < flags; each subcommand accepts
-only the shared flags it reads.  ``--grid`` is a floor rounded up by
-``resolving_grid`` for norm and search, the exact size for dirichlet and
-dual-extremal.  ``RIESZ_LAB_THREADS`` caps the search scan's workers.
+failed to converge.  Flags are the only home for a setting, and each
+subcommand accepts only the shared flags its handler reads.  ``--grid``
+is a floor rounded up by ``resolving_grid`` for norm and search, the
+exact size for dirichlet and dual-extremal.
 
 Polynomials travel as JSON ({"dim": d, "terms": [{"alpha": [...],
 "re": x, "im": y}, ...]}); grid samples as the RLGF binary dump.
@@ -24,7 +23,6 @@ import math
 import sys
 
 from . import __version__
-from .config import RunConfig, make_config
 from .dirichlet import DirichletSpec, dirichlet_norm, growth_fit, lattice_count
 from .extremal import dual_extremal_solve
 from .figures import figure_tables, table_csv
@@ -44,7 +42,7 @@ from .kernels import coefficient_check, szego_kernel_grid, szego_norm, truncated
 from .norms import conjugate, lp_norm
 from .search import violation_search
 from .selftest import run_selftest
-from .series import NonconvergenceError
+from .series import DEFAULT_CONTROL, NonconvergenceError
 
 
 def _float_list(text: str) -> list[float]:
@@ -123,15 +121,15 @@ def _load_poly(path: str) -> TrigPoly:
 # ---------------------------------------------------------------------------
 
 
-def cmd_project(args, cfg: RunConfig) -> int:
+def cmd_project(args) -> int:
     if _is_grid_file(args.infile):
         if args.axes:
             raise ValueError("partial projection is only defined for polynomial input")
         grid = load_grid(args.infile)
         proj = riesz_project_minus(grid) if args.minus else riesz_project(grid)
-        if not cfg.out:
+        if not args.out:
             raise ValueError("grid input requires --out for the binary result")
-        save_grid(proj, cfg.out)
+        save_grid(proj, args.out)
         if proj.aliasing_bound:
             print(f"aliasing_bound {proj.aliasing_bound!r}", file=sys.stderr)
         return 0
@@ -142,11 +140,11 @@ def cmd_project(args, cfg: RunConfig) -> int:
         proj = riesz_project_minus(poly)
     else:
         proj = riesz_project(poly)
-    _write_text(_json_text(proj.to_json_dict()), cfg.out)
+    _write_text(_json_text(proj.to_json_dict()), args.out)
     return 0
 
 
-def cmd_norm(args, cfg: RunConfig) -> int:
+def cmd_norm(args) -> int:
     p = float(args.p)
     if _is_grid_file(args.infile):
         if args.grid is not None:
@@ -154,44 +152,43 @@ def cmd_norm(args, cfg: RunConfig) -> int:
         grid = load_grid(args.infile)
     else:
         poly = _load_poly(args.infile)
-        grid = sample(poly, resolving_grid(poly, cfg.grid_for(poly.dim)), cfg.offset)
+        grid = sample(poly, resolving_grid(poly, args.grid))
     value = lp_norm(grid, p)
-    if cfg.fmt == "json":
-        _write_text(_json_text({"p": p, "norm": value, "n_per_axis": grid.n_per_axis}), cfg.out)
+    if args.fmt == "json":
+        _write_text(_json_text({"p": p, "norm": value, "n_per_axis": grid.n_per_axis}), args.out)
     else:
-        _write_text(_csv_text("p,norm", [f"{_cell(p)},{_cell(value)}"]), cfg.out)
+        _write_text(_csv_text("p,norm", [f"{_cell(p)},{_cell(value)}"]), args.out)
     return 0
 
 
-def cmd_rpk_check(args, cfg: RunConfig) -> int:
+def cmd_rpk_check(args) -> int:
     q = float(args.q)
     p = float(args.p) if args.p is not None else 4.0 / conjugate(q)
     report = coefficient_check(q=q, p=p, n_max=args.n_max)
     doc = report.to_json_dict()
     if args.r:
-        ctl = cfg.series_control()
         checks = []
         for r in _float_list(args.r):
             w = math.sqrt(r)
-            series = szego_norm(w, p, ctl)
+            series = szego_norm(w, p)
             grid = szego_kernel_grid(w, n_per_axis=4096)
             quad = lp_norm(grid, p)
             checks.append({"r": r, "series": series, "quadrature": quad, "diff": abs(series - quad)})
         doc["quadrature_checks"] = checks
-    if cfg.fmt == "json":
-        _write_text(_json_text(doc), cfg.out)
+    if args.fmt == "json":
+        _write_text(_json_text(doc), args.out)
     else:
         rows = [
             f"{n + 1},{_cell(m)},{_cell(fm)}"
             for n, (m, fm) in enumerate(zip(report.margins, report.factor_margins))
         ]
-        _write_text(_csv_text("n,margin,factor_margin", rows), cfg.out)
+        _write_text(_csv_text("n,margin,factor_margin", rows), args.out)
     status = "passed" if report.passed else f"violation at n={report.first_violation}"
     print(f"rpk-check q={q} p={p}: {status}", file=sys.stderr)
     return 0
 
 
-def cmd_dual_extremal(args, cfg: RunConfig) -> int:
+def cmd_dual_extremal(args) -> int:
     if (args.kernel is None) == (args.infile is None):
         raise ValueError("give exactly one of --kernel W or --in FILE")
     if args.kernel is not None:
@@ -206,14 +203,13 @@ def cmd_dual_extremal(args, cfg: RunConfig) -> int:
         n_per_axis=args.n_per_axis,
         max_iter=args.max_iter,
     )
-    _write_text(_json_text(triple.to_json_dict()), cfg.out)
+    _write_text(_json_text(triple.to_json_dict()), args.out)
     return 0
 
 
-def cmd_d2_scan(args, cfg: RunConfig) -> int:
+def cmd_d2_scan(args) -> int:
     qs = _float_list(args.q)
     eps_list = tuple(_float_list(args.eps))
-    ctl = cfg.series_control()
     scans = [
         threshold_scan(
             q,
@@ -221,12 +217,11 @@ def cmd_d2_scan(args, cfg: RunConfig) -> int:
             p_lo=args.p_lo,
             p_hi=args.p_hi,
             resolution=args.resolution,
-            ctl=ctl,
         )
         for q in qs
     ]
-    if cfg.fmt == "json":
-        _write_text(_json_text({"scans": [s.to_json_dict() for s in scans]}), cfg.out)
+    if args.fmt == "json":
+        _write_text(_json_text({"scans": [s.to_json_dict() for s in scans]}), args.out)
         return 0
     rows = []
     for scan in scans:
@@ -237,25 +232,25 @@ def cmd_d2_scan(args, cfg: RunConfig) -> int:
                     for v in (scan.q, row.eps, row.threshold_p, row.a, row.b, row.psi_norm)
                 )
             )
-    _write_text(_csv_text("q,eps,threshold_p,a,b,psi_norm", rows), cfg.out)
+    _write_text(_csv_text("q,eps,threshold_p,a,b,psi_norm", rows), args.out)
     meta = {
         "eps": list(eps_list),
         "p_window": [args.p_lo, args.p_hi],
         "resolution": args.resolution,
-        "series": {"max_terms": cfg.max_terms, "rel_tol": cfg.rel_tol},
+        "series": {"max_terms": DEFAULT_CONTROL.max_terms, "rel_tol": DEFAULT_CONTROL.rel_tol},
         "scans": [
             {"q": s.q, "q_star": s.q_star, "extrapolated": s.extrapolated, **s.metadata}
             for s in scans
         ],
     }
-    if cfg.out:
-        _write_text(_json_text(meta), cfg.out + ".meta.json")
+    if args.out:
+        _write_text(_json_text(meta), args.out + ".meta.json")
     else:
         print(_json_text(meta), end="", file=sys.stderr)
     return 0
 
 
-def cmd_dirichlet(args, cfg: RunConfig) -> int:
+def cmd_dirichlet(args) -> int:
     dim = args.d
     ps = _float_list(args.p)
     radii = _float_list(args.radii) if args.radii else _default_radii(dim)
@@ -289,17 +284,17 @@ def cmd_dirichlet(args, cfg: RunConfig) -> int:
             row_docs.append(
                 {"d": dim, "p": p, "R": radius, "norm": norm, "lattice_count": count}
             )
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         doc = {"rows": row_docs}
         if fits:
             doc["fits"] = fits
-        _write_text(_json_text(doc), cfg.out)
+        _write_text(_json_text(doc), args.out)
         return 0
-    _write_text(_csv_text("d,p,R,norm,lattice_count", rows), cfg.out)
+    _write_text(_csv_text("d,p,R,norm,lattice_count", rows), args.out)
     if fits:
         text = _json_text({"fits": fits})
-        if cfg.out:
-            _write_text(text, cfg.out + ".fit.json")
+        if args.out:
+            _write_text(text, args.out + ".fit.json")
         else:
             print(text, end="", file=sys.stderr)
     return 0
@@ -309,22 +304,23 @@ def _default_radii(dim: int) -> list[float]:
     return [3.0, 6.0, 9.0, 12.0] if dim == 3 else [5.0, 10.0, 20.0, 40.0]
 
 
-def cmd_search(args, cfg: RunConfig) -> int:
+def cmd_search(args) -> int:
     result = violation_search(
         args.d,
         q=float(args.q),
         p=float(args.p),
-        budget=cfg.budget,
-        config=cfg,
-        seed=cfg.seed,
+        budget=args.budget,
+        seed=args.seed,
+        n_per_axis=args.grid,
+        threads=args.threads,
     )
-    _write_text(_json_text(result.to_json_dict()), cfg.out)
+    _write_text(_json_text(result.to_json_dict()), args.out)
     return 0
 
 
-def cmd_figures(args, cfg: RunConfig) -> int:
+def cmd_figures(args) -> int:
     table = figure_tables(args.d)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         doc = {
             "dim": table.dim,
             "rows": [
@@ -338,13 +334,13 @@ def cmd_figures(args, cfg: RunConfig) -> int:
                 for r in table.rows
             ],
         }
-        _write_text(_json_text(doc), cfg.out)
+        _write_text(_json_text(doc), args.out)
     else:
-        _write_text(table_csv(table), cfg.out)
+        _write_text(table_csv(table), args.out)
     return 0
 
 
-def cmd_selftest(args, cfg: RunConfig) -> int:
+def cmd_selftest(args) -> int:
     _, failed = run_selftest()
     return 0 if failed == 0 else 1
 
@@ -354,23 +350,22 @@ def cmd_selftest(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-#: Flags shared by several subcommands; each takes only those its handler reads.
-_SHARED_FLAGS = {
-    "--config": {"metavar": "FILE", "help": "key=value settings file"},
-    "--grid": {"type": int, "metavar": "N", "help": "points per axis, rounded up to resolve the input"},
-    "--seed": {"type": int, "help": "RNG seed"},
-    "--budget": {"type": int, "help": "evaluation budget"},
-    "--threads": {"type": int, "help": "worker-thread cap for the candidate scan"},
-    "--out": {"metavar": "FILE", "help": "write output here instead of stdout"},
-    "--format": {"dest": "fmt", "choices": ("csv", "json"), "help": "output format"},
-}
-
-
 def _even_grid(text: str) -> int:
     n = int(text)
     if n < 2 or n % 2:
         raise argparse.ArgumentTypeError(f"grid must be even and >= 2, got {n}")
     return n
+
+
+#: Flags shared by several subcommands; each takes only those its handler reads.
+_SHARED_FLAGS = {
+    "--grid": {"type": _even_grid, "metavar": "N", "help": "points per axis, rounded up to resolve the input"},
+    "--seed": {"type": int, "default": 0, "help": "RNG seed"},
+    "--budget": {"type": int, "default": 200, "help": "evaluation budget"},
+    "--threads": {"type": int, "help": "worker-thread cap for the candidate scan"},
+    "--out": {"metavar": "FILE", "help": "write output here instead of stdout"},
+    "--format": {"dest": "fmt", "choices": ("csv", "json"), "default": "csv", "help": "output format"},
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -388,23 +383,23 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(fn=fn)
         return sp
 
-    sp = add("project", cmd_project, "analytic projection of a polynomial or grid dump", "--config", "--out")
+    sp = add("project", cmd_project, "analytic projection of a polynomial or grid dump", "--out")
     sp.add_argument("--in", dest="infile", default="-", help="TrigPoly JSON or RLGF file ('-' = stdin)")
     sp.add_argument("--minus", action="store_true", help="strictly-negative part instead (d=1)")
     sp.add_argument("--axes", help="project these axes only, e.g. 1,2")
 
-    sp = add("norm", cmd_norm, "L^p norm, 0 <= p <= inf", "--config", "--grid", "--out", "--format")
+    sp = add("norm", cmd_norm, "L^p norm, 0 <= p <= inf", "--grid", "--out", "--format")
     sp.add_argument("--in", dest="infile", default="-", help="TrigPoly JSON or RLGF file ('-' = stdin)")
     sp.add_argument("--p", required=True, help="exponent (0, inf allowed)")
 
     sp = add("rpk-check", cmd_rpk_check, "coefficientwise kernel-norm comparison",
-             "--config", "--out", "--format")
+             "--out", "--format")
     sp.add_argument("--q", required=True, help="constraint exponent (q > 1 or inf)")
     sp.add_argument("--p", help="norm exponent (default 4/q*)")
     sp.add_argument("--n-max", type=int, default=50, help="compare coefficients up to this index")
     sp.add_argument("--r", help="also check the norm series against quadrature at these r=|w|^2")
 
-    sp = add("dual-extremal", cmd_dual_extremal, "minimal-norm extension solver", "--config", "--out")
+    sp = add("dual-extremal", cmd_dual_extremal, "minimal-norm extension solver", "--out")
     sp.add_argument("--q", required=True, help="norm exponent (1 < q < inf)")
     sp.add_argument("--kernel", help="use a truncated point-evaluation kernel at this w")
     sp.add_argument("--degree", type=int, default=40, help="kernel truncation degree")
@@ -415,14 +410,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=1e-6, help="duality-gap tolerance")
 
     sp = add("d2-scan", cmd_d2_scan, "threshold scan for the 2-d perturbed family",
-             "--config", "--out", "--format")
+             "--out", "--format")
     sp.add_argument("--q", required=True, help="comma list of q values (inf allowed)")
     sp.add_argument("--eps", default="0.08,0.04,0.02", help="comma list of perturbation sizes")
     sp.add_argument("--p-lo", type=float, default=0.05)
     sp.add_argument("--p-hi", type=float, default=4.5)
     sp.add_argument("--resolution", type=float, default=1e-4)
 
-    sp = add("dirichlet", cmd_dirichlet, "spherical Dirichlet kernel norms", "--config", "--out", "--format")
+    sp = add("dirichlet", cmd_dirichlet, "spherical Dirichlet kernel norms", "--out", "--format")
     sp.add_argument("--d", type=int, required=True, choices=(1, 2, 3))
     sp.add_argument("--p", default="1", help="comma list of exponents")
     sp.add_argument("--radii", help="comma list of radii")
@@ -430,33 +425,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", dest="n_per_axis", metavar="N", type=_even_grid, help="exact points per axis")
 
     sp = add("search", cmd_search, "search for norm-inflation certificates",
-             "--config", "--grid", "--seed", "--budget", "--threads", "--out")
+             "--grid", "--seed", "--budget", "--threads", "--out")
     sp.add_argument("--d", type=int, required=True, choices=(1, 2, 3))
     sp.add_argument("--q", required=True)
     sp.add_argument("--p", required=True)
 
-    sp = add("figures", cmd_figures, "bound tables over q", "--config", "--out", "--format")
+    sp = add("figures", cmd_figures, "bound tables over q", "--out", "--format")
     sp.add_argument("--d", type=int, required=True, choices=(1, 2))
 
     add("selftest", cmd_selftest, "run the invariant suite")
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    """Resolve the RunConfig from the subcommand's config file and shared flags."""
-    overrides = {key: getattr(args, key, None) for key in ("seed", "budget", "threads", "out", "fmt")}
-    grid = getattr(args, "grid", None)
-    if grid is not None:
-        overrides.update(grid_1d=grid, grid_2d=grid, grid_3d=grid)
-    return make_config(getattr(args, "config", None), args.command, args.fn, **overrides)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return args.fn(args, cfg)
+        return args.fn(args)
     except NonconvergenceError as exc:
         print(f"nonconvergence: {exc}", file=sys.stderr)
         return 3

@@ -310,9 +310,18 @@ def sample(poly: TrigPoly, n_per_axis: int, offset: float = 0.5) -> GridFunction
     return grid
 
 
-def resolving_grid(poly: TrigPoly, n_per_axis: int) -> int:
+#: Points per axis for a polynomial sampled with no grid given, by dimension.
+DEFAULT_GRID = {1: 256, 2: 128, 3: 64}
+
+
+def resolving_grid(poly: TrigPoly, n_per_axis: int | None = None) -> int:
     """Smallest even grid size >= n_per_axis that :func:`sample` accepts
-    for ``poly``, i.e. at least 2 * (bandwidth + 1)."""
+    for ``poly``, i.e. at least 2 * (bandwidth + 1).  With no
+    ``n_per_axis``, the floor is ``DEFAULT_GRID`` for ``poly.dim``."""
+    if n_per_axis is None:
+        if poly.dim not in DEFAULT_GRID:
+            raise ValueError(f"no default grid for dim={poly.dim}")
+        n_per_axis = DEFAULT_GRID[poly.dim]
     n = int(n_per_axis)
     return max(n + n % 2, 2 * (poly.bandwidth() + 1))
 

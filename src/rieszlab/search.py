@@ -15,8 +15,7 @@ grid accuracy.
 
 Everything is deterministic for a fixed seed: candidates are generated
 up front, scored on a thread pool whose ``map`` keeps their order
-(``--threads`` or ``RIESZ_LAB_THREADS`` caps its workers), and ties
-are broken by candidate index.
+(``threads`` caps its workers), and ties are broken by candidate index.
 """
 
 from __future__ import annotations
@@ -29,9 +28,9 @@ from functools import reduce
 
 import numpy as np
 
-from .config import RunConfig, thread_count
+from .config import thread_count
 from .dirichlet import lattice_points
-from .fourier import TrigPoly, axis_angles, coefficients, resolving_grid, riesz_project, sample
+from .fourier import DEFAULT_GRID, TrigPoly, axis_angles, coefficients, resolving_grid, riesz_project, sample
 from .homog2 import PerturbedFamily, build_family, kernel_polynomial
 from .kernels import point_extremal_function
 from .norms import conjugate, lp_norm, nonlinear_map
@@ -140,12 +139,10 @@ class SearchResult:
 def _random_poly(rng: np.random.Generator, dim: int, degree: int) -> TrigPoly:
     """Every |alpha_i| <= degree gets a standard complex Gaussian
     coefficient, drawn (re, im) in row-major order of alpha."""
-    coeffs = {}
-    for alpha in np.ndindex(*([2 * degree + 1] * dim)):
-        idx = tuple(a - degree for a in alpha)
-        re, im = rng.standard_normal(2)
-        coeffs[idx] = complex(re, im)
-    return TrigPoly(dim, coeffs)
+    m = 2 * degree + 1
+    values = rng.standard_normal((m**dim, 2)).view(np.complex128).ravel()
+    alphas = np.indices((m,) * dim).reshape(dim, -1).T - degree
+    return TrigPoly(dim, dict(zip(map(tuple, alphas.tolist()), values.tolist())))
 
 
 def _kernel_family_candidates(q: float, n_per_axis: int, cutoff: int = 24) -> list[tuple[str, TrigPoly]]:
@@ -279,29 +276,34 @@ def violation_search(
     q: float,
     p: float,
     budget: int = 200,
-    config: RunConfig | None = None,
-    seed: int | None = None,
+    seed: int = 0,
+    n_per_axis: int | None = None,
+    threads: int | None = None,
 ) -> SearchResult:
     """Maximize the projection ratio over the candidate families.
 
     ``budget`` caps the total number of ratio evaluations (roughly);
     40% goes to scanning the families, the rest to local ascent from
-    the best candidate.  Deterministic for fixed seed.
+    the best candidate.  ``n_per_axis`` is the grid floor (default
+    ``DEFAULT_GRID[dim]``) and ``threads`` caps the scan's workers.
+    Deterministic for fixed seed.
     """
-    cfg = config or RunConfig()
-    seed = cfg.seed if seed is None else int(seed)
+    seed = int(seed)
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     if dim < 1 or dim > 3:
         raise ValueError("search supports d in {1, 2, 3}")
     if not q >= 1:
         raise ValueError("q must be >= 1")
     if not p >= 0:
         raise ValueError("p must be >= 0")
-    n = cfg.grid_for(dim)
+    n = DEFAULT_GRID[dim] if n_per_axis is None else int(n_per_axis)
+    offset = 0.5  # every ratio below samples at sample's default offset
     rng = np.random.default_rng(seed)
 
     candidates: list[tuple[str, TrigPoly]] = []
     n_random = max(4, int(budget * 0.25))
-    max_degree = min(cfg.max_degree, 8 // dim + 2)
+    max_degree = min(8, 8 // dim + 2)
     for _ in range(n_random):
         degree = int(rng.integers(1, max_degree + 1))
         candidates.append(("random", _random_poly(rng, dim, degree)))
@@ -313,9 +315,9 @@ def violation_search(
 
     def evaluate(item: tuple[str, TrigPoly]) -> float:
         _, poly = item
-        return projection_ratio(poly, p, q, resolving_grid(poly, n), cfg.offset)
+        return projection_ratio(poly, p, q, resolving_grid(poly, n), offset)
 
-    with ThreadPoolExecutor(max_workers=thread_count(cfg.threads)) as pool:
+    with ThreadPoolExecutor(max_workers=thread_count(threads)) as pool:
         ratios = list(pool.map(evaluate, candidates))  # map keeps the candidate order
     evaluations = len(candidates)
 
@@ -327,7 +329,7 @@ def violation_search(
     ascent_budget = max(0, budget - evaluations)
     if ascent_budget > 10:
         grid = resolving_grid(best_poly, n)
-        improved, improved_ratio, used = _ascend(best_poly, p, q, grid, cfg.offset, ascent_budget)
+        improved, improved_ratio, used = _ascend(best_poly, p, q, grid, offset, ascent_budget)
         evaluations += used
         if improved_ratio > best_ratio:
             best_poly, best_ratio = improved, improved_ratio
@@ -343,7 +345,7 @@ def violation_search(
             ratio=best_ratio,
             seed=seed,
             n_per_axis=resolving_grid(best_poly, n),
-            offset=cfg.offset,
+            offset=offset,
             family=best_family,
         )
         if cert.recompute_ratio(scale=2) > 1.0 + RATIO_MARGIN:

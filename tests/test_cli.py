@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import io
 import json
 import math
@@ -8,7 +7,6 @@ import numpy as np
 import pytest
 
 from rieszlab import cli
-from rieszlab.config import RunConfig, fields_read
 from rieszlab.fourier import GridFunction, TrigPoly, load_grid, sample, save_grid
 
 PSI_L1 = TrigPoly(1, {(-1,): 1.0, (1,): 2.0, (3,): 1.0})
@@ -132,20 +130,11 @@ def test_norm_grid_flag_refused_on_grid_file(capsys, tmp_path):
     assert code == 0 and json.loads(out)["n_per_axis"] == 16
 
 
-def test_norm_respects_config_file_and_flag(capsys, monkeypatch, tmp_path):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("grid_1d = 512\n")
-    monkeypatch.setattr("sys.stdin", io.StringIO(poly_json(TrigPoly(1, {(1,): 1.0}))))
-    code, out, _ = run(
-        capsys, ["norm", "--p", "2", "--format", "json", "--config", str(cfgfile)]
-    )
-    assert code == 0 and json.loads(out)["n_per_axis"] == 512
-    monkeypatch.setattr("sys.stdin", io.StringIO(poly_json(TrigPoly(1, {(1,): 1.0}))))
-    code, out, _ = run(
-        capsys,
-        ["norm", "--p", "2", "--format", "json", "--config", str(cfgfile), "--grid", "64"],
-    )
-    assert code == 0 and json.loads(out)["n_per_axis"] == 64
+def test_norm_respects_grid_flag(capsys, monkeypatch):
+    for flags, n in (([], 256), (["--grid", "64"], 64)):
+        monkeypatch.setattr("sys.stdin", io.StringIO(poly_json(TrigPoly(1, {(1,): 1.0}))))
+        code, out, _ = run(capsys, ["norm", "--p", "2", "--format", "json", *flags])
+        assert code == 0 and json.loads(out)["n_per_axis"] == n
 
 
 def test_project_poly_json(capsys, monkeypatch):
@@ -340,22 +329,6 @@ def test_selftest_green(capsys):
     assert "FAIL" not in out
 
 
-def test_bad_config_file_exit_code(capsys, tmp_path):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("bogus = 1\n")
-    code, _, err = run(capsys, ["figures", "--d", "1", "--config", str(cfgfile)])
-    assert code == 2
-    assert "bogus" in err
-
-
-def test_config_file_tol_is_unknown(capsys, tmp_path):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("tol = 1e-8\n")
-    code, out, err = run(capsys, ["figures", "--d", "1", "--config", str(cfgfile)])
-    assert code == 2 and out == ""
-    assert "'tol'" in err
-
-
 # ---------------------------------------------------------------------------
 # each subcommand accepts only the shared flags its handler reads
 # ---------------------------------------------------------------------------
@@ -363,14 +336,14 @@ def test_config_file_tol_is_unknown(capsys, tmp_path):
 SHARED_FLAGS = ("--config", "--grid", "--tol", "--seed", "--budget", "--threads", "--out", "--format")
 
 ACCEPTED = {
-    "project": {"--config", "--out"},
-    "norm": {"--config", "--grid", "--out", "--format"},
-    "rpk-check": {"--config", "--out", "--format"},
-    "dual-extremal": {"--config", "--grid", "--tol", "--out"},
-    "d2-scan": {"--config", "--out", "--format"},
-    "dirichlet": {"--config", "--grid", "--out", "--format"},
-    "search": {"--config", "--grid", "--seed", "--budget", "--threads", "--out"},
-    "figures": {"--config", "--out", "--format"},
+    "project": {"--out"},
+    "norm": {"--grid", "--out", "--format"},
+    "rpk-check": {"--out", "--format"},
+    "dual-extremal": {"--grid", "--tol", "--out"},
+    "d2-scan": {"--out", "--format"},
+    "dirichlet": {"--grid", "--out", "--format"},
+    "search": {"--grid", "--seed", "--budget", "--threads", "--out"},
+    "figures": {"--out", "--format"},
     "selftest": set(),
 }
 
@@ -399,7 +372,7 @@ def test_each_subcommand_accepts_only_the_shared_flags_it_reads():
         for name, sp in sub.choices.items()
     }
     assert accepted == ACCEPTED
-    assert sum(map(len, accepted.values())) == 29 and len(UNREAD) == 72 - 29
+    assert sum(map(len, accepted.values())) == 21 and len(UNREAD) == 72 - 21
     for cmd, argv in REQUIRED.items():
         parser.parse_args([cmd, *argv])
 
@@ -418,6 +391,8 @@ def test_unread_shared_flag_exits_2(capsys, cmd, flag):
         ["dirichlet", "--d", "2", "--p", "inf", "--grid", "7"],
         ["dirichlet", "--d", "2", "--grid", "0"],
         ["dual-extremal", "--q", "1.5", "--kernel", "0.5", "--grid", "255"],
+        ["norm", "--p", "2", "--grid", "63"],
+        ["search", "--d", "3", "--q", "3", "--p", "2.6", "--grid", "0"],
     ],
 )
 def test_exact_grid_must_be_even(capsys, argv):
@@ -428,11 +403,13 @@ def test_exact_grid_must_be_even(capsys, argv):
 
 
 # ---------------------------------------------------------------------------
-# each subcommand accepts only the config-file keys its handler reads
+# the settings of the removed config file: a subcommand that never read one
+# has no home for it, neither as a config-file key nor as a flag of its name
 # ---------------------------------------------------------------------------
 
 GRIDS = {"grid_1d", "grid_2d", "grid_3d"}
 
+#: The config-file keys each subcommand read before flags became the only home.
 CONFIG_READS = {
     "project": {"out"},
     "norm": GRIDS | {"offset", "out", "fmt"},
@@ -445,7 +422,7 @@ CONFIG_READS = {
     "selftest": set(),
 }
 
-#: A valid value for every RunConfig field.
+#: A valid value for every former config-file key.
 CONFIG_VALUES = {
     "grid_1d": "64",
     "grid_2d": "32",
@@ -464,39 +441,18 @@ CONFIG_VALUES = {
 UNREAD_KEYS = [(cmd, key) for cmd, keys in CONFIG_READS.items() for key in CONFIG_VALUES if key not in keys]
 
 
-def test_config_keys_follow_the_handler():
-    parser = cli._build_parser()
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert set(CONFIG_VALUES) == {f.name for f in dataclasses.fields(RunConfig)}
-    reads = {name: set(fields_read(sp.get_default("fn"))) for name, sp in sub.choices.items()}
-    assert reads == CONFIG_READS
-
-
 @pytest.mark.parametrize("cmd,key", [(c, k) for c, k in UNREAD_KEYS if c != "selftest"])
 def test_unread_config_key_exits_2(capsys, tmp_path, cmd, key):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"{key} = {CONFIG_VALUES[key]}\n")
-    code, out, err = run(capsys, [cmd, *REQUIRED[cmd], "--config", str(cfgfile)])
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"{cmd} does not read config key '{key}'" in err
-
-
-@pytest.mark.parametrize(
-    "argv,text",
-    [
-        (["rpk-check", "--q", "4", "--r", "0.25"], "max_terms = 300\nrel_tol = 1e-15\n"),
-        (["d2-scan", "--q", "3", "--eps", "0.08"], "max_terms = 300\nrel_tol = 1e-15\n"),
-        (["search", "--d", "1", "--q", "2", "--p", "2"], "grid_3d = 32\nseed = 5\nbudget = 10\nthreads = 1\n"),
-        (["norm", "--p", "2"], "grid_1d = 64\noffset = 0.25\nfmt = json\n"),
-    ],
-)
-def test_config_keys_the_handler_reads_still_work(capsys, monkeypatch, tmp_path, argv, text):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(text)
-    monkeypatch.setattr("sys.stdin", io.StringIO(poly_json(PSI_L1)))
-    code, out, _ = run(capsys, [*argv, "--config", str(cfgfile)])
-    assert code == 0 and out
+    flag = "--" + key.replace("_", "-")
+    for extra in (["--config", str(cfgfile)], [flag, CONFIG_VALUES[key]]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([cmd, *REQUIRED[cmd], *extra])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {extra[0]}" in captured.err
 
 
 def test_dual_extremal_tol_defaults(monkeypatch, capsys):

@@ -21,6 +21,7 @@ from rieszlab.fourier import (
     load_grid,
     partial_project,
     poly_inner,
+    resolving_grid,
     riesz_project,
     riesz_project_minus,
     sample,
@@ -176,6 +177,19 @@ def test_sample_refuses_aliasing():
 def test_sample_refuses_odd_grid():
     with pytest.raises(ValueError):
         sample(TrigPoly.monomial((1,)), 7)
+
+
+def test_resolving_grid_default_by_dim():
+    for dim, n in ((1, 256), (2, 128), (3, 64)):
+        assert resolving_grid(TrigPoly.monomial((1,) * dim)) == n
+        assert resolving_grid(TrigPoly.monomial((200,) * dim)) == 402  # rounded up to resolve
+    assert resolving_grid(TrigPoly.monomial((1,)), 7) == 8
+
+
+def test_resolving_grid_no_default_for_dim_4():
+    with pytest.raises(ValueError, match="no default grid for dim=4"):
+        resolving_grid(TrigPoly.monomial((1, 1, 1, 1)))
+    assert resolving_grid(TrigPoly.monomial((1, 1, 1, 1)), 8) == 8
 
 
 def test_coefficients_cutoff_validation():

@@ -1,10 +1,13 @@
-"""The command lines in the README run as written.
+"""The command lines in the README run as written, and its flag list is
+the parser's.
 
 Every line of a ```sh block that starts with ``rieszlab`` and is not
 part of a pipe goes through ``cli.main`` in an empty directory and must
-exit 0.
+exit 0.  The per-subcommand list of shared flags ("- `norm`: `--grid`,
+...") names exactly the shared flags ``cli._build_parser`` accepts.
 """
 
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -32,3 +35,20 @@ def test_readme_commands_exit_zero(capsys, monkeypatch, tmp_path):
         code = cli.main(shlex.split(line)[1:])
         capsys.readouterr()
         assert code == 0, line
+
+
+def readme_flag_list() -> dict[str, set[str]]:
+    lines = re.findall(r"^- `([a-z0-9-]+)`: (.*)$", README.read_text(), flags=re.M)
+    return {cmd: set(re.findall(r"`(--[a-z-]+)`", rest)) for cmd, rest in lines}
+
+
+def test_readme_flag_list_matches_parser():
+    listed = readme_flag_list()
+    shared = set(cli._SHARED_FLAGS).union(*listed.values())
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {
+        name: {opt for action in sp._actions for opt in action.option_strings if opt in shared}
+        for name, sp in sub.choices.items()
+    }
+    assert listed == accepted

@@ -185,3 +185,16 @@ def test_search_validation():
         violation_search(1, 0.5, 2.0, budget=10)
     with pytest.raises(ValueError):
         violation_search(1, 2.0, -1.0, budget=10)
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_budget_must_be_positive(budget):
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        violation_search(1, 2.0, 2.0, budget=budget)
+
+
+def test_search_grid_floor_and_threads():
+    base = violation_search(1, 4.0 / 3.0, 1.2, budget=40, seed=0, threads=1)
+    assert violation_search(1, 4.0 / 3.0, 1.2, budget=40, seed=0, threads=2) == base
+    cert = violation_search(1, 4.0 / 3.0, 1.2, budget=40, seed=0, n_per_axis=512).certificate
+    assert cert.n_per_axis >= 512 and base.certificate.n_per_axis < 512
