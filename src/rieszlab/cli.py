@@ -169,6 +169,8 @@ def cmd_rpk_check(args) -> int:
     if args.r:
         checks = []
         for r in _float_list(args.r):
+            if not 0.0 <= r < 1.0:
+                raise ValueError(f"r = {r} must lie in [0, 1)")
             w = math.sqrt(r)
             series = szego_norm(w, p)
             grid = szego_kernel_grid(w, n_per_axis=4096)

@@ -99,17 +99,6 @@ class GrowthFit:
     norms: tuple[float, ...]
     target: float  # (d-1)/2, the predicted exponent for 0 < p <= 1
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "p": self.p,
-            "exponent": self.exponent,
-            "c_hat": self.c_hat,
-            "radii": list(self.radii),
-            "norms": list(self.norms),
-            "target": self.target,
-        }
-
 
 def growth_fit(dim: int, p: float, radii, n_per_axis: int | None = None) -> GrowthFit:
     """Fit the growth exponent of R -> ||D_{R,d}||_p.

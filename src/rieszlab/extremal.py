@@ -26,7 +26,7 @@ only a solve pays for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -200,7 +200,6 @@ class ExtremalTriple:
     iterations: int
     duality_gap: float
     trunc_degree: int
-    history: list[float] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {
@@ -237,7 +236,6 @@ def dual_extremal_solve(
     tol: float = 1e-6,
     n_per_axis: int | None = None,
     max_iter: int = 4000,
-    record_history: bool = False,
     check_truncation: bool = False,
 ) -> ExtremalTriple:
     """Solve min ||phi + conj(phi0)||_q over truncated phi0 in H^q_0.
@@ -280,9 +278,7 @@ def dual_extremal_solve(
     last_exc: NonconvergenceError | None = None
     for cap in caps:
         try:
-            triple = _solve_at_degree(
-                phi, q, cap, tol, n_per_axis, max_iter, record_history
-            )
+            triple = _solve_at_degree(phi, q, cap, tol, n_per_axis, max_iter)
             break
         except NonconvergenceError as exc:
             last_exc = exc
@@ -312,7 +308,6 @@ def _solve_at_degree(
     tol: float,
     n_per_axis: int | None,
     max_iter: int,
-    record_history: bool,
 ) -> ExtremalTriple:
     q_star = conjugate(q)
     deg = phi.bandwidth()
@@ -348,19 +343,12 @@ def _solve_at_degree(
         grad = q * np.concatenate([h_hat.real, h_hat.imag])
         return F, grad
 
-    history: list[float] = []
-
-    def callback(xk: np.ndarray) -> None:
-        psi = psi_samples(xk)
-        history.append(float(np.mean(np.abs(psi) ** q)) ** (1.0 / q))
-
     x0 = np.zeros(2 * K)
     result = minimize(
         fun_and_grad,
         x0,
         jac=True,
         method="L-BFGS-B",
-        callback=callback if record_history else None,
         options={"maxiter": max_iter, "ftol": 1e-18, "gtol": 1e-14, "maxcor": 30},
     )
 
@@ -387,5 +375,4 @@ def _solve_at_degree(
         iterations=int(result.nit),
         duality_gap=float(gap),
         trunc_degree=K,
-        history=history,
     )

@@ -6,14 +6,18 @@ The family is built from the analytic polynomial
 
 whose modulus satisfies |f|^2 = 1 + eps^2 |z1^2 - z2^2|^2 on T^2.  With
 psi = N_{q*} f (so ||psi||_q^q = ||f||_{q*}^{q*}) and phi = P+ psi, all
-norms of interest reduce to scalar series in eps^2:
+norms of interest reduce to Gauss hypergeometric values in eps^2:
 
-    ||psi||_q^q = sum_j binom(q*/2, j)   C(2j, j)   eps^{2j}
-    a           = sum_j binom(q*/2-1, j) C(2j, j)   eps^{2j}
-    b           = sum_j binom(q*/2-1, j) C(2j+1, j+1) eps^{2j}
-    phi         = a z1 z2 + eps b (z1^2 - z2^2)
-    ||phi||_p   = a (sum_j binom(p/2, j) C(2j, j) (b eps/a)^{2j})^{1/p}
-    ||phi||_0   = a exp( (1/2) sum_{j>=1} ((-1)^{j+1}/j) C(2j, j) (b eps/a)^{2j} )
+    ||psi||_q^q = sum_j binom(q*/2, j) C(2j, j) eps^{2j} = 2F1(-q*/2, 1/2; 1; -4 eps^2)
+    a           = 2F1(1-q*/2, 1/2; 1; -4 eps^2)
+    b           = sum_j binom(q*/2-1, j) C(2j+1, j+1) eps^{2j} = 2F1(1-q*/2, 3/2; 2; -4 eps^2)
+    phi         = a z1 z2 + eps b (z1^2 - z2^2),   x = b eps / a
+    ||phi||_p   = a 2F1(-p/2, 1/2; 1; -4 x^2)^{1/p}
+    ||phi||_0   = a exp( (1/2) sum_{j>=1} ((-1)^{j+1}/j) C(2j, j) x^{2j} )
+
+For 4x^2 > 1/2 ``series.hyp2f1`` uses the Pfaff transform, and the p = 0
+series is summed in its variable t = 4x^2/(1+4x^2), so ||phi||_p holds
+at every eps; Euler's transform is never needed here.
 
 Everything stays 2-homogeneous (coefficient support on the line
 alpha_1 + alpha_2 = 2), which pins the structure of P+ psi to the two
@@ -33,6 +37,7 @@ from .series import (
     DEFAULT_CONTROL,
     SeriesControl,
     central_binomial,
+    hyp2f1,
     require_converged,
     sum_series,
 )
@@ -107,17 +112,6 @@ def kernel_polynomial(fam: PerturbedFamily) -> TrigPoly:
     return out
 
 
-def _central_series(s: float, x2: float, ctl: SeriesControl, what: str) -> float:
-    """sum_j binom(s, j) C(2j, j) x2^j."""
-    tally = sum_series(
-        1.0,
-        lambda j: (s - j) / (j + 1.0) * (2.0 * (2 * j + 1.0) / (j + 1.0)) * x2,
-        4.0 * x2,
-        ctl,
-    )
-    return require_converged(tally, what)
-
-
 def kernel_norm_series(fam: PerturbedFamily, q: float) -> float:
     """||psi||_q from the eps^2 series; q must be conjugate to fam.q_star."""
     q = float(q)
@@ -128,10 +122,8 @@ def kernel_norm_series(fam: PerturbedFamily, q: float) -> float:
         return 1.0  # |psi| = 1 pointwise
     if abs(q - expected) > 1e-12 * max(1.0, expected):
         raise ValueError(f"q={q} does not conjugate fam.q_star={fam.q_star}")
-    total = _central_series(
-        fam.q_star / 2.0, fam.eps**2, fam.ctl, f"kernel_norm_series(q*={fam.q_star})"
-    )
-    return total ** (1.0 / q)
+    tally = hyp2f1(-fam.q_star / 2.0, 0.5, 1.0, -4.0 * fam.eps**2, fam.ctl)
+    return require_converged(tally, f"kernel_norm_series(q*={fam.q_star})") ** (1.0 / q)
 
 
 class ProjectionCoefficients(NamedTuple):
@@ -143,18 +135,9 @@ class ProjectionCoefficients(NamedTuple):
 
 def projection_coefficients(fam: PerturbedFamily) -> ProjectionCoefficients:
     s = fam.q_star / 2.0 - 1.0
-    x2 = fam.eps**2
-    a = _central_series(s, x2, fam.ctl, f"projection a(q*={fam.q_star})")
-    tally_b = sum_series(
-        1.0,  # j=0: binom(s,0) C(1,1) = 1
-        lambda j: (s - j)
-        / (j + 1.0)
-        * ((2 * j + 3.0) * (2 * j + 2.0) / ((j + 2.0) * (j + 1.0)))
-        * x2,
-        4.0 * x2,
-        fam.ctl,
-    )
-    b = require_converged(tally_b, f"projection b(q*={fam.q_star})")
+    z = -4.0 * fam.eps**2
+    a = require_converged(hyp2f1(-s, 0.5, 1.0, z, fam.ctl), f"projection a(q*={fam.q_star})")
+    b = require_converged(hyp2f1(-s, 1.5, 2.0, z, fam.ctl), f"projection b(q*={fam.q_star})")
     return ProjectionCoefficients(a=a, b=b)
 
 
@@ -167,11 +150,10 @@ def projection_polynomial(fam: PerturbedFamily) -> TrigPoly:
 def projection_norm_series(fam: PerturbedFamily, p: float) -> float:
     """||P+ psi||_p from the series; p = 0 gives the geometric mean.
 
-    The series in x = b*eps/a converges for |x| < 1/2 (the radius of the
-    central-binomial series), which covers eps < 1/4 at every finite q*.
-    Outside that disc it terminates only for even integer p, where the
-    value stays exact; otherwise the infinite tail bound makes
-    ``require_converged`` raise ``NonconvergenceError``.
+    With x = b eps / a the series converges for every x: for 4x^2 > 1/2
+    both the 2F1 and the p = 0 series are summed in t = 4x^2/(1+4x^2),
+    and log(||P+ psi||_0 / a) = log(1+4x^2)/2 - (1/2) sum_{j>=1}
+    (1/2)_j/(j j!) t^j.
     """
     p = float(p)
     if p < 0:
@@ -182,17 +164,19 @@ def projection_norm_series(fam: PerturbedFamily, p: float) -> float:
         # |phi|^2 = a^2 + 4 (b eps)^2 sin^2(t1 - t2) peaks at sin^2 = 1
         return a * math.sqrt(1.0 + 4.0 * x * x)
     x2 = x * x
-    if p == 0.0:
-        tally = sum_series(
-            2.0 * x2,  # j=1 term: (1/1) C(2,1) x^2
-            lambda j: -( (j + 1.0) / (j + 2.0)) * (2.0 * (2 * j + 3.0) / (j + 2.0)) * x2,
-            4.0 * x2,
-            fam.ctl,
-        )
-        log_sum = require_converged(tally, "projection geometric-mean series")
-        return a * math.exp(0.5 * log_sum)
-    total = _central_series(p / 2.0, x2, fam.ctl, f"projection norm series(p={p})")
-    return a * total ** (1.0 / p)
+    if p > 0.0:
+        tally = hyp2f1(-p / 2.0, 0.5, 1.0, -4.0 * x2, fam.ctl)
+        return a * require_converged(tally, f"projection norm series(p={p})") ** (1.0 / p)
+    # sum_{j>=1} -(1/2)_j/(j j!) (-4v)^j: v = x^2 directly, v = -t/4 after Pfaff
+    shift, v = (0.0, x2) if 4.0 * x2 <= 0.5 else (math.log1p(4.0 * x2), -x2 / (1.0 + 4.0 * x2))
+    tally = sum_series(
+        2.0 * v,  # j=1 term: (1/1) C(2,1) v
+        lambda j: -((j + 1.0) / (j + 2.0)) * (2.0 * (2 * j + 3.0) / (j + 2.0)) * v,
+        4.0 * abs(v),
+        fam.ctl,
+    )
+    log_sum = shift + require_converged(tally, "projection geometric-mean series")
+    return a * math.exp(0.5 * log_sum)
 
 
 def projection_geometric_mean_closed(fam: PerturbedFamily) -> float:
@@ -265,8 +249,13 @@ def threshold_scan(
     ||phi||_p is increasing in p, so the crossing is located by
     bisection to ``resolution``.  A row reports ``threshold_p = None``
     when even p = p_lo violates the bound (no positive p survives on
-    the scanned range).
+    the scanned range).  Needs 0 <= p_lo < p_hi < inf and a finite
+    resolution > 0.
     """
+    if not 0.0 <= p_lo < p_hi < math.inf:
+        raise ValueError(f"p window needs 0 <= p_lo < p_hi < inf, got [{p_lo}, {p_hi}]")
+    if not 0.0 < resolution < math.inf:
+        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
     q = float(q)
     q_star = conjugate(q)
     rows = []
@@ -285,8 +274,8 @@ def threshold_scan(
             threshold = p_hi
         else:
             lo, hi = p_lo, p_hi
-            while hi - lo > resolution:
-                mid = 0.5 * (lo + hi)
+            # the midpoint test stops a resolution below the float spacing
+            while hi - lo > resolution and lo < (mid := 0.5 * (lo + hi)) < hi:
                 if diff(mid) <= 0.0:
                     lo = mid
                 else:

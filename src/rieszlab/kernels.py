@@ -1,12 +1,14 @@
-"""Point-evaluation kernels on the circle and their binomial norm series.
+"""Point-evaluation kernels on the circle and their hypergeometric norm series.
 
 For w in the open unit disc and k_w(z) = 1/(1 - conj(w) z), with
 r = |w|^2:
 
-    ||k_w||_p^p           = sum_n binom(n-1+p/2, n)^2 r^n
+    ||k_w||_p^p           = sum_n binom(n-1+p/2, n)^2 r^n = 2F1(p/2, p/2; 1; r)
     min ||psi||_q over
-    {P+ psi = k_w}        = (1 - r)^{-1/q*},   series sum_n binom(n-1+s, n) r^n
-                            with s = p_power/q*
+    {P+ psi = k_w}        = (1 - r)^{-s} = 2F1(s, 1; 1; r),   s = 1/q*
+
+``series.hyp2f1`` sums both; for p > 2 it applies the Euler transform,
+(1-r)^{1-p} 2F1(1-p/2, 1-p/2; 1; r), which terminates for even p.
 
 The comparison of the two series coefficientwise decides whether
 ||k_w||_p <= ||psi||_q can hold for all w: it does precisely when
@@ -23,12 +25,7 @@ import numpy as np
 
 from .fourier import GridFunction, TrigPoly, axis_angles
 from .norms import conjugate
-from .series import (
-    DEFAULT_CONTROL,
-    SeriesControl,
-    require_converged,
-    sum_series,
-)
+from .series import DEFAULT_CONTROL, SeriesControl, hyp2f1, require_converged
 
 
 @dataclass(frozen=True)
@@ -52,17 +49,12 @@ def _point(w) -> KernelPoint:
 
 
 def szego_norm(w, p: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """||k_w||_p via the squared-binomial series (p > 0)."""
+    """||k_w||_p from 2F1(p/2, p/2; 1; r) (p > 0)."""
     p = float(p)
     if not p > 0 or math.isinf(p):
         raise ValueError("p must be a positive finite exponent")
     pt = _point(w)
-    tally = sum_series(
-        1.0,
-        lambda n: ((n + p / 2.0) / (n + 1.0)) ** 2 * pt.r,
-        pt.r,
-        ctl,
-    )
+    tally = hyp2f1(p / 2.0, p / 2.0, 1.0, pt.r, ctl)
     total = require_converged(tally, f"szego_norm(w={pt.w}, p={p})")
     return total ** (1.0 / p)
 
@@ -75,10 +67,8 @@ class ExtremalKernelNorm:
     series: float
 
 
-def extremal_kernel_norm(
-    w, q: float, p_power: float = 1.0, ctl: SeriesControl = DEFAULT_CONTROL
-) -> ExtremalKernelNorm:
-    """((1-r)^{-1/q*})^{p_power} with its binomial-series cross-check.
+def extremal_kernel_norm(w, q: float, ctl: SeriesControl = DEFAULT_CONTROL) -> ExtremalKernelNorm:
+    """(1-r)^{-1/q*} with its cross-check by the series 2F1(1/q*, 1; 1; r).
 
     The two routes must agree within 10x the series tolerance; a larger
     discrepancy is reported as nonconvergence.
@@ -87,9 +77,9 @@ def extremal_kernel_norm(
     if not q > 1:
         raise ValueError("q must exceed 1")
     pt = _point(w)
-    s = float(p_power) / conjugate(q)
+    s = 1.0 / conjugate(q)
     closed = (1.0 - pt.r) ** (-s)
-    tally = sum_series(1.0, lambda n: (n + s) / (n + 1.0) * pt.r, pt.r, ctl)
+    tally = hyp2f1(s, 1.0, 1.0, pt.r, ctl)
     total = require_converged(tally, f"extremal_kernel_norm(w={pt.w}, q={q})")
     if abs(total - closed) > 10.0 * ctl.rel_tol * max(abs(closed), 1.0) + tally.tail_bound:
         raise ArithmeticError(

@@ -1,8 +1,11 @@
 """Truncated power-series evaluation with tail accounting.
 
-Every series in this package is a power series in a radius-like variable
-whose terms eventually decay geometrically.  ``sum_series`` consumes the
-first term together with a term-to-term ratio callback, adds terms until
+Every norm series in this package is a Gauss 2F1(a, b; c; z), z < 1:
+2F1(p/2, p/2; 1; r) and 2F1(1/q*, 1; 1; r) in ``kernels``;
+2F1(-s, 1/2; 1; z), 2F1(-s, 3/2; 2; z) and 2F1(-p/2, 1/2; 1; z) in
+``homog2``.  ``hyp2f1`` sums them after a Pfaff transform when z < -1/2
+or an Euler transform when a + b > c + 1.  ``sum_series`` underneath
+takes the first term and a term-to-term ratio callback, adds terms until
 the running term drops below ``rel_tol`` relative to the partial sum (or
 the term cap is hit), and reports a geometric tail bound computed from
 the asymptotic term ratio.
@@ -11,7 +14,7 @@ the asymptotic term ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 
@@ -44,20 +47,6 @@ class SeriesTally:
     terms: int
     tail_bound: float
     converged: bool
-
-
-def general_binomial(x: float, j: int) -> float:
-    """Generalized binomial coefficient C(x, j) = prod_{i=1..j} (x - i + 1)/i.
-
-    Product recurrence; exact sign handling for x < j - 1 where the
-    coefficients alternate.
-    """
-    if j < 0:
-        raise ValueError("j must be a nonnegative integer")
-    out = 1.0
-    for i in range(1, j + 1):
-        out *= (x - i + 1) / i
-    return out
 
 
 def central_binomial(j: int) -> float:
@@ -98,6 +87,37 @@ def sum_series(
         tail = math.inf if term != 0.0 else 0.0
     converged = hit_tolerance or tail <= 10.0 * ctl.rel_tol * abs(total)
     return SeriesTally(value=total, terms=terms_used, tail_bound=tail, converged=converged)
+
+
+def _nonpositive_int(x: float) -> bool:
+    return x <= 0.0 and x == math.floor(x)
+
+
+def hyp2f1(a: float, b: float, c: float, z: float, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesTally:
+    """Gauss 2F1(a, b; c; z) for z < 1, by a rule chosen from (a, b, c, z):
+
+    - z < -1/2: Pfaff, (1-z)^{-a} 2F1(a, c-b; c; z/(z-1)), keeping a
+      nonpositive-integer parameter as ``a`` so the series terminates;
+    - a + b > c + 1, neither a nor b a nonpositive integer: Euler,
+      (1-z)^{c-a-b} 2F1(c-a, c-b; c; z), whose terms decay where the
+      direct ones grow like n^{a+b-c-1};
+    - otherwise the direct sum, term ratio (n+a)(n+b)/((n+c)(n+1)) z.
+
+    The prefactor scales both the value and the tail bound.
+    """
+    if not z < 1.0:
+        raise ValueError(f"hyp2f1 needs z < 1, got {z}")
+    scale = 1.0
+    if z < -0.5:
+        if _nonpositive_int(b):
+            a, b = b, a
+        scale = (1.0 - z) ** -a
+        b, z = c - b, z / (z - 1.0)
+    elif a + b > c + 1.0 and not (_nonpositive_int(a) or _nonpositive_int(b)):
+        scale = (1.0 - z) ** (c - a - b)
+        a, b = c - a, c - b
+    tally = sum_series(1.0, lambda n: (n + a) * (n + b) / ((n + c) * (n + 1.0)) * z, abs(z), ctl)
+    return replace(tally, value=scale * tally.value, tail_bound=scale * tally.tail_bound)
 
 
 def require_converged(tally: SeriesTally, what: str) -> float:

@@ -2,12 +2,17 @@ import argparse
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rieszlab import cli
 from rieszlab.fourier import GridFunction, TrigPoly, load_grid, sample, save_grid
+from rieszlab.homog2 import PerturbedFamily, projection_geometric_mean_closed
 
 PSI_L1 = TrigPoly(1, {(-1,): 1.0, (1,): 2.0, (3,): 1.0})
 
@@ -214,6 +219,69 @@ def test_rpk_check_nonconvergence_exit_code(capsys):
     code, _, err = run(capsys, ["rpk-check", "--q", "4", "--r", "0.9995"])
     assert code == 3
     assert err.strip()
+
+
+def test_rpk_check_converges_at_r_0_9(capsys):
+    # p = 3 needs the Euler transform of 2F1(3/2, 3/2; 1; r) to converge in 200 terms
+    code, out, _ = run(capsys, ["rpk-check", "--q", "4", "--r", "0.9", "--format", "json"])
+    assert code == 0
+    check = json.loads(out)["quadrature_checks"][0]
+    assert check["diff"] <= 1e-10 * check["series"]
+
+
+def run_fresh(argv):
+    """The CLI in a fresh interpreter, so that a hang fails the test instead of blocking it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "rieszlab", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=20,
+    )
+
+
+@pytest.mark.parametrize(
+    "flags,word",
+    [
+        (["--resolution", "0"], "resolution"),
+        (["--resolution", "-1"], "resolution"),
+        (["--resolution", "nan"], "resolution"),
+        (["--p-hi", "inf"], "p_hi"),
+        (["--p-lo", "nan"], "p_lo"),
+        (["--p-lo", "3", "--p-hi", "1"], "p_lo"),
+    ],
+)
+def test_d2_scan_bad_window_exits_2(flags, word):
+    proc = run_fresh(["d2-scan", "--q", "2", *flags])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert word in proc.stderr
+
+
+def test_d2_scan_resolution_below_float_spacing_returns():
+    proc = run_fresh(["d2-scan", "--q", "3", "--eps", "0.1", "--resolution", "1e-300"])
+    assert proc.returncode == 0
+    assert float(proc.stdout.splitlines()[1].split(",")[2]) == pytest.approx(2.5, abs=0.01)
+
+
+@pytest.mark.parametrize("r", ["-0.1", "1", "nan"])
+def test_rpk_check_r_outside_unit_interval_exits_2(r):
+    proc = run_fresh(["rpk-check", "--q", "4", "--r", r])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: r = ") and proc.stderr.count("\n") == 1
+
+
+def test_d2_scan_near_q_1_converges(capsys):
+    # q* = 1001 puts x = b eps / a outside 4x^2 < 1/2; the p = 0 series needs Pfaff's variable
+    code, out, _ = run(capsys, ["d2-scan", "--q", "1.001", "--eps", "0.249,0.24", "--format", "json"])
+    assert code == 0
+    scan = json.loads(out)["scans"][0]
+    for row in scan["rows"]:
+        closed = projection_geometric_mean_closed(PerturbedFamily(row["eps"], scan["q_star"]))
+        assert row["gm_gap"] + row["psi_norm"] == pytest.approx(closed, rel=1e-12)
 
 
 def test_dual_extremal_kernel(capsys):

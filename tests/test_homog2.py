@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,7 +22,7 @@ from rieszlab.homog2 import (
     threshold_scan,
 )
 from rieszlab.norms import conjugate, lp_norm
-from rieszlab.series import NonconvergenceError, SeriesControl
+from rieszlab.series import SeriesControl
 
 Q_GRID = [1.5, 2.0, 3.0, 4.0]
 EPS_GRID = [0.05, 0.1, 0.2]
@@ -157,8 +158,7 @@ def test_projection_norm_rejects_negative_p():
 
 def test_projection_norm_outside_series_disc(monkeypatch):
     # (a, b) = (1, 3) at eps = 0.2 puts x = b eps / a = 0.6 outside the
-    # disc |x| < 1/2: even integer p terminates and stays exact, any
-    # other p must refuse rather than switch method.
+    # disc 4x^2 < 1/2: the Pfaff transform still sums every p
     monkeypatch.setattr(
         "rieszlab.homog2.projection_coefficients", lambda fam: ProjectionCoefficients(1.0, 3.0)
     )
@@ -167,9 +167,13 @@ def test_projection_norm_outside_series_disc(monkeypatch):
     for p in (2.0, 4.0):
         quad = lp_norm(sample(phi, 16), p)  # exact: |phi|^p is a trig polynomial
         assert projection_norm_series(fam, p) == pytest.approx(quad, rel=1e-14)
-    for p in (2.6, 1.0, 0.0):
-        with pytest.raises(NonconvergenceError):
-            projection_norm_series(fam, p)
+    for p in (2.6, 1.0):
+        with mpmath.workdps(40):
+            exact = float(mpmath.hyp2f1(-p / 2, 0.5, 1, -1.44) ** (1 / mpmath.mpf(p)))
+        assert projection_norm_series(fam, p) == pytest.approx(exact, rel=1e-13)
+    closed = projection_geometric_mean_closed(fam)
+    assert closed == pytest.approx((1.0 + math.sqrt(2.44)) / 2.0, rel=1e-15)
+    assert projection_norm_series(fam, 0.0) == pytest.approx(closed, rel=1e-13)
 
 
 def test_perturbed_family_needs_finite_q_star():

@@ -4,7 +4,8 @@ An ``ast`` scan stands in for a linter: a name bound by a module-level
 ``import`` or ``from ... import`` must be read somewhere in the module.
 ``__init__`` is skipped, because its imports are the package's API.
 scipy is imported only inside the function that runs it, so that
-``import rieszlab`` does not pay for it.
+``import rieszlab`` does not pay for it.  Every norm series goes through
+``series.hyp2f1``; only the p = 0 series of homog2 calls ``sum_series``.
 """
 
 import ast
@@ -85,3 +86,44 @@ def test_scanner_flags_eager_scipy():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_no_module_level_scipy_import(path):
     assert eager_scipy_imports(path.read_text()) == []
+
+
+def sum_series_sites(source: str, module: str) -> list[str]:
+    """Where ``sum_series`` is called: the innermost enclosing function, or the module."""
+    sites = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{module}.{node.name}"
+        if isinstance(node, ast.Call) and "sum_series" in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        ):
+            sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), module)
+    return sites
+
+
+def test_scanner_finds_sum_series_calls():
+    source = (
+        "from . import series\n"
+        "x = series.sum_series(1.0, f, 0.5)\n"
+        "def outer():\n"
+        "    def inner():\n"
+        "        return sum_series(1.0, f, 0.5)\n"
+        "    return hyp2f1(1, 1, 1, 0.5)\n"
+    )
+    assert sum_series_sites(source, "m") == ["m", "m.inner"]
+
+
+def test_one_sum_series_site_outside_series():
+    sites = [
+        site
+        for path in MODULES
+        if path.name != "series.py"
+        for site in sum_series_sites(path.read_text(), path.stem)
+    ]
+    assert sites == ["homog2.projection_norm_series"]

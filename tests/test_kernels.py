@@ -62,7 +62,7 @@ def test_complex_w_norm_depends_on_modulus_only():
 
 def test_nonconvergence_near_boundary():
     with pytest.raises(NonconvergenceError):
-        szego_norm(0.9995, 4.0, SeriesControl(max_terms=50))
+        szego_norm(0.9995, 3.0, SeriesControl(max_terms=50))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,7 +9,7 @@ from rieszlab.series import (
     NonconvergenceError,
     SeriesControl,
     central_binomial,
-    general_binomial,
+    hyp2f1,
     require_converged,
     sum_series,
 )
@@ -19,27 +20,6 @@ def test_geometric_series(r):
     tally = sum_series(1.0, lambda n: r, abs(r), SeriesControl(max_terms=1000))
     assert tally.converged
     assert tally.value == pytest.approx(1.0 / (1.0 - r), rel=1e-14)
-
-
-@given(st.integers(0, 40), st.integers(0, 12))
-def test_general_binomial_integers(n, j):
-    expected = float(math.comb(n, j)) if j <= n else 0.0
-    assert general_binomial(float(n), j) == pytest.approx(expected, rel=1e-13, abs=1e-300)
-
-
-def test_general_binomial_half():
-    # C(1/2, j): 1, 1/2, -1/8, 1/16, -5/128
-    got = [general_binomial(0.5, j) for j in range(5)]
-    assert got == pytest.approx([1.0, 0.5, -1.0 / 8, 1.0 / 16, -5.0 / 128], rel=1e-15)
-
-
-def test_general_binomial_negative_arg():
-    # C(-s, j) = (-1)^j C(s+j-1, j)
-    s = 1.75
-    for j in range(8):
-        lhs = general_binomial(-s, j)
-        rhs = (-1.0) ** j * general_binomial(s + j - 1, j)
-        assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
 @given(st.integers(0, 30))
@@ -85,6 +65,46 @@ def test_control_validation():
     with pytest.raises(ValueError):
         SeriesControl(rel_tol=1.5)
     with pytest.raises(ValueError):
-        general_binomial(1.0, -1)
-    with pytest.raises(ValueError):
         central_binomial(-2)
+
+
+# ---------------------------------------------------------------------------
+# hypergeometric series against a 40-digit oracle
+# ---------------------------------------------------------------------------
+
+# (a, b, c, z) of every norm series the package sums, from two unit draws:
+# p = 8u, r = 0.99v; q* = 1 + 49u, eps^2 = v/16; x^2 = 2.5v; 1/q* = u
+FAMILIES = {
+    "szego": lambda u, v: (4 * u, 4 * u, 1.0, 0.99 * v),
+    "kernel_a": lambda u, v: (-(1 + 49 * u) / 2, 0.5, 1.0, -v / 4),
+    "projection_a": lambda u, v: (1 - (1 + 49 * u) / 2, 0.5, 1.0, -v / 4),
+    "projection_b": lambda u, v: (1 - (1 + 49 * u) / 2, 1.5, 2.0, -v / 4),
+    "projection_p": lambda u, v: (-4 * u, 0.5, 1.0, -10 * v),
+    "one_f_zero": lambda u, v: (u, 1.0, 1.0, 0.99 * v),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_hyp2f1_matches_mpmath(family, u, v):
+    a, b, c, z = FAMILIES[family](u, v)
+    tally = hyp2f1(a, b, c, z)
+    if not tally.converged:
+        return
+    with mpmath.workdps(40):
+        exact = float(mpmath.hyp2f1(a, b, c, z))
+    assert tally.value == pytest.approx(exact, rel=1e-13, abs=0)
+
+
+def test_hyp2f1_transforms():
+    # Euler: 2F1(2, 2; 1; r) = (1 - r)^{-3} (1 + r), exact in three terms
+    tally = hyp2f1(2.0, 2.0, 1.0, 0.999)
+    assert tally.terms == 3 and tally.converged
+    assert tally.value == pytest.approx(1.999 / 0.001**3, rel=1e-12)
+    # Pfaff keeps the nonpositive integer as a, so the transformed series still terminates
+    tally = hyp2f1(0.5, -2.0, 1.0, -2.0)
+    assert tally.terms <= 4 and tally.converged
+    with mpmath.workdps(40):
+        assert tally.value == pytest.approx(float(mpmath.hyp2f1(0.5, -2, 1, -2)), rel=1e-14)
+    with pytest.raises(ValueError):
+        hyp2f1(1.0, 1.0, 1.0, 1.0)
