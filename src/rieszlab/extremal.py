@@ -34,12 +34,12 @@ import numpy as np
 from .fourier import (
     GridFunction,
     TrigPoly,
-    _int_freqs,
-    axis_angles,
     coefficients,
+    grid_from_function,
     grid_from_spectrum,
     grid_inner,
     grid_spectrum,
+    offset_phase,
     riesz_project,
     sample,
 )
@@ -56,9 +56,8 @@ from .series import NonconvergenceError
 def outer_from_modulus(m: GridFunction) -> GridFunction:
     """Outer function with boundary modulus m (d=1, m > 0 on the grid).
 
-    Doubles the positive frequencies of log m, keeps the mean, drops the
-    negatives, and exponentiates; the value at the origin is then
-    exp(mean log m) > 0.
+    Exponentiates the analytic completion 2 P+(log m) - mean(log m), whose
+    real part is log m; the value at the origin is then exp(mean log m) > 0.
     """
     if m.dim != 1:
         raise ValueError("outer_from_modulus is defined for dim=1 only")
@@ -68,16 +67,9 @@ def outer_from_modulus(m: GridFunction) -> GridFunction:
     mags = vals.real
     if mags.min() <= 0.0:
         raise ValueError("modulus data must be strictly positive")
-    log_m = m.with_samples(np.log(mags).astype(np.complex128))
-    spec = grid_spectrum(log_m)
-    n = m.n_per_axis
-    freqs = _int_freqs(n)
-    weight = np.zeros(n)
-    weight[freqs == 0] = 1.0
-    weight[freqs > 0] = 2.0  # negative and Nyquist bins stay zero
-    analytic = spec * weight
-    completion = grid_from_spectrum(analytic, 1, n, m.offset)
-    return m.with_samples(np.exp(completion.samples))
+    log_m = np.log(mags)
+    completion = 2.0 * riesz_project(m.with_samples(log_m)).samples - np.mean(log_m)
+    return m.with_samples(np.exp(completion))
 
 
 def blaschke_product(
@@ -88,17 +80,17 @@ def blaschke_product(
     Each factor is (|a|/a)(a - z)/(1 - conj(a) z), normalized to be
     positive at the origin; a zero at the origin contributes a factor z.
     """
-    z = np.exp(1j * axis_angles(n_per_axis, offset))
-    out = np.ones_like(z)
-    for a in zeros:
-        a = complex(a)
-        if not abs(a) < 1.0:
-            raise ValueError(f"Blaschke zero |{a}| must be < 1")
-        if a == 0:
-            out = out * z
-        else:
-            out = out * (abs(a) / a) * (a - z) / (1.0 - np.conj(a) * z)
-    return GridFunction(dim=1, n_per_axis=n_per_axis, samples=out, offset=offset)
+
+    def product(theta: np.ndarray) -> np.ndarray:
+        z = np.exp(1j * theta)
+        out = np.ones_like(z)
+        for a in map(complex, zeros):
+            if not abs(a) < 1.0:
+                raise ValueError(f"Blaschke zero |{a}| must be < 1")
+            out = out * z if a == 0 else out * (abs(a) / a) * (a - z) / (1.0 - np.conj(a) * z)
+        return out
+
+    return grid_from_function(product, 1, n_per_axis, offset)
 
 
 @dataclass(frozen=True)
@@ -248,9 +240,11 @@ def dual_extremal_solve(
         4x deg(phi) and doubles until the duality gap certifies ``tol``
         (the weak-duality witness sees the truncation tail, so a small
         gap certifies the untruncated optimum too).
-    tol : required duality gap |primal - dual| at the solution.
+    tol : required duality gap |primal - dual| at the solution; finite
+        and > 0.
     n_per_axis : quadrature grid; defaults to a power of two resolving
         4x the combined bandwidth.
+    max_iter : L-BFGS iteration cap for each truncation degree; >= 1.
     check_truncation : re-solve with twice the truncation degree and
         require the value to move by at most tol.
 
@@ -265,6 +259,10 @@ def dual_extremal_solve(
     q = float(q)
     if not 1.05 <= q <= 64.0:
         raise ValueError("q outside the supported range [1.05, 64]")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol = {tol} must be finite and > 0")
+    if max_iter < 1:
+        raise ValueError(f"max_iter = {max_iter} must be >= 1")
 
     deg = phi.bandwidth()
     if trunc_degree is not None:
@@ -316,21 +314,16 @@ def _solve_at_degree(
     if n < 2 * (deg + K + 1):
         raise ValueError("grid too small for phi plus the truncated phi0")
 
-    offset = 0.5
-    phi_grid = sample(phi, n, offset)
+    phi_grid = sample(phi, n)
     phi_s = phi_grid.samples
     ks = np.arange(1, K + 1)
-    fwd_phase = np.exp(2j * np.pi * offset * ks / n)  # spectrum -> samples
-    rev_phase = np.exp(-2j * np.pi * offset * ks / n)  # samples -> spectrum
-
-    def unpack(x: np.ndarray) -> np.ndarray:
-        return x[:K] + 1j * x[K:]
+    fwd_phase = offset_phase(ks, n, phi_grid.offset)  # coefficients -> bins
+    rev_phase = offset_phase(-ks, n, phi_grid.offset)  # bins -> coefficients
 
     def psi_samples(x: np.ndarray) -> np.ndarray:
-        c = unpack(x)
         spec = np.zeros(n, dtype=np.complex128)
-        spec[1 : K + 1] = c * fwd_phase
-        phi0 = np.fft.ifft(spec) * n
+        spec[1 : K + 1] = (x[:K] + 1j * x[K:]) * fwd_phase
+        phi0 = grid_from_spectrum(spec, 1, n, phi_grid.offset).samples
         return phi_s + np.conj(phi0)
 
     def fun_and_grad(x: np.ndarray):
@@ -339,7 +332,7 @@ def _solve_at_degree(
         F = float(np.mean(a**q))
         with np.errstate(divide="ignore", invalid="ignore"):
             nq = np.where(a > 0, a ** (q - 2.0) * psi, 0.0)
-        h_hat = np.fft.fft(np.conj(nq))[1 : K + 1] / n * rev_phase
+        h_hat = grid_spectrum(phi_grid.with_samples(np.conj(nq)))[1 : K + 1] * rev_phase
         grad = q * np.concatenate([h_hat.real, h_hat.imag])
         return F, grad
 

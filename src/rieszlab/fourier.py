@@ -5,17 +5,21 @@ Frequency-space objects are sparse integer-indexed coefficient tables
 (:class:`GridFunction`).  Grid nodes sit at theta_k = 2*pi*(k + offset)/N
 per axis.  The default half-cell offset keeps symmetric lattice zeros of
 real polynomials off the quadrature nodes, which matters for
-geometric-mean quadrature; transforms carry explicit phase corrections
-for the offset, so frequency recovery is exact (up to rounding) for
-band-limited data at any offset.  :func:`sample` folds the offset phase
-into the sparse coefficients, c_alpha e^{2 pi i offset sum(alpha)/N}:
-the samples of a polynomial on the shifted grid are those of its
-translate on the unshifted grid, so one O(terms) pass replaces d
-full-grid phase multiplies.
+geometric-mean quadrature.
 
-All transforms go through numpy's FFT.  Inner products are normalized
-against Lebesgue measure of total mass one, i.e. plain means over grid
-nodes, and numpy's pairwise summation keeps reductions reproducible.
+The offset enters only where coefficients meet samples.  The samples of
+c_alpha e^{i alpha.theta} on the shifted grid are those of
+c_alpha e^{2 pi i offset sum(alpha)/N} e^{i alpha.theta} on the unshifted
+one, so :func:`sample` folds that phase (:func:`offset_phase`) into the
+sparse coefficients and :func:`coefficients` removes it from the bins it
+reads.  :func:`grid_spectrum` and :func:`grid_from_spectrum` are plain
+normalized FFTs of the samples as they lie: a Fourier multiplier such as
+the Riesz projection commutes with the grid shift, so it needs no phase.
+
+Every FFT in the package goes through this module.  Inner products are
+normalized against Lebesgue measure of total mass one, i.e. plain means
+over grid nodes, and numpy's pairwise summation keeps reductions
+reproducible.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import json
 import math
 import struct
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -233,7 +236,7 @@ def grid_from_function(
 
 
 # ---------------------------------------------------------------------------
-# spectrum helpers (internal): fftfreq-indexed arrays with offset phases
+# spectra: plain normalized FFTs, fftfreq-indexed
 # ---------------------------------------------------------------------------
 
 
@@ -241,44 +244,28 @@ def _int_freqs(n: int) -> np.ndarray:
     return np.fft.fftfreq(n, d=1.0 / n).astype(int)
 
 
-def _freq_grids(dim: int, n: int) -> list[np.ndarray]:
-    f = _int_freqs(n)
-    return list(np.meshgrid(*([f] * dim), indexing="ij"))
-
-
-def _along(vec: np.ndarray, ax: int, dim: int) -> np.ndarray:
-    """View of a 1-D array that broadcasts along axis ``ax`` of a dim-d grid."""
-    shape = [1] * dim
-    shape[ax] = vec.size
-    return vec.reshape(shape)
+def offset_phase(freqs: np.ndarray, n: int, offset: float) -> np.ndarray:
+    """e^{2 pi i offset k / N} for each frequency k in ``freqs``: the factor
+    by which a grid shifted by ``offset`` cells turns the coefficient of
+    e^{ik theta} into its unshifted FFT bin."""
+    return np.exp(2j * np.pi * offset * freqs / n)
 
 
 def grid_spectrum(grid: GridFunction) -> np.ndarray:
-    """Fourier coefficients indexed fftfreq-style, offset phases removed.
+    """Normalized FFT of the samples as they lie, indexed fftfreq-style.
 
-    For band-limited input, entry [alpha mod N] equals c_alpha exactly
-    (up to rounding) for |alpha_i| <= N/2 - 1.
+    No offset phase is removed: for band-limited input, entry
+    [alpha mod N] equals c_alpha * offset_phase(sum(alpha), N, offset)
+    for |alpha_i| <= N/2 - 1.  Fourier multipliers act on it directly.
     """
-    n = grid.n_per_axis
-    spec = np.fft.fftn(grid.samples) / float(n) ** grid.dim
-    if grid.offset != 0.0:
-        phase = np.exp(-2j * np.pi * grid.offset * _int_freqs(n) / n)
-        for ax in range(grid.dim):
-            spec *= _along(phase, ax, grid.dim)
-    return spec
+    return np.fft.fftn(grid.samples, norm="forward")
 
 
 def grid_from_spectrum(
     spec: np.ndarray, dim: int, n: int, offset: float, aliasing_bound: float | None = None
 ) -> GridFunction:
     """Inverse of :func:`grid_spectrum`; ``spec`` is left unchanged."""
-    work = np.asarray(spec, dtype=np.complex128)
-    if offset != 0.0:
-        phase = np.exp(2j * np.pi * offset * _int_freqs(n) / n)
-        work = work * _along(phase, 0, dim)
-        for ax in range(1, dim):
-            work *= _along(phase, ax, dim)
-    samples = np.fft.ifftn(work, norm="forward")
+    samples = np.fft.ifftn(np.asarray(spec, dtype=np.complex128), norm="forward")
     return GridFunction(dim=dim, n_per_axis=n, samples=samples, offset=offset, aliasing_bound=aliasing_bound)
 
 
@@ -301,13 +288,10 @@ def sample(poly: TrigPoly, n_per_axis: int, offset: float = 0.5) -> GridFunction
     with np.errstate(over="ignore"):  # the l1 sum bounds every sample
         if not np.isfinite(np.abs(values).sum()):
             raise ValueError("coefficient l1 sum overflows float64, so the samples would too")
-    if offset != 0.0:
-        values *= np.exp(2j * np.pi * offset * alphas.sum(axis=1) / n)
     spec = np.zeros((n,) * poly.dim, dtype=np.complex128)
-    spec[tuple((alphas % n).T)] = values  # distinct bins: the check above rules out aliasing
-    grid = grid_from_spectrum(spec, poly.dim, n, 0.0)
-    grid.offset = offset
-    return grid
+    # distinct bins: the check above rules out aliasing
+    spec[tuple((alphas % n).T)] = values * offset_phase(alphas.sum(axis=1), n, offset)
+    return grid_from_spectrum(spec, poly.dim, n, offset)
 
 
 #: Points per axis for a polynomial sampled with no grid given, by dimension.
@@ -340,14 +324,11 @@ def coefficients(grid: GridFunction, cutoff: int) -> TrigPoly:
         raise ValueError("cutoff must be >= 0")
     if cutoff >= n // 2:
         raise ValueError(f"cutoff {cutoff} must be < N/2 = {n // 2}")
-    spec = grid_spectrum(grid)
-    rng = range(-cutoff, cutoff + 1)
-    coeffs: dict[MultiIndex, complex] = {}
-    for alpha in product(rng, repeat=grid.dim):
-        c = complex(spec[tuple(a % n for a in alpha)])
-        if c != 0:
-            coeffs[alpha] = c
-    return TrigPoly(dim=grid.dim, coeffs=coeffs)
+    alphas = np.indices((2 * cutoff + 1,) * grid.dim).reshape(grid.dim, -1).T - cutoff
+    bins = grid_spectrum(grid)[tuple((alphas % n).T)]
+    values = bins * offset_phase(-alphas.sum(axis=1), n, grid.offset)
+    nz = values != 0
+    return TrigPoly(grid.dim, dict(zip(map(tuple, alphas[nz].tolist()), values[nz].tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +338,8 @@ def coefficients(grid: GridFunction, cutoff: int) -> TrigPoly:
 
 def _project_grid(grid: GridFunction, keep: Callable[[list[np.ndarray]], np.ndarray]) -> GridFunction:
     n = grid.n_per_axis
-    spec = grid_spectrum(grid)
-    freqs = _freq_grids(grid.dim, n)
+    spec = grid_spectrum(grid)  # a multiplier commutes with the grid shift: no phase
+    freqs = np.meshgrid(*([_int_freqs(n)] * grid.dim), indexing="ij")
     nyquist = np.zeros(spec.shape, dtype=bool)
     for f in freqs:
         nyquist |= f == -(n // 2)

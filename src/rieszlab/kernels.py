@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import GridFunction, TrigPoly, axis_angles
+from .fourier import GridFunction, TrigPoly, grid_from_function
 from .norms import conjugate
 from .series import DEFAULT_CONTROL, SeriesControl, hyp2f1, require_converged
 
@@ -172,11 +172,9 @@ def point_extremal_function(
     q_star = float(q_star)
     if not q_star >= 1:
         raise ValueError("q_star must be >= 1")
-    pt = _point(w)
-    z = np.exp(1j * axis_angles(n_per_axis, offset))
-    base = 1.0 - np.conj(pt.w) * z
-    vals = base ** (-2.0 / q_star)
-    return GridFunction(dim=1, n_per_axis=n_per_axis, samples=vals, offset=offset)
+    wbar = np.conj(_point(w).w)
+    kernel = lambda t: (1.0 - wbar * np.exp(1j * t)) ** (-2.0 / q_star)
+    return grid_from_function(kernel, 1, n_per_axis, offset)
 
 
 def szego_kernel_grid(w, n_per_axis: int = 256, offset: float = 0.5) -> GridFunction:
@@ -201,8 +199,5 @@ def truncated_szego_poly(w, degree: int) -> TrigPoly:
 def poisson_kernel(w, n_per_axis: int = 256, offset: float = 0.5) -> GridFunction:
     """Poisson kernel (1 - |w|^2)/|1 - conj(w) e^{i theta}|^2 (real part >= 0)."""
     pt = _point(w)
-    z = np.exp(1j * axis_angles(n_per_axis, offset))
-    vals = (1.0 - pt.r) / np.abs(1.0 - np.conj(pt.w) * z) ** 2
-    return GridFunction(
-        dim=1, n_per_axis=n_per_axis, samples=vals.astype(np.complex128), offset=offset
-    )
+    kernel = lambda t: (1.0 - pt.r) / np.abs(1.0 - np.conj(pt.w) * np.exp(1j * t)) ** 2
+    return grid_from_function(kernel, 1, n_per_axis, offset)

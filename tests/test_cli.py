@@ -293,6 +293,37 @@ def test_dual_extremal_kernel(capsys):
     doc = json.loads(out)
     assert doc["value"] == pytest.approx(0.75 ** (-0.25), abs=1e-4)
     assert abs(float(doc["duality_gap"])) < 1e-6
+    assert doc["closed_form"] == pytest.approx(0.75 ** (-0.25), rel=1e-15)
+    assert doc["closed_form_diff"] == doc["value"] - doc["closed_form"]
+
+
+def test_dual_extremal_in_file_reports_no_closed_form(capsys, tmp_path):
+    src = tmp_path / "phi.json"
+    src.write_text(poly_json(TrigPoly(1, {(0,): 1.0, (1,): 0.5})))
+    code, out, _ = run(capsys, ["dual-extremal", "--q", "2", "--in", str(src)])
+    assert code == 0
+    assert not {"closed_form", "closed_form_diff"} & set(json.loads(out))
+
+
+@pytest.mark.parametrize(
+    "flags,word",
+    [
+        (["--tol", "nan"], "tol"),
+        (["--tol", "inf"], "tol"),
+        (["--tol=-1e-6"], "tol"),
+        (["--tol", "0"], "tol"),
+        (["--max-iter", "0"], "max_iter"),
+        (["--max-iter", "-3"], "max_iter"),
+    ],
+)
+def test_dual_extremal_bad_tol_or_max_iter_exits_2(flags, word):
+    # --max-iter 1 keeps a run that is not refused short
+    argv = ["dual-extremal", "--kernel", "0.5", "--q", "1.3333333333333333", "--max-iter", "1", *flags]
+    proc = run_fresh(argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert word in proc.stderr
 
 
 def test_dual_extremal_input_validation(capsys, tmp_path):

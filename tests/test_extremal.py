@@ -186,6 +186,11 @@ def test_solve_validation():
         dual_extremal_solve(TrigPoly.monomial((1, 1)), q=2.0)
     with pytest.raises(ValueError):
         dual_extremal_solve(TrigPoly.monomial((1,)), q=1.01)
+    for tol in (math.nan, math.inf, -1e-6, 0.0):
+        with pytest.raises(ValueError, match="tol"):
+            dual_extremal_solve(TrigPoly.monomial((1,)), q=2.0, tol=tol)
+    with pytest.raises(ValueError, match="max_iter"):
+        dual_extremal_solve(TrigPoly.monomial((1,)), q=2.0, max_iter=0)
 
 
 def test_solve_nonconvergence_raises():

@@ -125,16 +125,40 @@ def test_json_rejects_bad_docs():
 # ---------------------------------------------------------------------------
 
 
-@given(trig_polys(1, max_degree=5), st.sampled_from([0.0, 0.5]))
+@given(trig_polys(1, max_degree=5), st.sampled_from([0.0, 0.25, 0.5]))
 def test_round_trip_1d(f, offset):
     back = coefficients(sample(f, 16, offset), 5)
     assert back.distance(f) <= 1e-12 * max(1.0, f.l2_norm())
 
 
-@given(trig_polys(2, max_degree=3, max_terms=5), st.sampled_from([0.0, 0.5]))
+@given(trig_polys(2, max_degree=3, max_terms=5), st.sampled_from([0.0, 0.25, 0.5]))
 def test_round_trip_2d(f, offset):
     back = coefficients(sample(f, 10, offset), 3)
     assert back.distance(f) <= 1e-12 * max(1.0, f.l2_norm())
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.25, 0.5])
+def test_round_trip_3d(offset):
+    rng = np.random.default_rng(3)
+    f = TrigPoly(3, {a: complex(*rng.standard_normal(2)) for a in product(range(-2, 3), repeat=3)})
+    back = coefficients(sample(f, 6, offset), 2)
+    assert back.distance(f) <= 1e-12 * f.l2_norm()
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.25, 0.5])
+def test_coefficients_match_direct_quadrature(offset):
+    # loop reference: c_alpha = mean over the offset nodes of g(theta) e^{-i alpha.theta}
+    rng = np.random.default_rng(7)
+    n, cutoff = 6, 2
+    grid = GridFunction(2, n, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), offset=offset)
+    angles = axis_angles(n, offset)
+    got = coefficients(grid, cutoff)
+    for alpha in product(range(-cutoff, cutoff + 1), repeat=2):
+        direct = np.mean(
+            [grid.samples[j, k] * np.exp(-1j * (alpha[0] * s + alpha[1] * t))
+             for (j, s), (k, t) in product(enumerate(angles), repeat=2)]
+        )
+        assert abs(got.coeff(alpha) - direct) <= 1e-12
 
 
 def test_sample_matches_evaluate():
@@ -270,12 +294,17 @@ def test_projection_minus_only_1d():
         riesz_project_minus(TrigPoly.monomial((1, 1)))
 
 
-def test_grid_projection_matches_poly_route():
-    f = TrigPoly(1, {(-3,): 1 + 1j, (-1,): 2.0, (0,): 1j, (2,): -1.0})
-    grid_route = riesz_project(sample(f, 16))
-    poly_route = sample(riesz_project(f), 16)
-    assert np.allclose(grid_route.samples, poly_route.samples, atol=1e-13)
-    assert grid_route.aliasing_bound == pytest.approx(0.0, abs=1e-13)
+@pytest.mark.parametrize("offset", [0.0, 0.25, 0.5])
+@pytest.mark.parametrize("dim,n", [(1, 16), (2, 8), (3, 6)])
+def test_grid_projection_matches_poly_route(dim, n, offset):
+    # the projection is a multiplier on the unphased spectrum: it commutes with the grid shift
+    rng = np.random.default_rng(dim)
+    f = TrigPoly(dim, {a: complex(*rng.standard_normal(2)) for a in product(range(-2, 3), repeat=dim)})
+    grid_route = riesz_project(sample(f, n, offset))
+    poly_route = sample(riesz_project(f), n, offset)
+    assert grid_route.offset == offset
+    assert np.max(np.abs(grid_route.samples - poly_route.samples)) <= 1e-12
+    assert grid_route.aliasing_bound == pytest.approx(0.0, abs=1e-12)
 
 
 def test_grid_projection_reports_nyquist_loss():

@@ -6,9 +6,12 @@ An ``ast`` scan stands in for a linter: a name bound by a module-level
 scipy is imported only inside the function that runs it, so that
 ``import rieszlab`` does not pay for it.  Every norm series goes through
 ``series.hyp2f1``; only the p = 0 series of homog2 calls ``sum_series``.
+Every FFT goes through ``fourier``, and one function there computes the
+grid-offset phase e^{2 pi i offset k / N}.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -127,3 +130,68 @@ def test_one_sum_series_site_outside_series():
         for site in sum_series_sites(path.read_text(), path.stem)
     ]
     assert sites == ["homog2.projection_norm_series"]
+
+
+def fft_references(source: str) -> list[str]:
+    """Lines that reach an FFT module: ``np.fft``-style attributes and imports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "fft" and isinstance(node.value, ast.Name):
+            found.append(f"line {node.lineno}: {node.value.id}.fft")
+        elif isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: {a.name}" for a in node.names if a.name.endswith(".fft")]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            found += [f"line {node.lineno}: {m}" for m in names if m.endswith(".fft")]
+    return found
+
+
+def test_scanner_finds_fft_references():
+    source = (
+        "import numpy as np\n"
+        "import scipy.fft\n"
+        "from numpy import fft\n"
+        "x = np.fft.ifft(np.ones(4)) * 4\n"
+        "y = np.fftn\n"
+    )
+    assert fft_references(source) == ["line 2: scipy.fft", "line 3: numpy.fft", "line 4: np.fft"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "fourier.py"], ids=lambda p: p.stem)
+def test_fft_only_in_fourier(path):
+    assert fft_references(path.read_text()) == []
+
+
+OFFSET_PHASE = re.compile(r"-?2j \* np\.pi \* [\w.]*offset")
+
+
+def offset_phase_sites(source: str, module: str) -> list[str]:
+    """Functions that spell out ``2j * np.pi * offset``, once per occurrence."""
+    sites = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{module}.{node.name}"
+        if isinstance(node, ast.BinOp) and OFFSET_PHASE.fullmatch(ast.unparse(node)):
+            sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), module)
+    return sites
+
+
+def test_scanner_finds_offset_phases():
+    source = (
+        "def f(n, offset):\n"
+        "    return np.exp(2j * np.pi * offset * k / n), np.exp(-2j * np.pi * offset * k / n)\n"
+        "def g(grid):\n"
+        "    return np.exp(2j * np.pi * grid.offset * k)\n"
+        "h = 2j * np.pi * k\n"
+    )
+    assert offset_phase_sites(source, "m") == ["m.f", "m.f", "m.g"]
+
+
+def test_one_offset_phase_site():
+    sites = [site for path in MODULES for site in offset_phase_sites(path.read_text(), path.stem)]
+    assert sites == ["fourier.offset_phase"]
