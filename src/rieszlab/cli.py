@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import __version__
@@ -375,8 +376,18 @@ _SHARED_FLAGS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads -1e-3 as a negative number, as it reads -0.5;
+    argparse's own pattern has no exponent form, so ``--p-lo -1e-3`` would be
+    taken for a missing value.  Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rieszlab",
         description="Numerical laboratory for Riesz projections on the torus.",
     )

@@ -26,7 +26,7 @@ only a solve pays for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -173,6 +173,17 @@ def holder_equality_residual(f: GridFunction, q_star: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+class CapAttempt(NamedTuple):
+    """One truncation cap tried by the dual solver: its grid, the L-BFGS
+    iteration count and the duality gap, which certified or did not."""
+
+    trunc_degree: int
+    n_per_axis: int
+    iterations: int
+    duality_gap: float
+    certified: bool
+
+
 @dataclass
 class ExtremalTriple:
     """Solution bundle of the dual extremal problem.
@@ -181,6 +192,9 @@ class ExtremalTriple:
     extremal_kernel:   psi = phi + conj(phi0) attaining the minimum
     extremal_function: f = N_q(psi), the dual witness with psi = N_{q*} f
     value:             ||psi||_q = sup |<f, phi>| / ||f||_{q*}
+    iterations, duality_gap, trunc_degree: those of the certifying cap
+    attempts:          every escalation cap tried, in order; the last
+                       one certified
     """
 
     natural_kernel: TrigPoly
@@ -192,6 +206,7 @@ class ExtremalTriple:
     iterations: int
     duality_gap: float
     trunc_degree: int
+    attempts: tuple[CapAttempt, ...] = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -201,6 +216,7 @@ class ExtremalTriple:
             "duality_gap": self.duality_gap,
             "iterations": self.iterations,
             "trunc_degree": self.trunc_degree,
+            "attempts": [a._asdict() for a in self.attempts],
             "natural_kernel": self.natural_kernel.to_json_dict(),
             "extremal_kernel_coeffs": coefficients(
                 self.extremal_kernel,
@@ -214,10 +230,30 @@ class ExtremalTriple:
         }
 
 
+class _Attempt(NamedTuple):
+    """What ``_solve_at_degree`` hands back: the scalar record, the L-BFGS
+    solution x = [Re c_1..c_K, Im c_1..c_K] of phi0 = sum_k c_k e^{ik theta},
+    and the triple when the gap certified tol."""
+
+    record: CapAttempt
+    x: np.ndarray
+    triple: ExtremalTriple | None
+
+
 def _next_pow2(n: int) -> int:
     out = 1
     while out < n:
         out *= 2
+    return out
+
+
+def _pad_solution(x: np.ndarray, K: int) -> np.ndarray:
+    """Zero-pad x = [Re c_1..c_k, Im c_1..c_k] to cap K >= k, half by half,
+    so that it describes the same phi0 at cap K."""
+    k = x.size // 2
+    out = np.zeros(2 * K)
+    out[:k] = x[:k]
+    out[K : K + k] = x[k:]
     return out
 
 
@@ -239,16 +275,20 @@ def dual_extremal_solve(
     trunc_degree : degree cap for phi0.  When omitted, the cap starts at
         4x deg(phi) and doubles until the duality gap certifies ``tol``
         (the weak-duality witness sees the truncation tail, so a small
-        gap certifies the untruncated optimum too).
+        gap certifies the untruncated optimum too).  The first cap starts
+        L-BFGS from zero; each later cap starts from the previous cap's
+        solution, zero-padded.
     tol : required duality gap |primal - dual| at the solution; finite
         and > 0.
     n_per_axis : quadrature grid; defaults to a power of two resolving
         4x the combined bandwidth.
     max_iter : L-BFGS iteration cap for each truncation degree; >= 1.
-    check_truncation : re-solve with twice the truncation degree and
-        require the value to move by at most tol.
+    check_truncation : re-solve with twice the truncation degree, starting
+        from the certified solution, and require the value to move by at
+        most tol.
 
-    Raises ``NonconvergenceError`` when the gap cannot be certified.
+    Every cap tried is recorded in ``attempts``.  Raises
+    ``NonconvergenceError``, naming each cap's gap, when no cap certifies.
     """
     if phi.dim != 1:
         raise ValueError("dual_extremal_solve expects d=1 input")
@@ -273,48 +313,45 @@ def dual_extremal_solve(
         # escalate the cap until the gap certifies tol
         k0 = max(4 * deg, 8)
         caps = [k0 * (2**i) for i in range(6)]
-    last_exc: NonconvergenceError | None = None
+    records: list[CapAttempt] = []
+    x = np.zeros(0)
     for cap in caps:
-        try:
-            triple = _solve_at_degree(phi, q, cap, tol, n_per_axis, max_iter)
+        attempt = _solve_at_degree(phi, q, cap, tol, n_per_axis, max_iter, x)
+        records.append(attempt.record)
+        x = attempt.x
+        if attempt.triple is not None:
             break
-        except NonconvergenceError as exc:
-            last_exc = exc
     else:
-        raise last_exc  # type: ignore[misc]
+        raise NonconvergenceError(
+            f"duality gap above tol={tol:.1e} at every cap: "
+            + "; ".join(
+                f"K={r.trunc_degree} gap {r.duality_gap:.3e} after {r.iterations} iterations"
+                for r in records
+            )
+        )
+    triple = replace(attempt.triple, attempts=tuple(records))
 
     if check_truncation:
-        refined = dual_extremal_solve(
-            phi,
-            q,
-            trunc_degree=2 * triple.trunc_degree,
-            tol=tol,
-            max_iter=max_iter,
-        )
-        if abs(refined.value - triple.value) > tol:
+        refined = _solve_at_degree(phi, q, 2 * triple.trunc_degree, tol, None, max_iter, x)
+        if refined.triple is None:
+            r = refined.record
             raise NonconvergenceError(
-                f"value drifted {abs(refined.value - triple.value):.3e} when doubling "
+                f"duality gap {r.duality_gap:.3e} above tol={tol:.1e} at the doubled "
+                f"cap K={r.trunc_degree} after {r.iterations} iterations"
+            )
+        drift = abs(refined.triple.value - triple.value)
+        if drift > tol:
+            raise NonconvergenceError(
+                f"value drifted {drift:.3e} when doubling "
                 f"the truncation degree; tail not negligible"
             )
     return triple
 
 
-def _solve_at_degree(
-    phi: TrigPoly,
-    q: float,
-    trunc_degree: int,
-    tol: float,
-    n_per_axis: int | None,
-    max_iter: int,
-) -> ExtremalTriple:
-    q_star = conjugate(q)
-    deg = phi.bandwidth()
-    K = int(trunc_degree)
-    n = int(n_per_axis) if n_per_axis is not None else max(256, _next_pow2(4 * (deg + K)))
-    if n < 2 * (deg + K + 1):
-        raise ValueError("grid too small for phi plus the truncated phi0")
-
-    phi_grid = sample(phi, n)
+def _objective(phi_grid: GridFunction, q: float, K: int):
+    """The cap-K problem on phi's grid as two maps of x = [Re c, Im c]:
+    the samples of psi = phi + conj(phi0), and (mean |psi|^q, its gradient)."""
+    n = phi_grid.n_per_axis
     phi_s = phi_grid.samples
     ks = np.arange(1, K + 1)
     fwd_phase = offset_phase(ks, n, phi_grid.offset)  # coefficients -> bins
@@ -336,36 +373,58 @@ def _solve_at_degree(
         grad = q * np.concatenate([h_hat.real, h_hat.imag])
         return F, grad
 
-    x0 = np.zeros(2 * K)
+    return psi_samples, fun_and_grad
+
+
+def _solve_at_degree(
+    phi: TrigPoly,
+    q: float,
+    trunc_degree: int,
+    tol: float,
+    n_per_axis: int | None,
+    max_iter: int,
+    x0: np.ndarray,
+) -> _Attempt:
+    """One L-BFGS solve at cap K, started from x0 (a solution at a cap
+    <= K, zero-padded here; empty for a cold start)."""
+    q_star = conjugate(q)
+    deg = phi.bandwidth()
+    K = int(trunc_degree)
+    n = int(n_per_axis) if n_per_axis is not None else max(256, _next_pow2(4 * (deg + K)))
+    if n < 2 * (deg + K + 1):
+        raise ValueError("grid too small for phi plus the truncated phi0")
+
+    phi_grid = sample(phi, n)
+    psi_samples, fun_and_grad = _objective(phi_grid, q, K)
     result = minimize(
         fun_and_grad,
-        x0,
+        _pad_solution(x0, K),
         jac=True,
         method="L-BFGS-B",
         options={"maxiter": max_iter, "ftol": 1e-18, "gtol": 1e-14, "maxcor": 30},
     )
 
-    psi = psi_samples(result.x)
-    psi_grid = phi_grid.with_samples(psi)
+    psi_grid = phi_grid.with_samples(psi_samples(result.x))
     primal = lp_norm(psi_grid, q)
     f_grid = nonlinear_map(psi_grid, q)
     f_analytic = riesz_project(f_grid)
     denom = lp_norm(f_analytic, q_star)
     dual = abs(grid_inner(f_analytic, phi_grid)) / denom if denom > 0 else 0.0
-    gap = primal - dual
-    if not math.isfinite(gap) or gap > tol:
-        raise NonconvergenceError(
-            f"duality gap {gap:.3e} above tol={tol:.1e} after {result.nit} iterations"
-        )
+    gap = float(primal - dual)
+    certified = math.isfinite(gap) and gap <= tol
+    record = CapAttempt(K, n, int(result.nit), gap, certified)
+    if not certified:
+        return _Attempt(record, result.x, None)
 
-    return ExtremalTriple(
+    triple = ExtremalTriple(
         natural_kernel=phi,
         extremal_kernel=psi_grid,
         extremal_function=f_grid,
         value=primal,
         q=q,
         q_star=q_star,
-        iterations=int(result.nit),
-        duality_gap=float(gap),
+        iterations=record.iterations,
+        duality_gap=gap,
         trunc_degree=K,
     )
+    return _Attempt(record, result.x, triple)

@@ -250,6 +250,8 @@ def run_fresh(argv):
         (["--p-hi", "inf"], "p_hi"),
         (["--p-lo", "nan"], "p_lo"),
         (["--p-lo", "3", "--p-hi", "1"], "p_lo"),
+        (["--p-lo", "-1e-3"], "p_lo"),
+        (["--p-lo=-1e-3"], "p_lo"),
     ],
 )
 def test_d2_scan_bad_window_exits_2(flags, word):
@@ -297,6 +299,19 @@ def test_dual_extremal_kernel(capsys):
     assert doc["closed_form_diff"] == doc["value"] - doc["closed_form"]
 
 
+def test_dual_extremal_reports_every_cap(capsys):
+    code, out, _ = run(capsys, ["dual-extremal", "--kernel", "0.95", "--q", "1.1", "--degree", "20"])
+    assert code == 0
+    doc = json.loads(out)
+    assert [a["trunc_degree"] for a in doc["attempts"]] == [80, 160]
+    assert [a["certified"] for a in doc["attempts"]] == [False, True]
+    assert set(doc["attempts"][0]) == {"trunc_degree", "n_per_axis", "iterations", "duality_gap", "certified"}
+    last = doc["attempts"][-1]
+    assert [last[k] for k in ("trunc_degree", "iterations", "duality_gap")] == [
+        doc[k] for k in ("trunc_degree", "iterations", "duality_gap")
+    ]
+
+
 def test_dual_extremal_in_file_reports_no_closed_form(capsys, tmp_path):
     src = tmp_path / "phi.json"
     src.write_text(poly_json(TrigPoly(1, {(0,): 1.0, (1,): 0.5})))
@@ -314,6 +329,7 @@ def test_dual_extremal_in_file_reports_no_closed_form(capsys, tmp_path):
         (["--tol", "0"], "tol"),
         (["--max-iter", "0"], "max_iter"),
         (["--max-iter", "-3"], "max_iter"),
+        (["--tol", "-1e-6"], "tol"),
     ],
 )
 def test_dual_extremal_bad_tol_or_max_iter_exits_2(flags, word):

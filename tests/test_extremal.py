@@ -7,8 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import nonzero_polys, trig_polys
+from rieszlab import extremal
 from rieszlab.extremal import (
     Factorization,
+    _objective,
+    _pad_solution,
+    _solve_at_degree,
     blaschke_product,
     dual_extremal_solve,
     geometric_mean_l1_check,
@@ -208,3 +212,64 @@ def test_triple_json():
     back = TrigPoly.from_json_dict(doc["natural_kernel"])
     assert back.distance(phi) == 0.0
     assert "extremal_kernel_coeffs" in doc
+
+
+def test_padded_solution_keeps_psi_samples():
+    # x is [Re c_1..c_K, Im c_1..c_K]: padding each half keeps phi0, so psi
+    # is unchanged on one grid; padding x as a whole moves Im parts into Re slots
+    phi, q, K, n = truncated_szego_poly(0.9j, 10), 1.05, 40, 512
+    x = _solve_at_degree(phi, q, K, 1e-6, n, 4000, np.zeros(0)).x
+    assert np.abs(x[K:]).max() > 0.1  # complex w: the Im half carries weight
+    grid = sample(phi, n)
+    psi_k, _ = _objective(grid, q, K)
+    psi_2k, _ = _objective(grid, q, 2 * K)
+    np.testing.assert_array_equal(psi_2k(_pad_solution(x, 2 * K)), psi_k(x))
+    assert not np.allclose(psi_2k(np.pad(x, (0, x.size))), psi_k(x))
+
+
+@pytest.mark.parametrize(
+    "w,degree,q,caps,grids",
+    [(0.9, 10, 1.05, [40, 80, 160], [256, 512, 1024]), (0.95, 20, 1.1, [80, 160], [512, 1024])],
+)
+def test_escalation_records_every_cap(w, degree, q, caps, grids):
+    phi = truncated_szego_poly(w, degree)
+    triple = dual_extremal_solve(phi, q=q)
+    assert [a.trunc_degree for a in triple.attempts] == caps
+    assert [a.n_per_axis for a in triple.attempts] == grids
+    assert [a.certified for a in triple.attempts] == [False] * (len(caps) - 1) + [True]
+    assert all(a.duality_gap > 1e-6 for a in triple.attempts[:-1])
+    last = triple.attempts[-1]
+    assert (last.iterations, last.duality_gap) == (triple.iterations, triple.duality_gap)
+    assert triple.trunc_degree == caps[-1]
+    # the warm start reaches the cold solution at the final cap, in fewer iterations
+    cold = dual_extremal_solve(phi, q=q, trunc_degree=caps[-1])
+    assert abs(triple.value - cold.value) <= 1e-6
+    assert triple.iterations < cold.iterations
+
+
+def test_each_solve_starts_from_the_previous_solution(monkeypatch):
+    starts, ends = [], []
+
+    def spy(fun, x0, **kwargs):
+        starts.append(np.array(x0))
+        out = minimize(fun, x0, **kwargs)
+        ends.append(np.array(out.x))
+        return out
+
+    minimize = extremal.minimize
+    monkeypatch.setattr(extremal, "minimize", spy)
+    triple = dual_extremal_solve(truncated_szego_poly(0.95, 20), q=1.1, check_truncation=True)
+    # caps 80 and 160, then the truncation check at 320
+    assert [x0.size // 2 for x0 in starts] == [80, 160, 320]
+    assert len(triple.attempts) == 2
+    assert not starts[0].any()
+    for x0, prev in zip(starts[1:], ends):
+        np.testing.assert_array_equal(x0, _pad_solution(prev, x0.size // 2))
+
+
+def test_nonconvergence_names_every_cap():
+    phi = truncated_szego_poly(0.6, 16)
+    with pytest.raises(NonconvergenceError) as exc:
+        dual_extremal_solve(phi, q=1.3333, tol=1e-12, max_iter=2)
+    for K in (64, 128, 256, 512, 1024, 2048):
+        assert f"K={K} gap " in str(exc.value)
