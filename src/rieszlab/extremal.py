@@ -19,8 +19,8 @@ Two groups of tools:
   |<f, phi>| / ||f||_{q*} is a lower bound for the minimum, so the
   duality gap sandwiches the value.
 
-scipy.optimize is imported when the solver first runs (``optimize``), so
-only a solve pays for it.
+The quasi-Newton method is the numpy L-BFGS of ``optimize``, reached
+through the module-level name ``minimize``.
 """
 
 from __future__ import annotations
@@ -175,11 +175,15 @@ def holder_equality_residual(f: GridFunction, q_star: float) -> float:
 
 class CapAttempt(NamedTuple):
     """One truncation cap tried by the dual solver: its grid, the L-BFGS
-    iteration count and the duality gap, which certified or did not."""
+    iteration and objective evaluation counts, why L-BFGS stopped
+    (``optimize.OptimizeResult.stop``), and the duality gap, which
+    certified or did not."""
 
     trunc_degree: int
     n_per_axis: int
     iterations: int
+    nfev: int
+    stop: str
     duality_gap: float
     certified: bool
 
@@ -325,7 +329,8 @@ def dual_extremal_solve(
         raise NonconvergenceError(
             f"duality gap above tol={tol:.1e} at every cap: "
             + "; ".join(
-                f"K={r.trunc_degree} gap {r.duality_gap:.3e} after {r.iterations} iterations"
+                f"K={r.trunc_degree} gap {r.duality_gap:.3e} after {r.iterations} iterations "
+                f"({r.stop})"
                 for r in records
             )
         )
@@ -337,7 +342,7 @@ def dual_extremal_solve(
             r = refined.record
             raise NonconvergenceError(
                 f"duality gap {r.duality_gap:.3e} above tol={tol:.1e} at the doubled "
-                f"cap K={r.trunc_degree} after {r.iterations} iterations"
+                f"cap K={r.trunc_degree} after {r.iterations} iterations ({r.stop})"
             )
         drift = abs(refined.triple.value - triple.value)
         if drift > tol:
@@ -364,12 +369,14 @@ def _objective(phi_grid: GridFunction, q: float, K: int):
         return phi_s + np.conj(phi0)
 
     def fun_and_grad(x: np.ndarray):
-        psi = psi_samples(x)
-        a = np.abs(psi)
-        F = float(np.mean(a**q))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a trial step far from the minimum can overflow |psi|^q; the line
+        # search sees the inf or nan and shrinks the step
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            psi = psi_samples(x)
+            a = np.abs(psi)
+            F = float(np.mean(a**q))
             nq = np.where(a > 0, a ** (q - 2.0) * psi, 0.0)
-        h_hat = grid_spectrum(phi_grid.with_samples(np.conj(nq)))[1 : K + 1] * rev_phase
+            h_hat = grid_spectrum(phi_grid.with_samples(np.conj(nq)))[1 : K + 1] * rev_phase
         grad = q * np.concatenate([h_hat.real, h_hat.imag])
         return F, grad
 
@@ -396,13 +403,7 @@ def _solve_at_degree(
 
     phi_grid = sample(phi, n)
     psi_samples, fun_and_grad = _objective(phi_grid, q, K)
-    result = minimize(
-        fun_and_grad,
-        _pad_solution(x0, K),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iter, "ftol": 1e-18, "gtol": 1e-14, "maxcor": 30},
-    )
+    result = minimize(fun_and_grad, _pad_solution(x0, K), maxiter=max_iter)
 
     psi_grid = phi_grid.with_samples(psi_samples(result.x))
     primal = lp_norm(psi_grid, q)
@@ -412,7 +413,7 @@ def _solve_at_degree(
     dual = abs(grid_inner(f_analytic, phi_grid)) / denom if denom > 0 else 0.0
     gap = float(primal - dual)
     certified = math.isfinite(gap) and gap <= tol
-    record = CapAttempt(K, n, int(result.nit), gap, certified)
+    record = CapAttempt(K, n, result.nit, result.nfev, result.stop, gap, certified)
     if not certified:
         return _Attempt(record, result.x, None)
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -305,11 +306,27 @@ def test_dual_extremal_reports_every_cap(capsys):
     doc = json.loads(out)
     assert [a["trunc_degree"] for a in doc["attempts"]] == [80, 160]
     assert [a["certified"] for a in doc["attempts"]] == [False, True]
-    assert set(doc["attempts"][0]) == {"trunc_degree", "n_per_axis", "iterations", "duality_gap", "certified"}
+    assert set(doc["attempts"][0]) == {
+        "trunc_degree",
+        "n_per_axis",
+        "iterations",
+        "nfev",
+        "stop",
+        "duality_gap",
+        "certified",
+    }
     last = doc["attempts"][-1]
     assert [last[k] for k in ("trunc_degree", "iterations", "duality_gap")] == [
         doc[k] for k in ("trunc_degree", "iterations", "duality_gap")
     ]
+
+
+def test_dual_extremal_large_q_prints_no_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["dual-extremal", "--kernel", "0.8", "--q", "64", "--degree", "20"])
+    assert (code, err) == (0, "")
+    assert float(json.loads(out)["duality_gap"]) <= 1e-6
 
 
 def test_dual_extremal_in_file_reports_no_closed_form(capsys, tmp_path):

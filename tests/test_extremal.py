@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,36 @@ def test_solve_validation():
         dual_extremal_solve(TrigPoly.monomial((1,)), q=2.0, max_iter=0)
 
 
+@pytest.mark.parametrize(
+    "w,degree,q,value",
+    [
+        (0.5, 8, 1.05, 1.0137935762138641),
+        (0.9, 40, 1.05, 1.0823262282027217),
+        (0.6, 16, 1.3333, 1.1180246365458815),
+        (0.9, 80, 1.5, 1.7394640919669124),
+        (0.7, 20, 2.0, 1.4002798656028657),
+        (0.9, 30, 4.0, 3.4645192394976125),
+        (0.95, 50, 8.0, 7.5490845989796105),
+        (0.8, 20, 64.0, 2.732268150930752),
+    ],
+)
+def test_solve_matches_pinned_values(w, degree, q, value):
+    # values from the solver on scipy's L-BFGS-B, which the numpy L-BFGS replaced
+    triple = dual_extremal_solve(truncated_szego_poly(w, degree), q=q)
+    assert abs(triple.value - value) <= 1e-9
+    assert triple.duality_gap <= 1e-6
+
+
+def test_objective_overflow_is_silent():
+    # a trial point far from the minimum overflows |psi|^64; the line search
+    # reads the inf, and no RuntimeWarning reaches the user
+    _, fun_and_grad = _objective(sample(truncated_szego_poly(0.8, 20), 512), 64.0, 80)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        F, _ = fun_and_grad(np.full(160, 1e6))
+    assert F == math.inf
+
+
 def test_solve_nonconvergence_raises():
     phi = truncated_szego_poly(0.6, 16)
     with pytest.raises(NonconvergenceError):
@@ -273,3 +304,4 @@ def test_nonconvergence_names_every_cap():
         dual_extremal_solve(phi, q=1.3333, tol=1e-12, max_iter=2)
     for K in (64, 128, 256, 512, 1024, 2048):
         assert f"K={K} gap " in str(exc.value)
+    assert str(exc.value).count("after 2 iterations (max_iter)") == 6

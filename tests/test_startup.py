@@ -1,8 +1,8 @@
-"""Start-up loads only what the command runs.
+"""No command loads scipy.
 
-``import rieszlab`` and every subcommand but ``dual-extremal`` need numpy
-and the standard library alone; scipy.optimize is imported by the dual
-solver when it runs.  Each check runs in a fresh interpreter, because
+``import rieszlab`` and every subcommand need numpy and the standard
+library alone; the dual solver runs on the numpy L-BFGS of
+``rieszlab.optimize``.  Each check runs in a fresh interpreter, because
 this test process may already hold scipy.
 """
 
@@ -45,9 +45,15 @@ def test_no_scipy_without_the_dual_solver(code):
     assert loaded_scipy(code) == []
 
 
-def test_dual_solver_loads_scipy_optimize():
-    code = (
+@pytest.mark.parametrize(
+    "code",
+    [
         "from rieszlab import dual_extremal_solve, truncated_szego_poly\n"
-        "dual_extremal_solve(truncated_szego_poly(0.5, 8), q=1.5)"
-    )
-    assert "scipy.optimize" in loaded_scipy(code)
+        "dual_extremal_solve(truncated_szego_poly(0.5, 8), q=1.5)",
+        "from rieszlab.cli import main\n"
+        "assert main(['dual-extremal', '--kernel', '0.5', '--q', '1.5', '--degree', '8']) == 0",
+    ],
+    ids=["solve", "dual-extremal"],
+)
+def test_dual_solver_loads_no_scipy(code):
+    assert loaded_scipy(code) == []
