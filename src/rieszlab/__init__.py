@@ -11,7 +11,6 @@ search (`search`).  `python -m rieszlab --help` lists the CLI.
 
 __version__ = "0.1.0"
 
-from .config import thread_count
 from .dirichlet import DirichletSpec, dirichlet_norm, growth_fit, lattice_count, spherical_dirichlet
 from .extremal import (
     ExtremalTriple,
@@ -44,12 +43,10 @@ from .kernels import (
     truncated_szego_poly,
 )
 from .norms import (
-    ExponentPair,
     conjectured_exponent,
     conjugate,
     interpolation_lower_bound,
     lp_norm,
-    minimal_admissible,
     nonlinear_map,
     riesz_projection_norm,
 )
@@ -61,7 +58,6 @@ __all__ = [
     "BoundTable",
     "CoefficientReport",
     "DirichletSpec",
-    "ExponentPair",
     "ExtremalTriple",
     "GridFunction",
     "NonconvergenceError",
@@ -88,7 +84,6 @@ __all__ = [
     "lattice_count",
     "load_grid",
     "lp_norm",
-    "minimal_admissible",
     "nonlinear_map",
     "outer_from_modulus",
     "partial_project",
@@ -102,7 +97,6 @@ __all__ = [
     "spherical_dirichlet",
     "szego_norm",
     "table_csv",
-    "thread_count",
     "threshold_scan",
     "truncated_szego_poly",
     "violation_search",

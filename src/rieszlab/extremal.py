@@ -2,7 +2,7 @@
 
 Two groups of tools:
 
-* Factorization helpers: the outer function with prescribed boundary
+* Inner-outer helpers: the outer function with prescribed boundary
   modulus (exponentiate the analytic completion of log m), finite
   Blaschke products, and checks for the geometric-mean bound
   exp(mean log |P+ psi|) <= ||psi||_1 together with its equality
@@ -91,27 +91,6 @@ def blaschke_product(
         return out
 
     return grid_from_function(product, 1, n_per_axis, offset)
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Inner-outer data: zeros of the Blaschke part, a unimodular
-    constant, and the boundary modulus of the outer part."""
-
-    inner_zeros: tuple[complex, ...]
-    unimodular_constant: complex
-    outer_modulus: GridFunction
-
-    def __post_init__(self) -> None:
-        if abs(abs(self.unimodular_constant) - 1.0) > 1e-12:
-            raise ValueError("constant must be unimodular")
-
-    def boundary_samples(self) -> GridFunction:
-        """Samples of constant * (Blaschke) * (outer from modulus)."""
-        g = self.outer_modulus
-        inner = blaschke_product(self.inner_zeros, g.n_per_axis, g.offset)
-        outer = outer_from_modulus(g)
-        return g.with_samples(self.unimodular_constant * inner.samples * outer.samples)
 
 
 class L1BoundCheck(NamedTuple):
@@ -268,7 +247,6 @@ def dual_extremal_solve(
     tol: float = 1e-6,
     n_per_axis: int | None = None,
     max_iter: int = 4000,
-    check_truncation: bool = False,
 ) -> ExtremalTriple:
     """Solve min ||phi + conj(phi0)||_q over truncated phi0 in H^q_0.
 
@@ -287,9 +265,6 @@ def dual_extremal_solve(
     n_per_axis : quadrature grid; defaults to a power of two resolving
         4x the combined bandwidth.
     max_iter : L-BFGS iteration cap for each truncation degree; >= 1.
-    check_truncation : re-solve with twice the truncation degree, starting
-        from the certified solution, and require the value to move by at
-        most tol.
 
     Every cap tried is recorded in ``attempts``.  Raises
     ``NonconvergenceError``, naming each cap's gap, when no cap certifies.
@@ -334,23 +309,7 @@ def dual_extremal_solve(
                 for r in records
             )
         )
-    triple = replace(attempt.triple, attempts=tuple(records))
-
-    if check_truncation:
-        refined = _solve_at_degree(phi, q, 2 * triple.trunc_degree, tol, None, max_iter, x)
-        if refined.triple is None:
-            r = refined.record
-            raise NonconvergenceError(
-                f"duality gap {r.duality_gap:.3e} above tol={tol:.1e} at the doubled "
-                f"cap K={r.trunc_degree} after {r.iterations} iterations ({r.stop})"
-            )
-        drift = abs(refined.triple.value - triple.value)
-        if drift > tol:
-            raise NonconvergenceError(
-                f"value drifted {drift:.3e} when doubling "
-                f"the truncation degree; tail not negligible"
-            )
-    return triple
+    return replace(attempt.triple, attempts=tuple(records))
 
 
 def _objective(phi_grid: GridFunction, q: float, K: int):

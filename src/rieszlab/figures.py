@@ -57,18 +57,6 @@ def _q_samples() -> list[float]:
     return qs
 
 
-def _lower_d2(q: float) -> tuple[float, str]:
-    if q < 4.0 / 3.0:
-        return -1.0, "exact"
-    if q < 8.0 / 5.0:
-        return 0.0, "composed-endpoint"
-    if q < 2.0:
-        return 2.0 * q / (8.0 - 3.0 * q), "composed-interpolation"
-    if math.isinf(q):
-        return 8.0 / 3.0, "composed-interpolation"
-    return 8.0 * q / (3.0 * q + 2.0), "composed-interpolation"
-
-
 def figure_tables(dim: int) -> BoundTable:
     """Bound table for d = 1 or d = 2."""
     if dim not in (1, 2):
@@ -80,12 +68,15 @@ def figure_tables(dim: int) -> BoundTable:
             upper_source = "conjectured" if q > 1 else "exact"
             lower = interpolation_lower_bound(q)
             lower_source = "endpoint" if q < 4.0 / 3.0 else "interpolation"
+        elif q < 4.0 / 3.0:
+            upper, upper_source, lower, lower_source = -1.0, "exact", -1.0, "exact"
         else:
-            if q < 4.0 / 3.0:
-                upper, upper_source = -1.0, "exact"
+            upper, upper_source = conjectured_exponent(2, q), "conjectured"
+            inner = interpolation_lower_bound(q)
+            if inner < 4.0 / 3.0:  # endpoint bound 0; at q = 4/3, inner rounds below 1
+                lower, lower_source = 0.0, "composed-endpoint"
             else:
-                upper, upper_source = conjectured_exponent(2, q), "conjectured"
-            lower, lower_source = _lower_d2(q)
+                lower, lower_source = interpolation_lower_bound(inner), "composed-interpolation"
         rows.append(
             BoundRow(
                 q=q, upper=upper, lower=lower, upper_source=upper_source, lower_source=lower_source

@@ -45,6 +45,23 @@ def _as_multi_index(alpha: Iterable[int], dim: int) -> MultiIndex:
     return idx
 
 
+def _json_int(x, what: str) -> int:
+    """x when it is a JSON integer (a bool or a float is not), else ValueError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"TrigPoly {what} must be an integer, not {x!r}")
+    return x
+
+
+def _json_float(x, what: str) -> float:
+    """x as a float when it is a JSON number (a bool is not), else ValueError."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"TrigPoly {what} must be a number, not {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"TrigPoly {what} overflows float64") from None
+
+
 @dataclass(frozen=True)
 class TrigPoly:
     """Trigonometric polynomial sum_alpha c_alpha e^{i alpha . theta} on T^dim.
@@ -166,14 +183,17 @@ class TrigPoly:
     def from_json_dict(cls, doc: Mapping) -> "TrigPoly":
         if not isinstance(doc, Mapping):
             raise ValueError("a TrigPoly document must be a JSON object")
-        dim = int(doc["dim"])
+        dim = _json_int(doc["dim"], "dim")
         terms = doc["terms"]
         if not isinstance(terms, list) or not all(isinstance(t, Mapping) for t in terms):
             raise ValueError("TrigPoly terms must be a list of JSON objects")
         coeffs: dict[MultiIndex, complex] = {}
         for term in terms:
-            alpha = _as_multi_index(term["alpha"], dim)
-            coeffs[alpha] = coeffs.get(alpha, 0.0) + complex(float(term["re"]), float(term["im"]))
+            if not isinstance(term["alpha"], list):
+                raise ValueError(f"TrigPoly alpha must be a list of integers, not {term['alpha']!r}")
+            alpha = _as_multi_index([_json_int(a, "alpha entry") for a in term["alpha"]], dim)
+            c = complex(_json_float(term["re"], "re"), _json_float(term["im"], "im"))
+            coeffs[alpha] = coeffs.get(alpha, 0.0) + c
         return cls(dim=dim, coeffs=coeffs)
 
     @classmethod
@@ -198,6 +218,8 @@ class GridFunction:
     aliasing_bound: float | None = None
 
     def __post_init__(self) -> None:
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
         arr = np.asarray(self.samples, dtype=np.complex128)
         if arr.shape != (self.n_per_axis,) * self.dim:
             raise ValueError(
@@ -216,9 +238,6 @@ class GridFunction:
             offset=self.offset,
             aliasing_bound=aliasing_bound,
         )
-
-    def axis_angles(self) -> np.ndarray:
-        return axis_angles(self.n_per_axis, self.offset)
 
 
 def axis_angles(n_per_axis: int, offset: float = 0.5) -> np.ndarray:
@@ -387,17 +406,6 @@ def partial_project(poly: TrigPoly, axes: Iterable[int]) -> TrigPoly:
     )
 
 
-def is_homogeneous2(poly: TrigPoly, tol: float = 0.0) -> bool:
-    """True when all coefficient mass sits on the line alpha_1+alpha_2 = 2.
-
-    ``tol`` bounds the allowed off-line L^2 mass (absolute).
-    """
-    if poly.dim != 2:
-        raise ValueError("is_homogeneous2 requires dim=2")
-    off = sum(abs(c) ** 2 for alpha, c in poly.coeffs.items() if alpha[0] + alpha[1] != 2)
-    return float(np.sqrt(off)) <= tol
-
-
 # ---------------------------------------------------------------------------
 # inner products
 # ---------------------------------------------------------------------------
@@ -449,6 +457,8 @@ def load_grid(path) -> GridFunction:
     magic, dim, n, half_cells = _HEADER.unpack_from(raw)
     if magic != GRID_MAGIC:
         raise ValueError("bad magic; not a grid dump")
+    if half_cells not in (0, 1):
+        raise ValueError(f"grid offset of {half_cells} half-cells; the format stores 0 or 1 only")
     count = n**dim
     expected = _HEADER.size + 16 * count
     if len(raw) != expected:

@@ -36,7 +36,6 @@ from .norms import conjugate, nonlinear_map
 from .series import (
     DEFAULT_CONTROL,
     SeriesControl,
-    central_binomial,
     hyp2f1,
     require_converged,
     sum_series,
@@ -55,13 +54,6 @@ def perturbation_polynomial() -> TrigPoly:
 
 def family_polynomial(eps: float) -> TrigPoly:
     return base_polynomial() + perturbation_polynomial().scale(float(eps))
-
-
-def perturbation_even_norm(j: int) -> float:
-    """||z1^2 - z2^2||_{2j}^{2j} = C(2j, j) (central binomial)."""
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    return central_binomial(j)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ function for point evaluation at w is C (1 - conj(w) z)^{-2/q*}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,24 +28,13 @@ from .norms import conjugate
 from .series import DEFAULT_CONTROL, SeriesControl, hyp2f1, require_converged
 
 
-@dataclass(frozen=True)
-class KernelPoint:
-    """Evaluation point w in the open unit disc; caches r = |w|^2."""
-
-    w: complex
-    r: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        w = complex(self.w)
-        r = abs(w) ** 2
-        if not r < 1.0:
-            raise ValueError(f"|w| = {abs(w)} must be < 1")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "r", r)
-
-
-def _point(w) -> KernelPoint:
-    return w if isinstance(w, KernelPoint) else KernelPoint(complex(w))
+def _point(w) -> tuple[complex, float]:
+    """(w, r = |w|^2) for an evaluation point w in the open unit disc."""
+    w = complex(w)
+    r = abs(w) ** 2
+    if not r < 1.0:
+        raise ValueError(f"|w| = {abs(w)} must be < 1")
+    return w, r
 
 
 def szego_norm(w, p: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
@@ -53,9 +42,9 @@ def szego_norm(w, p: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     p = float(p)
     if not p > 0 or math.isinf(p):
         raise ValueError("p must be a positive finite exponent")
-    pt = _point(w)
-    tally = hyp2f1(p / 2.0, p / 2.0, 1.0, pt.r, ctl)
-    total = require_converged(tally, f"szego_norm(w={pt.w}, p={p})")
+    w, r = _point(w)
+    tally = hyp2f1(p / 2.0, p / 2.0, 1.0, r, ctl)
+    total = require_converged(tally, f"szego_norm(w={w}, p={p})")
     return total ** (1.0 / p)
 
 
@@ -76,11 +65,11 @@ def extremal_kernel_norm(w, q: float, ctl: SeriesControl = DEFAULT_CONTROL) -> E
     q = float(q)
     if not q > 1:
         raise ValueError("q must exceed 1")
-    pt = _point(w)
+    w, r = _point(w)
     s = 1.0 / conjugate(q)
-    closed = (1.0 - pt.r) ** (-s)
-    tally = hyp2f1(s, 1.0, 1.0, pt.r, ctl)
-    total = require_converged(tally, f"extremal_kernel_norm(w={pt.w}, q={q})")
+    closed = (1.0 - r) ** (-s)
+    tally = hyp2f1(s, 1.0, 1.0, r, ctl)
+    total = require_converged(tally, f"extremal_kernel_norm(w={w}, q={q})")
     if abs(total - closed) > 10.0 * ctl.rel_tol * max(abs(closed), 1.0) + tally.tail_bound:
         raise ArithmeticError(
             f"series {total!r} and closed form {closed!r} disagree beyond tolerance"
@@ -172,7 +161,7 @@ def point_extremal_function(
     q_star = float(q_star)
     if not q_star >= 1:
         raise ValueError("q_star must be >= 1")
-    wbar = np.conj(_point(w).w)
+    wbar = np.conj(_point(w)[0])
     kernel = lambda t: (1.0 - wbar * np.exp(1j * t)) ** (-2.0 / q_star)
     return grid_from_function(kernel, 1, n_per_axis, offset)
 
@@ -184,10 +173,10 @@ def szego_kernel_grid(w, n_per_axis: int = 256, offset: float = 0.5) -> GridFunc
 
 def truncated_szego_poly(w, degree: int) -> TrigPoly:
     """Degree-``degree`` Taylor truncation of k_w: sum of conj(w)^n z^n."""
-    pt = _point(w)
+    w, _ = _point(w)
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    wbar = np.conj(complex(pt.w))
+    wbar = np.conj(w)
     coeffs = {}
     term = 1.0 + 0.0j
     for n in range(degree + 1):
@@ -198,6 +187,6 @@ def truncated_szego_poly(w, degree: int) -> TrigPoly:
 
 def poisson_kernel(w, n_per_axis: int = 256, offset: float = 0.5) -> GridFunction:
     """Poisson kernel (1 - |w|^2)/|1 - conj(w) e^{i theta}|^2 (real part >= 0)."""
-    pt = _point(w)
-    kernel = lambda t: (1.0 - pt.r) / np.abs(1.0 - np.conj(pt.w) * np.exp(1j * t)) ** 2
+    w, r = _point(w)
+    kernel = lambda t: (1.0 - r) / np.abs(1.0 - np.conj(w) * np.exp(1j * t)) ** 2
     return grid_from_function(kernel, 1, n_per_axis, offset)

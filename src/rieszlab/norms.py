@@ -15,7 +15,6 @@ interpolation lower bounds 2q/(4-q) on [4/3, 2] and 4q/(q+2) on
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,28 +82,6 @@ def conjugate(q: float) -> float:
     return q / (q - 1.0)
 
 
-@dataclass(frozen=True)
-class ExponentPair:
-    """A Holder pair (q, q*) with 1 < q <= inf."""
-
-    q: float
-    q_star: float
-
-    @classmethod
-    def from_q(cls, q: float) -> "ExponentPair":
-        q = float(q)
-        if not q > 1:
-            raise ValueError("q must exceed 1")
-        return cls(q=q, q_star=conjugate(q))
-
-
-def minimal_admissible(d: int) -> float:
-    """Smallest q with a nonnegative conjectured exponent: 2d/(d+1)."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return 2.0 * d / (d + 1.0)
-
-
 def conjectured_exponent(d: int, q: float) -> float:
     """Conjectured critical exponent a_d(q) = 2 + 2/(d + 2/(q-2)).
 
@@ -115,8 +92,9 @@ def conjectured_exponent(d: int, q: float) -> float:
     if d < 1:
         raise ValueError("d must be >= 1")
     q = float(q)
-    if q < minimal_admissible(d) - 1e-12:
-        raise ValueError(f"q={q} below the admissible range [{minimal_admissible(d)}, inf]")
+    q_min = 2.0 * d / (d + 1.0)
+    if q < q_min - 1e-12:
+        raise ValueError(f"q={q} below the admissible range [{q_min}, inf]")
     if math.isinf(q):
         return 2.0 + 2.0 / d
     if q == 2.0:

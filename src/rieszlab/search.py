@@ -66,10 +66,6 @@ class ViolationCertificate:
     offset: float
     family: str
 
-    @property
-    def valid(self) -> bool:
-        return self.ratio > 1.0 + RATIO_MARGIN
-
     def recompute_ratio(self, scale: int = 1) -> float:
         n = resolving_grid(self.psi, self.n_per_axis * scale)
         return projection_ratio(self.psi, self.p, self.q, n, self.offset)

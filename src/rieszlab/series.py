@@ -49,13 +49,6 @@ class SeriesTally:
     converged: bool
 
 
-def central_binomial(j: int) -> float:
-    """C(2j, j), exact via integer arithmetic before the float cast."""
-    if j < 0:
-        raise ValueError("j must be a nonnegative integer")
-    return float(math.comb(2 * j, j))
-
-
 def sum_series(
     first_term: float,
     ratio: Callable[[int], float],

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -77,14 +78,19 @@ def test_norm_stdin_csv(capsys, monkeypatch):
         "[1,2]",
         '{"dim":1,"terms":5}',
         '{"dim":1,"terms":[[1]]}',
+        '{"dim":1,"terms":[{"alpha":5,"re":1,"im":0}]}',
+        '{"dim":null,"terms":[{"alpha":[1],"re":1,"im":0}]}',
+        '{"dim":1,"terms":[{"alpha":[1],"re":null,"im":0}]}',
+        '{"dim":1,"terms":[{"alpha":[1.5],"re":1,"im":0}]}',
     ],
 )
 def test_bad_poly_json_exit_code(capsys, monkeypatch, doc):
-    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
-    code, out, err = run(capsys, ["norm", "--p", "2"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    for argv in (["norm", "--p", "2"], ["project"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_norm_json_handles_inf_strictly(capsys, monkeypatch):
@@ -149,6 +155,17 @@ def test_project_poly_json(capsys, monkeypatch):
     assert code == 0
     proj = TrigPoly.from_json_dict(json.loads(out))
     assert set(proj.coeffs) == {(1,), (3,)}
+
+
+@pytest.mark.parametrize("dim,half_cells", [(0, 1), (1, 3)])
+def test_norm_refuses_bad_grid_header(capsys, tmp_path, dim, half_cells):
+    # a header save_grid never writes: dim 0, or an offset of 3 half-cells
+    src = tmp_path / "bad.rlgf"
+    n = 4
+    src.write_bytes(struct.pack("<4sIII", b"RLGF", dim, n, half_cells) + np.ones(n**dim, "<c16").tobytes())
+    code, out, err = run(capsys, ["norm", "--p", "2", "--in", str(src)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_project_minus(capsys, monkeypatch):

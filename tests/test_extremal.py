@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import nonzero_polys, trig_polys
 from rieszlab import extremal
 from rieszlab.extremal import (
-    Factorization,
     _objective,
     _pad_solution,
     _solve_at_degree,
@@ -176,12 +175,6 @@ def test_solve_monotone_in_truncation():
     assert v_large <= v_small * (1 + 1e-9)
 
 
-def test_solve_truncation_check_passes():
-    phi = truncated_szego_poly(0.3, 8)
-    triple = dual_extremal_solve(phi, q=1.5, tol=1e-7, check_truncation=True)
-    assert triple.duality_gap <= 1e-7
-
-
 def test_solve_validation():
     with pytest.raises(ValueError):
         dual_extremal_solve(TrigPoly.zero(1), q=2.0)
@@ -289,9 +282,8 @@ def test_each_solve_starts_from_the_previous_solution(monkeypatch):
 
     minimize = extremal.minimize
     monkeypatch.setattr(extremal, "minimize", spy)
-    triple = dual_extremal_solve(truncated_szego_poly(0.95, 20), q=1.1, check_truncation=True)
-    # caps 80 and 160, then the truncation check at 320
-    assert [x0.size // 2 for x0 in starts] == [80, 160, 320]
+    triple = dual_extremal_solve(truncated_szego_poly(0.95, 20), q=1.1)
+    assert [x0.size // 2 for x0 in starts] == [80, 160]
     assert len(triple.attempts) == 2
     assert not starts[0].any()
     for x0, prev in zip(starts[1:], ends):

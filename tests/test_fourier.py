@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 from itertools import product
 
 import numpy as np
@@ -17,7 +18,6 @@ from rieszlab.fourier import (
     grid_from_spectrum,
     grid_inner,
     grid_spectrum,
-    is_homogeneous2,
     load_grid,
     partial_project,
     poly_inner,
@@ -114,6 +114,19 @@ def test_json_rejects_bad_docs():
     for doc in ("[1, 2]", '{"dim": 1, "terms": 3}', '{"dim": 1, "terms": [[1]]}'):
         with pytest.raises(ValueError):
             TrigPoly.from_json(doc)
+    term = '{"alpha": %s, "re": %s, "im": %s}'
+    for dim, alpha, re, im in [
+        ("null", "[1]", "1", "0"),
+        ("1.0", "[1]", "1", "0"),
+        ("true", "[1]", "1", "0"),
+        ("1", "5", "1", "0"),
+        ("1", "[1.5]", "1", "0"),
+        ("1", "[1]", "null", "0"),
+        ("1", "[1]", "1", '"0"'),
+        ("1", "[1]", "1" + "0" * 400, "0"),  # an integer beyond float64
+    ]:
+        with pytest.raises(ValueError, match="TrigPoly"):
+            TrigPoly.from_json('{"dim": %s, "terms": [%s]}' % (dim, term % (alpha, re, im)))
     with pytest.raises((ValueError, KeyError)):
         TrigPoly.from_json('{"terms": []}')
     with pytest.raises((ValueError, KeyError)):
@@ -318,13 +331,6 @@ def test_grid_projection_reports_nyquist_loss():
     assert np.allclose(projected.samples, 0.0, atol=1e-12)
 
 
-def test_is_homogeneous2():
-    assert is_homogeneous2(TrigPoly(2, {(1, 1): 1.0, (2, 0): 1.0, (0, 2): -1.0}))
-    assert not is_homogeneous2(TrigPoly(2, {(1, 1): 1.0, (1, 0): 0.5}))
-    with pytest.raises(ValueError):
-        is_homogeneous2(TrigPoly.monomial((2,)))
-
-
 # ---------------------------------------------------------------------------
 # inner products
 # ---------------------------------------------------------------------------
@@ -373,6 +379,16 @@ def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.rlgf"
     path.write_bytes(b"NOPE" + bytes(12))
     with pytest.raises(ValueError):
+        load_grid(path)
+
+
+@pytest.mark.parametrize("dim,half_cells", [(0, 1), (1, 3)])
+def test_load_rejects_bad_header_fields(tmp_path, dim, half_cells):
+    # a header save_grid never writes: dim 0, or an offset other than 0 or 1 half-cells
+    path = tmp_path / "bad.rlgf"
+    n = 4
+    path.write_bytes(struct.pack("<4sIII", b"RLGF", dim, n, half_cells) + bytes(16 * n**dim))
+    with pytest.raises(ValueError, match="dim must be >= 1|half-cells"):
         load_grid(path)
 
 

@@ -7,7 +7,9 @@ No module imports scipy anywhere, at module level or in a function body:
 the library runs on numpy alone.  Every norm series goes through
 ``series.hyp2f1``; only the p = 0 series of homog2 calls ``sum_series``.
 Every FFT goes through ``fourier``, and one function there computes the
-grid-offset phase e^{2 pi i offset k / N}.
+grid-offset phase e^{2 pi i offset k / N}.  A public module-level function
+that no library module references is dead code unless ``KEPT`` names it
+with the reason it stays.
 """
 
 import ast
@@ -191,3 +193,50 @@ def test_scanner_finds_offset_phases():
 def test_one_offset_phase_site():
     sites = [site for path in MODULES for site in offset_phase_sites(path.read_text(), path.stem)]
     assert sites == ["fourier.offset_phase"]
+
+
+#: Public functions that no library module references, and why each stays.
+KEPT = {
+    "extremal.geometric_mean_l1_check": "acceptance criterion 2: exp(mean log |P+ psi|) <= ||psi||_1",
+    "extremal.holder_equality_residual": "N_q* saturates Holder, as the dual witness needs (ROADMAP item 5)",
+    "extremal.l1_equality_certificate": "the equality case q = 1 of the paper's L^1 bound",
+    "extremal.outer_from_modulus": "the outer factor, whose value at 0 is an independent geometric mean",
+    "homog2.projection_geometric_mean_closed": "an independent route to ||phi||_0 (ROADMAP item 5)",
+    "homog2.projection_polynomial": "a cross-check of the coefficients (a, b) of P+ psi",
+    "kernels.poisson_kernel": "its mean 1 cross-checks ||k_w||_2^2 = 1/(1 - |w|^2) (ROADMAP item 5)",
+    "norms.riesz_projection_norm": "the classical constant (1/sin(pi/q))^d",
+}
+
+
+def unreferenced_functions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each public module-level function that no source
+    reads by name or as an attribute; a call inside its own module counts."""
+    defs, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defs += [(module, n.name) for n in tree.body if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{m}.{name}" for m, name in defs if name not in read and not name.startswith("_"))
+
+
+def test_scanner_flags_unreferenced_functions():
+    sources = {
+        "a": (
+            "def used():\n    pass\n"
+            "def _private():\n    pass\n"
+            "def dead():\n    pass\n"
+            "class C:\n    def method(self):\n        pass\n"
+        ),
+        "b": "from . import a\ndef helper():\n    return a.used()\ndef caller():\n    return helper()\n",
+    }
+    assert unreferenced_functions(sources) == ["a.dead", "b.caller"]
+
+
+def test_every_unreferenced_function_is_kept_for_a_reason():
+    # __init__ only re-exports, so its imports reach nothing
+    found = unreferenced_functions({path.stem: path.read_text() for path in MODULES})
+    assert found == sorted(KEPT)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from rieszlab.fourier import coefficients
 from rieszlab.kernels import (
-    KernelPoint,
     coefficient_check,
     extremal_kernel_norm,
     point_extremal_function,
@@ -28,11 +27,13 @@ def quadrature_norm(w, p, n=4096):
 
 
 def test_kernel_point_validation():
-    KernelPoint(w=0.99)
+    # ||k_w||_2 = (1 - |w|^2)^{-1/2}
+    got = szego_norm(0.99, 2.0, SeriesControl(max_terms=4000))
+    assert got == pytest.approx((1.0 - 0.99**2) ** -0.5)
     with pytest.raises(ValueError):
-        KernelPoint(w=1.0)
+        szego_norm(1.0, 2.0)
     with pytest.raises(ValueError):
-        KernelPoint(w=1.0j)
+        szego_norm(1.0j, 2.0)
 
 
 def test_p2_closed_form():

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from conftest import nonzero_polys
 from rieszlab.fourier import GridFunction, TrigPoly, grid_from_function, sample
 from rieszlab.norms import (
-    ExponentPair,
     conjectured_exponent,
     conjugate,
     interpolation_lower_bound,
     lp_norm,
-    minimal_admissible,
     nonlinear_map,
     riesz_projection_norm,
 )
@@ -159,19 +157,6 @@ def test_conjugate_involution(q):
     assert 1.0 / q + 1.0 / conjugate(q) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_exponent_pair():
-    pair = ExponentPair.from_q(4.0)
-    assert pair.q_star == pytest.approx(4.0 / 3.0)
-    with pytest.raises(ValueError):
-        ExponentPair.from_q(1.0)
-
-
-def test_minimal_admissible():
-    assert minimal_admissible(1) == 1.0
-    assert minimal_admissible(2) == pytest.approx(4.0 / 3.0)
-    assert minimal_admissible(3) == pytest.approx(1.5)
-
-
 def test_conjectured_exponent_special_cases():
     for d in (1, 2, 3, 7):
         assert conjectured_exponent(d, 2.0) == 2.0
@@ -187,6 +172,8 @@ def test_conjectured_exponent_domain():
         conjectured_exponent(2, 1.2)
     with pytest.raises(ValueError):
         conjectured_exponent(3, 1.49)
+    with pytest.raises(ValueError):
+        conjectured_exponent(1, 0.99)
     conjectured_exponent(3, 1.5)
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from rieszlab.series import (
     NonconvergenceError,
     SeriesControl,
-    central_binomial,
     hyp2f1,
     require_converged,
     sum_series,
@@ -20,11 +19,6 @@ def test_geometric_series(r):
     tally = sum_series(1.0, lambda n: r, abs(r), SeriesControl(max_terms=1000))
     assert tally.converged
     assert tally.value == pytest.approx(1.0 / (1.0 - r), rel=1e-14)
-
-
-@given(st.integers(0, 30))
-def test_central_binomial(j):
-    assert central_binomial(j) == float(math.comb(2 * j, j))
 
 
 def test_exponential_series():
@@ -64,8 +58,6 @@ def test_control_validation():
         SeriesControl(rel_tol=0.0)
     with pytest.raises(ValueError):
         SeriesControl(rel_tol=1.5)
-    with pytest.raises(ValueError):
-        central_binomial(-2)
 
 
 # ---------------------------------------------------------------------------
