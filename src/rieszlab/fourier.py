@@ -89,10 +89,6 @@ class TrigPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, dim: int) -> "TrigPoly":
-        return cls(dim=dim, coeffs={})
-
-    @classmethod
     def monomial(cls, alpha: Iterable[int], c: complex = 1.0) -> "TrigPoly":
         idx = tuple(int(a) for a in alpha)
         return cls(dim=len(idx), coeffs={idx: complex(c)})
@@ -176,9 +172,6 @@ class TrigPoly:
         ]
         return {"dim": self.dim, "terms": terms}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "TrigPoly":
         if not isinstance(doc, Mapping):
@@ -230,14 +223,8 @@ class GridFunction:
             raise ValueError("n_per_axis must be even and >= 2")
         self.samples = arr
 
-    def with_samples(self, samples: np.ndarray, aliasing_bound: float | None = None) -> "GridFunction":
-        return GridFunction(
-            dim=self.dim,
-            n_per_axis=self.n_per_axis,
-            samples=samples,
-            offset=self.offset,
-            aliasing_bound=aliasing_bound,
-        )
+    def with_samples(self, samples: np.ndarray) -> "GridFunction":
+        return GridFunction(dim=self.dim, n_per_axis=self.n_per_axis, samples=samples, offset=self.offset)
 
 
 def axis_angles(n_per_axis: int, offset: float = 0.5) -> np.ndarray:
@@ -293,6 +280,10 @@ def grid_from_spectrum(
 # ---------------------------------------------------------------------------
 
 
+#: Most grid points :func:`sample` builds: 2**26 complex128 samples are 1 GiB.
+MAX_GRID_POINTS = 2**26
+
+
 def sample(poly: TrigPoly, n_per_axis: int, offset: float = 0.5) -> GridFunction:
     """Evaluate a TrigPoly on the N^d grid (exact; refuses to alias).
 
@@ -302,6 +293,8 @@ def sample(poly: TrigPoly, n_per_axis: int, offset: float = 0.5) -> GridFunction
     n = int(n_per_axis)
     if resolving_grid(poly, n) != n:
         raise ValueError(f"grid n_per_axis={n} must be even and >= 2 * (bandwidth {poly.bandwidth()} + 1)")
+    if n**poly.dim > MAX_GRID_POINTS:
+        raise ValueError(f"a grid of {n}^{poly.dim} points exceeds the limit of {MAX_GRID_POINTS}")
     alphas = np.array(list(poly.coeffs), dtype=np.int64).reshape(-1, poly.dim)
     values = np.fromiter(poly.coeffs.values(), dtype=np.complex128, count=len(poly.coeffs))
     with np.errstate(over="ignore"):  # the l1 sum bounds every sample

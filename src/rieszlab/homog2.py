@@ -75,13 +75,11 @@ class PerturbedFamily:
         return conjugate(self.q_star) if self.q_star > 1 else math.inf
 
 
-def build_family(
-    eps: float, q_star: float, n_per_axis: int = 128, offset: float = 0.5
-) -> tuple[TrigPoly, GridFunction]:
+def build_family(eps: float, q_star: float, n_per_axis: int = 128) -> tuple[TrigPoly, GridFunction]:
     """Return (f, psi) with psi = N_{q*} f sampled on the N^2 grid."""
     fam = PerturbedFamily(eps=float(eps), q_star=float(q_star))
     f = family_polynomial(fam.eps)
-    psi = nonlinear_map(sample(f, n_per_axis, offset), fam.q_star)
+    psi = nonlinear_map(sample(f, n_per_axis), fam.q_star)
     return f, psi
 
 

@@ -151,9 +151,7 @@ def coefficient_check(q: float, p: float, n_max: int = 50) -> CoefficientReport:
     )
 
 
-def point_extremal_function(
-    w, q_star: float, n_per_axis: int = 256, offset: float = 0.5
-) -> GridFunction:
+def point_extremal_function(w, q_star: float, n_per_axis: int = 256) -> GridFunction:
     """Principal-branch samples of (1 - conj(w) z)^{-2/q*}, C = 1.
 
     For q* = 2 this is the Szego kernel itself.
@@ -163,12 +161,12 @@ def point_extremal_function(
         raise ValueError("q_star must be >= 1")
     wbar = np.conj(_point(w)[0])
     kernel = lambda t: (1.0 - wbar * np.exp(1j * t)) ** (-2.0 / q_star)
-    return grid_from_function(kernel, 1, n_per_axis, offset)
+    return grid_from_function(kernel, 1, n_per_axis)
 
 
-def szego_kernel_grid(w, n_per_axis: int = 256, offset: float = 0.5) -> GridFunction:
+def szego_kernel_grid(w, n_per_axis: int = 256) -> GridFunction:
     """Samples of k_w(z) = 1/(1 - conj(w) z)."""
-    return point_extremal_function(w, 2.0, n_per_axis, offset)
+    return point_extremal_function(w, 2.0, n_per_axis)
 
 
 def truncated_szego_poly(w, degree: int) -> TrigPoly:
@@ -185,8 +183,8 @@ def truncated_szego_poly(w, degree: int) -> TrigPoly:
     return TrigPoly(1, coeffs)
 
 
-def poisson_kernel(w, n_per_axis: int = 256, offset: float = 0.5) -> GridFunction:
+def poisson_kernel(w, n_per_axis: int = 256) -> GridFunction:
     """Poisson kernel (1 - |w|^2)/|1 - conj(w) e^{i theta}|^2 (real part >= 0)."""
     w, r = _point(w)
     kernel = lambda t: (1.0 - r) / np.abs(1.0 - np.conj(w) * np.exp(1j * t)) ** 2
-    return grid_from_function(kernel, 1, n_per_axis, offset)
+    return grid_from_function(kernel, 1, n_per_axis)

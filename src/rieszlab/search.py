@@ -20,7 +20,6 @@ up front, scored on a thread pool whose ``map`` keeps their order
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -37,6 +36,8 @@ from .norms import conjugate, lp_norm, nonlinear_map
 
 #: A ratio must exceed 1 by this margin to count as a violation.
 RATIO_MARGIN = 1e-8
+#: Each kernel candidate keeps its coefficients with |alpha| <= this cutoff.
+KERNEL_CUTOFF = 24
 
 
 def projection_ratio(psi: TrigPoly, p: float, q: float, n_per_axis: int, offset: float = 0.5) -> float:
@@ -82,9 +83,6 @@ class ViolationCertificate:
             "family": self.family,
             "psi": self.psi.to_json_dict(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ViolationCertificate":
@@ -141,7 +139,7 @@ def _random_poly(rng: np.random.Generator, dim: int, degree: int) -> TrigPoly:
     return TrigPoly(dim, dict(zip(map(tuple, alphas.tolist()), values.tolist())))
 
 
-def _kernel_family_candidates(q: float, n_per_axis: int, cutoff: int = 24) -> list[tuple[str, TrigPoly]]:
+def _kernel_family_candidates(q: float, n_per_axis: int) -> list[tuple[str, TrigPoly]]:
     """Truncated minimal kernels psi_w = N_{q*} (1-conj(w)z)^{-2/q*}."""
     q_star = conjugate(q)
     out = []
@@ -149,7 +147,7 @@ def _kernel_family_candidates(q: float, n_per_axis: int, cutoff: int = 24) -> li
         w = math.sqrt(r_pow)
         f = point_extremal_function(w, q_star, n_per_axis)
         psi_grid = nonlinear_map(f, q_star)
-        psi = coefficients(psi_grid, cutoff).prune(1e-13)
+        psi = coefficients(psi_grid, KERNEL_CUTOFF).prune(1e-13)
         out.append((f"kernel(w={w:.4f})", psi))
     return out
 

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -119,6 +120,25 @@ def test_norm_overflowing_samples_refused(capsys, monkeypatch, recwarn):
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("alpha", [10**23, 2**40], ids=["beyond-int64", "2**40"])
+@pytest.mark.parametrize(
+    "argv", [["norm", "--p", "2"], ["dual-extremal", "--in", "-", "--q", "2"]], ids=["norm", "dual-extremal"]
+)
+def test_oversized_frequency_refused_before_sampling(capsys, monkeypatch, argv, alpha):
+    # the resolving grid would need 2 * (alpha + 1) points or more
+    doc = json.dumps({"dim": 1, "terms": [{"alpha": [alpha], "re": 1, "im": 0}]})
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.startswith("error: a grid of ") and err.count("\n") == 1
+    assert peak < 2**20
 
 
 def test_norm_non_finite_grid_file_refused(capsys, tmp_path):

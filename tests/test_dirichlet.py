@@ -12,7 +12,6 @@ from rieszlab.dirichlet import (
     lattice_points,
     spherical_dirichlet,
 )
-from rieszlab.norms import lp_norm
 
 
 def brute_count(radius, dim):

@@ -4,10 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import nonzero_polys, trig_polys
+from conftest import nonzero_polys
 from rieszlab import extremal
 from rieszlab.extremal import (
     _objective,
@@ -177,7 +177,7 @@ def test_solve_monotone_in_truncation():
 
 def test_solve_validation():
     with pytest.raises(ValueError):
-        dual_extremal_solve(TrigPoly.zero(1), q=2.0)
+        dual_extremal_solve(TrigPoly(1, {}), q=2.0)
     with pytest.raises(ValueError):
         dual_extremal_solve(TrigPoly.monomial((-1,)), q=2.0)
     with pytest.raises(ValueError):

@@ -5,11 +5,12 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import nonzero_polys, trig_polys
 from rieszlab.fourier import (
+    MAX_GRID_POINTS,
     GridFunction,
     TrigPoly,
     axis_angles,
@@ -51,7 +52,7 @@ def test_monomial_and_bandwidth():
     f = TrigPoly.monomial((3, -5), 2j)
     assert f.dim == 2
     assert f.bandwidth() == 5
-    assert TrigPoly.zero(2).bandwidth() == 0
+    assert TrigPoly(2, {}).bandwidth() == 0
 
 
 @given(trig_polys(1), trig_polys(1))
@@ -214,6 +215,12 @@ def test_sample_refuses_aliasing():
 def test_sample_refuses_odd_grid():
     with pytest.raises(ValueError):
         sample(TrigPoly.monomial((1,)), 7)
+
+
+def test_sample_refuses_grids_beyond_the_point_limit():
+    assert 256**3 <= MAX_GRID_POINTS < 512**3
+    with pytest.raises(ValueError, match="limit"):
+        sample(TrigPoly.monomial((0, 0, 0)), 512)
 
 
 def test_resolving_grid_default_by_dim():

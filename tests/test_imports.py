@@ -1,15 +1,16 @@
 """Every module-level import in the library is used, and no import anywhere is scipy.
 
 An ``ast`` scan stands in for a linter: a name bound by a module-level
-``import`` or ``from ... import`` must be read somewhere in the module.
-``__init__`` is skipped, because its imports are the package's API.
+``import`` or ``from ... import`` must be read somewhere in the module,
+in the library and in the tests alike.  ``__init__`` binds no export by
+import; it names each one once in its table.
 No module imports scipy anywhere, at module level or in a function body:
 the library runs on numpy alone.  Every norm series goes through
 ``series.hyp2f1``; only the p = 0 series of homog2 calls ``sum_series``.
 Every FFT goes through ``fourier``, and one function there computes the
-grid-offset phase e^{2 pi i offset k / N}.  A public module-level function
-that no library module references is dead code unless ``KEPT`` names it
-with the reason it stays.
+grid-offset phase e^{2 pi i offset k / N}.  A public module-level function,
+or a public method of a module-level class, that no library module
+references is dead code unless ``KEPT`` names it with the reason it stays.
 """
 
 import ast
@@ -18,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rieszlab"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "rieszlab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -41,7 +43,7 @@ def test_scanner_flags_unused_names():
     assert unused_imports(source) == ["line 1: os", "line 3: pi"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES + sorted(TESTS.glob("*.py")), ids=lambda p: p.stem)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -195,12 +197,13 @@ def test_one_offset_phase_site():
     assert sites == ["fourier.offset_phase"]
 
 
-#: Public functions that no library module references, and why each stays.
+#: Public functions and methods that no library module references, and why each stays.
 KEPT = {
     "extremal.geometric_mean_l1_check": "acceptance criterion 2: exp(mean log |P+ psi|) <= ||psi||_1",
     "extremal.holder_equality_residual": "N_q* saturates Holder, as the dual witness needs (ROADMAP item 5)",
     "extremal.l1_equality_certificate": "the equality case q = 1 of the paper's L^1 bound",
     "extremal.outer_from_modulus": "the outer factor, whose value at 0 is an independent geometric mean",
+    "fourier.TrigPoly.coeff": "acceptance criterion 5 reads the coefficients (a, b) of P+ psi through it",
     "homog2.projection_geometric_mean_closed": "an independent route to ||phi||_0 (ROADMAP item 5)",
     "homog2.projection_polynomial": "a cross-check of the coefficients (a, b) of P+ psi",
     "kernels.poisson_kernel": "its mean 1 cross-checks ||k_w||_2^2 = 1/(1 - |w|^2) (ROADMAP item 5)",
@@ -209,18 +212,25 @@ KEPT = {
 
 
 def unreferenced_functions(sources: dict[str, str]) -> list[str]:
-    """``module.name`` of each public module-level function that no source
-    reads by name or as an attribute; a call inside its own module counts."""
+    """``module.name`` of each public module-level function, and
+    ``module.Class.name`` of each public method of a module-level class,
+    that no source reads by name or as an attribute; a use inside its own
+    module counts."""
     defs, read = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        defs += [(module, n.name) for n in tree.body if isinstance(n, ast.FunctionDef)]
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((f"{module}.{node.name}", node.name))
+            elif isinstance(node, ast.ClassDef):
+                methods = [n.name for n in node.body if isinstance(n, ast.FunctionDef)]
+                defs += [(f"{module}.{node.name}.{name}", name) for name in methods]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    return sorted(f"{m}.{name}" for m, name in defs if name not in read and not name.startswith("_"))
+    return sorted(qual for qual, name in defs if name not in read and not name.startswith("_"))
 
 
 def test_scanner_flags_unreferenced_functions():
@@ -230,10 +240,16 @@ def test_scanner_flags_unreferenced_functions():
             "def _private():\n    pass\n"
             "def dead():\n    pass\n"
             "class C:\n    def method(self):\n        pass\n"
+            "    def called(self):\n        pass\n"
+            "    def __len__(self):\n        return 0\n"
         ),
-        "b": "from . import a\ndef helper():\n    return a.used()\ndef caller():\n    return helper()\n",
+        "b": (
+            "from . import a\n"
+            "def helper():\n    return a.used(a.C().called)\n"
+            "def caller():\n    return helper()\n"
+        ),
     }
-    assert unreferenced_functions(sources) == ["a.dead", "b.caller"]
+    assert unreferenced_functions(sources) == ["a.C.method", "a.dead", "b.caller"]
 
 
 def test_every_unreferenced_function_is_kept_for_a_reason():

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import nonzero_polys
-from rieszlab.fourier import GridFunction, TrigPoly, grid_from_function, sample
+from rieszlab.fourier import GridFunction, TrigPoly, sample
 from rieszlab.norms import (
     conjectured_exponent,
     conjugate,

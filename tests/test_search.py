@@ -7,7 +7,6 @@ import pytest
 from rieszlab.fourier import TrigPoly
 from rieszlab.search import (
     RATIO_MARGIN,
-    SearchResult,
     ViolationCertificate,
     _ascend,
     _random_poly,
@@ -163,7 +162,7 @@ def test_certificate_json_round_trip():
     result = violation_search(1, 4.0 / 3.0, 1.2, budget=40, seed=0)
     cert = result.certificate
     assert cert is not None
-    back = ViolationCertificate.from_json_dict(json.loads(cert.to_json()))
+    back = ViolationCertificate.from_json_dict(json.loads(json.dumps(cert.to_json_dict())))
     assert back == cert
     assert back.recompute_ratio() == pytest.approx(cert.recompute_ratio(), rel=1e-12)
 

@@ -1,11 +1,14 @@
-"""No command loads scipy.
+"""No command loads scipy, and ``import rieszlab`` loads no submodule.
 
 ``import rieszlab`` and every subcommand need numpy and the standard
 library alone; the dual solver runs on the numpy L-BFGS of
-``rieszlab.optimize``.  Each check runs in a fresh interpreter, because
-this test process may already hold scipy.
+``rieszlab.optimize``.  The package exports its public names lazily
+from one table, so a bare import does not even load numpy.  Each check
+runs in a fresh interpreter, because this test process may already hold
+scipy and every rieszlab module.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -14,14 +17,15 @@ from pathlib import Path
 
 import pytest
 
+import rieszlab
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-SCIPY_LOADED = "json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
 
-
-def loaded_scipy(code: str) -> list[str]:
-    """The scipy modules loaded after running ``code`` in a fresh interpreter."""
-    script = f"import json, sys\n{code}\nprint({SCIPY_LOADED})\n"
+def fresh(code: str, result: str):
+    """Run ``code`` in a fresh interpreter, then return the JSON value of
+    the expression ``result`` there."""
+    script = f"import json, sys\n{code}\nprint(json.dumps({result}))\n"
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
@@ -30,6 +34,11 @@ def loaded_scipy(code: str) -> list[str]:
         check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def loaded_scipy(code: str) -> list[str]:
+    """The scipy modules loaded after running ``code`` in a fresh interpreter."""
+    return fresh(code, "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')")
 
 
 @pytest.mark.parametrize(
@@ -57,3 +66,32 @@ def test_no_scipy_without_the_dual_solver(code):
 )
 def test_dual_solver_loads_no_scipy(code):
     assert loaded_scipy(code) == []
+
+
+def test_import_loads_neither_numpy_nor_a_submodule():
+    loaded = fresh("import rieszlab", "sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'rieszlab'))")
+    assert loaded == ["rieszlab"]
+
+
+def test_star_import_binds_every_export():
+    missing = fresh("from rieszlab import *\nimport rieszlab", "[n for n in rieszlab.__all__ if n not in globals()]")
+    assert missing == []
+
+
+def test_each_export_is_its_defining_module_object():
+    for module, names in rieszlab._EXPORTS.items():
+        home = importlib.import_module(f"rieszlab.{module}")
+        for name in names:
+            assert getattr(rieszlab, name) is getattr(home, name), name
+            assert getattr(home, name).__module__ == home.__name__, name
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        rieszlab.no_such_name
+
+
+def test_export_table_names_each_export_once():
+    names = [name for names in rieszlab._EXPORTS.values() for name in names]
+    assert len(names) == len(set(names))
+    assert rieszlab.__all__ == sorted(names)
