@@ -74,19 +74,35 @@ def _write_text(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _json_sanitize(doc):
-    """Replace non-finite floats (invalid in strict JSON) with strings."""
+def _json_data(doc):
+    """The JSON data of a result: a dataclass or named tuple becomes the
+    dict of its fields, unless it defines ``to_json_dict`` because its
+    printed form is not its fields; a tuple becomes a list, and a
+    non-finite float (invalid in strict JSON) its repr."""
+    if isinstance(doc, float):
+        return doc if math.isfinite(doc) else repr(doc)  # 'inf', '-inf', 'nan'
     if isinstance(doc, dict):
-        return {k: _json_sanitize(v) for k, v in doc.items()}
-    if isinstance(doc, (list, tuple)):
-        return [_json_sanitize(v) for v in doc]
-    if isinstance(doc, float) and not math.isfinite(doc):
-        return repr(doc)  # 'inf', '-inf', 'nan'
-    return doc
+        return {k: _json_data(v) for k, v in doc.items()}
+    if isinstance(doc, list) or type(doc) is tuple:
+        return [_json_data(v) for v in doc]
+    if isinstance(doc, (int, str)) or doc is None:
+        return doc
+    if hasattr(doc, "to_json_dict"):
+        return _json_data(doc.to_json_dict())
+    return _json_data(doc._asdict() if hasattr(doc, "_asdict") else vars(doc))
 
 
 def _json_text(doc) -> str:
-    return json.dumps(_json_sanitize(doc), indent=2, sort_keys=True) + "\n"
+    return json.dumps(_json_data(doc), indent=2, sort_keys=True) + "\n"
+
+
+def _write_sidecar(doc, out: str | None, suffix: str) -> None:
+    """Write a secondary JSON document to ``out + suffix``, or to stderr
+    when the main output goes to stdout."""
+    if out:
+        _write_text(_json_text(doc), out + suffix)
+    else:
+        print(_json_text(doc), end="", file=sys.stderr)
 
 
 def _csv_text(header: str, rows: list[str]) -> str:
@@ -141,7 +157,7 @@ def cmd_project(args) -> int:
         proj = riesz_project_minus(poly)
     else:
         proj = riesz_project(poly)
-    _write_text(_json_text(proj.to_json_dict()), args.out)
+    _write_text(_json_text(proj), args.out)
     return 0
 
 
@@ -166,7 +182,7 @@ def cmd_rpk_check(args) -> int:
     q = float(args.q)
     p = float(args.p) if args.p is not None else 4.0 / conjugate(q)
     report = coefficient_check(q=q, p=p, n_max=args.n_max)
-    doc = report.to_json_dict()
+    doc = vars(report)
     if args.r:
         checks = []
         for r in _float_list(args.r):
@@ -177,7 +193,7 @@ def cmd_rpk_check(args) -> int:
             grid = szego_kernel_grid(w, n_per_axis=4096)
             quad = lp_norm(grid, p)
             checks.append({"r": r, "series": series, "quadrature": quad, "diff": abs(series - quad)})
-        doc["quadrature_checks"] = checks
+        doc = {**doc, "quadrature_checks": checks}
     if args.fmt == "json":
         _write_text(_json_text(doc), args.out)
     else:
@@ -229,7 +245,7 @@ def cmd_d2_scan(args) -> int:
         for q in qs
     ]
     if args.fmt == "json":
-        _write_text(_json_text({"scans": [s.to_json_dict() for s in scans]}), args.out)
+        _write_text(_json_text({"scans": scans}), args.out)
         return 0
     rows = []
     for scan in scans:
@@ -251,10 +267,7 @@ def cmd_d2_scan(args) -> int:
             for s in scans
         ],
     }
-    if args.out:
-        _write_text(_json_text(meta), args.out + ".meta.json")
-    else:
-        print(_json_text(meta), end="", file=sys.stderr)
+    _write_sidecar(meta, args.out, ".meta.json")
     return 0
 
 
@@ -263,7 +276,6 @@ def cmd_dirichlet(args) -> int:
     ps = _float_list(args.p)
     radii = _float_list(args.radii) if args.radii else _default_radii(dim)
     rows = []
-    row_docs = []
     fits = []
     for p in ps:
         if args.fit:
@@ -286,25 +298,20 @@ def cmd_dirichlet(args) -> int:
                 dirichlet_norm(DirichletSpec(radius=radius, dim=dim), p, n_per_axis=args.n_per_axis)
                 for radius in radii
             ]
-        for radius, norm in zip(radii, norms):
-            count = lattice_count(radius, dim)
-            rows.append(",".join(_cell(v) for v in (dim, p, radius, norm, count)))
-            row_docs.append(
-                {"d": dim, "p": p, "R": radius, "norm": norm, "lattice_count": count}
-            )
+        rows += (
+            {"d": dim, "p": p, "R": radius, "norm": norm, "lattice_count": lattice_count(radius, dim)}
+            for radius, norm in zip(radii, norms)
+        )
     if args.fmt == "json":
-        doc = {"rows": row_docs}
+        doc = {"rows": rows}
         if fits:
             doc["fits"] = fits
         _write_text(_json_text(doc), args.out)
         return 0
-    _write_text(_csv_text("d,p,R,norm,lattice_count", rows), args.out)
+    lines = [",".join(_cell(v) for v in row.values()) for row in rows]
+    _write_text(_csv_text(",".join(rows[0]), lines), args.out)
     if fits:
-        text = _json_text({"fits": fits})
-        if args.out:
-            _write_text(text, args.out + ".fit.json")
-        else:
-            print(text, end="", file=sys.stderr)
+        _write_sidecar({"fits": fits}, args.out, ".fit.json")
     return 0
 
 
@@ -322,27 +329,15 @@ def cmd_search(args) -> int:
         n_per_axis=args.grid,
         threads=args.threads,
     )
-    _write_text(_json_text(result.to_json_dict()), args.out)
+    _write_text(_json_text(result), args.out)
     return 0
 
 
 def cmd_figures(args) -> int:
     table = figure_tables(args.d)
     if args.fmt == "json":
-        doc = {
-            "dim": table.dim,
-            "rows": [
-                {
-                    "q": None if math.isinf(r.q) else r.q,
-                    "upper": r.upper,
-                    "lower": r.lower,
-                    "upper_source": r.upper_source,
-                    "lower_source": r.lower_source,
-                }
-                for r in table.rows
-            ],
-        }
-        _write_text(_json_text(doc), args.out)
+        rows = [{**vars(r), "q": None if math.isinf(r.q) else r.q} for r in table.rows]
+        _write_text(_json_text({"dim": table.dim, "rows": rows}), args.out)
     else:
         _write_text(table_csv(table), args.out)
     return 0

@@ -175,9 +175,9 @@ class ExtremalTriple:
     extremal_kernel:   psi = phi + conj(phi0) attaining the minimum
     extremal_function: f = N_q(psi), the dual witness with psi = N_{q*} f
     value:             ||psi||_q = sup |<f, phi>| / ||f||_{q*}
-    iterations, duality_gap, trunc_degree: those of the certifying cap
     attempts:          every escalation cap tried, in order; the last
-                       one certified
+                       one certified, and ``iterations``,
+                       ``duality_gap`` and ``trunc_degree`` are its own
     """
 
     natural_kernel: TrigPoly
@@ -186,12 +186,23 @@ class ExtremalTriple:
     value: float
     q: float
     q_star: float
-    iterations: int
-    duality_gap: float
-    trunc_degree: int
-    attempts: tuple[CapAttempt, ...] = ()
+    attempts: tuple[CapAttempt, ...]
+
+    @property
+    def iterations(self) -> int:
+        return self.attempts[-1].iterations
+
+    @property
+    def duality_gap(self) -> float:
+        return self.attempts[-1].duality_gap
+
+    @property
+    def trunc_degree(self) -> int:
+        return self.attempts[-1].trunc_degree
 
     def to_json_dict(self) -> dict:
+        """The certifying cap's summary, every attempt, phi and the
+        coefficient table of psi; ``cli`` encodes the nested records."""
         return {
             "q": self.q,
             "q_star": self.q_star,
@@ -199,28 +210,16 @@ class ExtremalTriple:
             "duality_gap": self.duality_gap,
             "iterations": self.iterations,
             "trunc_degree": self.trunc_degree,
-            "attempts": [a._asdict() for a in self.attempts],
-            "natural_kernel": self.natural_kernel.to_json_dict(),
+            "attempts": self.attempts,
+            "natural_kernel": self.natural_kernel,
             "extremal_kernel_coeffs": coefficients(
                 self.extremal_kernel,
                 min(
                     max(self.trunc_degree, self.natural_kernel.bandwidth()),
                     self.extremal_kernel.n_per_axis // 2 - 1,
                 ),
-            )
-            .prune(1e-14)
-            .to_json_dict(),
+            ).prune(1e-14),
         }
-
-
-class _Attempt(NamedTuple):
-    """What ``_solve_at_degree`` hands back: the scalar record, the L-BFGS
-    solution x = [Re c_1..c_K, Im c_1..c_K] of phi0 = sum_k c_k e^{ik theta},
-    and the triple when the gap certified tol."""
-
-    record: CapAttempt
-    x: np.ndarray
-    triple: ExtremalTriple | None
 
 
 def _next_pow2(n: int) -> int:
@@ -292,13 +291,12 @@ def dual_extremal_solve(
         # escalate the cap until the gap certifies tol
         k0 = max(4 * deg, 8)
         caps = [k0 * (2**i) for i in range(6)]
-    records: list[CapAttempt] = []
+    attempts: list[CapAttempt] = []
     x = np.zeros(0)
     for cap in caps:
-        attempt = _solve_at_degree(phi, q, cap, tol, n_per_axis, max_iter, x)
-        records.append(attempt.record)
-        x = attempt.x
-        if attempt.triple is not None:
+        x, triple = _solve_at_degree(phi, q, cap, tol, n_per_axis, max_iter, x)
+        attempts += triple.attempts
+        if triple.attempts[-1].certified:
             break
     else:
         raise NonconvergenceError(
@@ -306,10 +304,10 @@ def dual_extremal_solve(
             + "; ".join(
                 f"K={r.trunc_degree} gap {r.duality_gap:.3e} after {r.iterations} iterations "
                 f"({r.stop})"
-                for r in records
+                for r in attempts
             )
         )
-    return replace(attempt.triple, attempts=tuple(records))
+    return replace(triple, attempts=tuple(attempts))
 
 
 def _objective(phi_grid: GridFunction, q: float, K: int):
@@ -324,7 +322,7 @@ def _objective(phi_grid: GridFunction, q: float, K: int):
     def psi_samples(x: np.ndarray) -> np.ndarray:
         spec = np.zeros(n, dtype=np.complex128)
         spec[1 : K + 1] = (x[:K] + 1j * x[K:]) * fwd_phase
-        phi0 = grid_from_spectrum(spec, 1, n, phi_grid.offset).samples
+        phi0 = grid_from_spectrum(spec, phi_grid.offset).samples
         return phi_s + np.conj(phi0)
 
     def fun_and_grad(x: np.ndarray):
@@ -350,9 +348,12 @@ def _solve_at_degree(
     n_per_axis: int | None,
     max_iter: int,
     x0: np.ndarray,
-) -> _Attempt:
+) -> tuple[np.ndarray, ExtremalTriple]:
     """One L-BFGS solve at cap K, started from x0 (a solution at a cap
-    <= K, zero-padded here; empty for a cold start)."""
+    <= K, zero-padded here; empty for a cold start).  Returns the solution
+    x = [Re c_1..c_K, Im c_1..c_K] of phi0 = sum_k c_k e^{ik theta}, and
+    the triple at cap K, whose one attempt says whether the gap certified
+    tol."""
     q_star = conjugate(q)
     deg = phi.bandwidth()
     K = int(trunc_degree)
@@ -372,19 +373,5 @@ def _solve_at_degree(
     dual = abs(grid_inner(f_analytic, phi_grid)) / denom if denom > 0 else 0.0
     gap = float(primal - dual)
     certified = math.isfinite(gap) and gap <= tol
-    record = CapAttempt(K, n, result.nit, result.nfev, result.stop, gap, certified)
-    if not certified:
-        return _Attempt(record, result.x, None)
-
-    triple = ExtremalTriple(
-        natural_kernel=phi,
-        extremal_kernel=psi_grid,
-        extremal_function=f_grid,
-        value=primal,
-        q=q,
-        q_star=q_star,
-        iterations=record.iterations,
-        duality_gap=gap,
-        trunc_degree=K,
-    )
-    return _Attempt(record, result.x, triple)
+    attempt = CapAttempt(K, n, result.nit, result.nfev, result.stop, gap, certified)
+    return result.x, ExtremalTriple(phi, psi_grid, f_grid, primal, q, q_star, (attempt,))

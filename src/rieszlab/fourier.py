@@ -199,32 +199,36 @@ class GridFunction:
     """Samples of a function on the uniform grid theta_k = 2 pi (k+offset)/N.
 
     ``samples`` is a complex array of shape (N,)*dim in C (row-major)
-    order.  ``aliasing_bound`` is populated by grid-space projections: it
+    order; ``dim`` and ``n_per_axis`` are read off its shape.
+    ``aliasing_bound`` is populated by grid-space projections: it
     is the L^2 mass discarded from frequency bins that a length-N grid
     cannot label unambiguously (any axis index at -N/2).
     """
 
-    dim: int
-    n_per_axis: int
     samples: np.ndarray
     offset: float = 0.5
     aliasing_bound: float | None = None
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
         arr = np.asarray(self.samples, dtype=np.complex128)
-        if arr.shape != (self.n_per_axis,) * self.dim:
-            raise ValueError(
-                f"samples shape {arr.shape} does not match (n_per_axis,)*dim "
-                f"= {(self.n_per_axis,) * self.dim}"
-            )
-        if self.n_per_axis < 2 or self.n_per_axis % 2:
+        if arr.ndim < 1:
+            raise ValueError("dim must be >= 1")
+        if arr.shape != arr.shape[:1] * arr.ndim:
+            raise ValueError(f"samples shape {arr.shape} is not (n_per_axis,)*dim")
+        if arr.shape[0] < 2 or arr.shape[0] % 2:
             raise ValueError("n_per_axis must be even and >= 2")
         self.samples = arr
 
+    @property
+    def dim(self) -> int:
+        return self.samples.ndim
+
+    @property
+    def n_per_axis(self) -> int:
+        return self.samples.shape[0]
+
     def with_samples(self, samples: np.ndarray) -> "GridFunction":
-        return GridFunction(dim=self.dim, n_per_axis=self.n_per_axis, samples=samples, offset=self.offset)
+        return GridFunction(samples, self.offset)
 
 
 def axis_angles(n_per_axis: int, offset: float = 0.5) -> np.ndarray:
@@ -238,7 +242,7 @@ def grid_from_function(
     """Sample a vectorized callable fn(theta_1, ..., theta_d) on the grid."""
     axes = np.meshgrid(*([axis_angles(n_per_axis, offset)] * dim), indexing="ij")
     vals = np.asarray(fn(*axes), dtype=np.complex128)
-    return GridFunction(dim=dim, n_per_axis=n_per_axis, samples=vals, offset=offset)
+    return GridFunction(vals, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +271,10 @@ def grid_spectrum(grid: GridFunction) -> np.ndarray:
     return np.fft.fftn(grid.samples, norm="forward")
 
 
-def grid_from_spectrum(
-    spec: np.ndarray, dim: int, n: int, offset: float, aliasing_bound: float | None = None
-) -> GridFunction:
+def grid_from_spectrum(spec: np.ndarray, offset: float, aliasing_bound: float | None = None) -> GridFunction:
     """Inverse of :func:`grid_spectrum`; ``spec`` is left unchanged."""
     samples = np.fft.ifftn(np.asarray(spec, dtype=np.complex128), norm="forward")
-    return GridFunction(dim=dim, n_per_axis=n, samples=samples, offset=offset, aliasing_bound=aliasing_bound)
+    return GridFunction(samples, offset, aliasing_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +305,7 @@ def sample(poly: TrigPoly, n_per_axis: int, offset: float = 0.5) -> GridFunction
     spec = np.zeros((n,) * poly.dim, dtype=np.complex128)
     # distinct bins: the check above rules out aliasing
     spec[tuple((alphas % n).T)] = values * offset_phase(alphas.sum(axis=1), n, offset)
-    return grid_from_spectrum(spec, poly.dim, n, offset)
+    return grid_from_spectrum(spec, offset)
 
 
 #: Points per axis for a polynomial sampled with no grid given, by dimension.
@@ -358,7 +360,7 @@ def _project_grid(grid: GridFunction, keep: Callable[[list[np.ndarray]], np.ndar
     dropped = float(np.sqrt(np.sum(np.abs(spec[nyquist]) ** 2)))
     mask = keep(freqs) & ~nyquist
     out = np.where(mask, spec, 0.0)
-    return grid_from_spectrum(out, grid.dim, n, grid.offset, aliasing_bound=dropped)
+    return grid_from_spectrum(out, grid.offset, aliasing_bound=dropped)
 
 
 def riesz_project(x: TrigPoly | GridFunction) -> TrigPoly | GridFunction:
@@ -460,4 +462,4 @@ def load_grid(path) -> GridFunction:
     if not np.isfinite(flat).all():
         raise ValueError("grid file holds non-finite samples")
     samples = flat.reshape((n,) * dim).astype(np.complex128)
-    return GridFunction(dim=dim, n_per_axis=n, samples=samples, offset=half_cells / 2.0)
+    return GridFunction(samples, half_cells / 2.0)

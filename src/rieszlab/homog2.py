@@ -205,25 +205,6 @@ class ThresholdScan:
     extrapolated: float | None
     metadata: dict
 
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "q_star": self.q_star,
-            "extrapolated": self.extrapolated,
-            "rows": [
-                {
-                    "eps": r.eps,
-                    "threshold_p": r.threshold_p,
-                    "a": r.a,
-                    "b": r.b,
-                    "psi_norm": r.psi_norm,
-                    "gm_gap": r.gm_gap,
-                }
-                for r in self.rows
-            ],
-            "metadata": self.metadata,
-        }
-
 
 def threshold_scan(
     q: float,

@@ -99,23 +99,14 @@ class CoefficientReport:
     def passed(self) -> bool:
         return self.first_violation is None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "p": self.p,
-            "n_max": self.n_max,
-            "first_violation": self.first_violation,
-            "margins": list(self.margins),
-            "factor_margins": list(self.factor_margins),
-        }
-
 
 def coefficient_check(q: float, p: float, n_max: int = 50) -> CoefficientReport:
     """Compare the extremal-kernel and Szego norm series term by term.
 
     The operative inequality binom(n-1+p/q*, n) >= binom(n-1+p/2, n)^2
     holds for every n iff p <= 4/q*; for larger p the n = 1 term
-    p/q* >= (p/2)^2 already fails.
+    p/q* >= (p/2)^2 already fails.  A p so large (or infinite) that a
+    margin is not finite in float64 is refused with ValueError.
     """
     q = float(q)
     p = float(p)
@@ -138,6 +129,10 @@ def coefficient_check(q: float, p: float, n_max: int = 50) -> CoefficientReport:
         margins.append(m)
         if first_violation is None and m < -1e-13 * max(abs(lhs), rhs * rhs, 1e-30):
             first_violation = n
+    # finite margins keep t^2 finite, and t^4 / 4 too once n_max >= 2, so every
+    # factor margin below is finite, and its square raises no OverflowError
+    if not all(map(math.isfinite, margins)):
+        raise ValueError(f"p = {p} gives a margin that is not finite in float64")
     factor_margins = tuple(
         j * (j - 1.0 + t * t) - (j - 1.0 + t) ** 2 for j in range(1, n_max + 1)
     )

@@ -71,19 +71,6 @@ class ViolationCertificate:
         n = resolving_grid(self.psi, self.n_per_axis * scale)
         return projection_ratio(self.psi, self.p, self.q, n, self.offset)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "q": self.q,
-            "p": self.p,
-            "ratio": self.ratio,
-            "seed": self.seed,
-            "n_per_axis": self.n_per_axis,
-            "offset": self.offset,
-            "family": self.family,
-            "psi": self.psi.to_json_dict(),
-        }
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ViolationCertificate":
         return cls(
@@ -111,16 +98,10 @@ class SearchResult:
     seed: int
 
     def to_json_dict(self) -> dict:
+        """The fields plus ``found`` and ``method``; ``cli`` encodes the certificate."""
         return {
+            **vars(self),
             "found": self.certificate is not None,
-            "best_ratio": self.best_ratio,
-            "best_family": self.best_family,
-            "evaluations": self.evaluations,
-            "dim": self.dim,
-            "q": self.q,
-            "p": self.p,
-            "seed": self.seed,
-            "certificate": self.certificate.to_json_dict() if self.certificate else None,
             "method": "finite empirical search; no certificate proves nothing",
         }
 

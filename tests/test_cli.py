@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -14,8 +15,11 @@ import numpy as np
 import pytest
 
 from rieszlab import cli
+from rieszlab.extremal import CapAttempt
 from rieszlab.fourier import GridFunction, TrigPoly, load_grid, sample, save_grid
-from rieszlab.homog2 import PerturbedFamily, projection_geometric_mean_closed
+from rieszlab.homog2 import PerturbedFamily, projection_geometric_mean_closed, threshold_scan
+from rieszlab.kernels import coefficient_check
+from rieszlab.search import SearchResult, ViolationCertificate
 
 PSI_L1 = TrigPoly(1, {(-1,): 1.0, (1,): 2.0, (3,): 1.0})
 
@@ -143,7 +147,7 @@ def test_oversized_frequency_refused_before_sampling(capsys, monkeypatch, argv, 
 
 def test_norm_non_finite_grid_file_refused(capsys, tmp_path):
     src = tmp_path / "nan.rlgf"
-    save_grid(GridFunction(1, 4, np.array([1.0, np.nan, 2.0, 3.0], dtype=np.complex128)), str(src))
+    save_grid(GridFunction(np.array([1.0, np.nan, 2.0, 3.0], dtype=np.complex128)), str(src))
     for p in ("inf", "0"):
         code, out, err = run(capsys, ["norm", "--p", p, "--in", str(src)])
         assert code == 2 and out == ""
@@ -240,6 +244,15 @@ def test_rpk_check_reports_violation(capsys):
     code, _, err = run(capsys, ["rpk-check", "--q", "1.3333333333333333", "--p", "1.2"])
     assert code == 0  # reporting a violation is a successful run
     assert "violation at n=1" in err
+
+
+@pytest.mark.parametrize("flags", [["--p", "inf"], ["--p", "1e5", "--n-max", "50"], ["--p", "1e200"]])
+def test_rpk_check_non_finite_margins_exit_2(capsys, flags):
+    # each p leaves a margin that is not finite in float64: nan at p = inf,
+    # -inf from n = 45 at p = 1e5, and an overflowing square at p = 1e200
+    code, out, err = run(capsys, ["rpk-check", "--q", "4", *flags])
+    assert code == 2 and out == ""
+    assert err.startswith("error: p = ") and err.count("\n") == 1
 
 
 def test_rpk_check_quadrature_cross_check(capsys):
@@ -635,3 +648,30 @@ def test_dual_extremal_tol_defaults(monkeypatch, capsys):
     argv = ["dual-extremal", "--q", "1.5", "--kernel", "0.5"]
     assert run(capsys, argv)[0] == 2 and seen["tol"] == 1e-6
     assert run(capsys, [*argv, "--tol", "1e-9"])[0] == 2 and seen["tol"] == 1e-9
+
+
+CERT = ViolationCertificate(1, 1.5, 1.2, TrigPoly.monomial((1,)), 1.01, 0, 256, 0.5, "kernel")
+
+
+@pytest.mark.parametrize(
+    "make,extra,values",
+    [
+        (lambda: coefficient_check(q=3.0, p=1.0, n_max=3), set(), {}),
+        (lambda: threshold_scan(2.0, eps_list=(0.08,)), set(), {}),
+        (lambda: threshold_scan(2.0, eps_list=(0.08,)).rows[0], set(), {}),
+        (lambda: CERT, set(), {}),
+        (lambda: CapAttempt(8, 256, 3, 4, "gtol", 1e-9, True), set(), {}),
+        (lambda: SearchResult(CERT, 1.01, "kernel", 7, 1, 1.5, 1.2, 0), {"found", "method"}, {"found": True}),
+        (lambda: threshold_scan(math.inf, eps_list=(0.08,)), set(), {"q": "inf"}),
+    ],
+    ids=["CoefficientReport", "ThresholdScan", "ScanRow", "ViolationCertificate", "CapAttempt",
+         "SearchResult", "ThresholdScan-q-inf"],
+)
+def test_json_keys_are_the_record_fields(make, extra, values):
+    # a record prints as its fields (plus what its to_json_dict adds), and a
+    # non-finite float inside it as a string
+    rec = make()
+    names = set(rec._fields) if hasattr(rec, "_fields") else {f.name for f in dataclasses.fields(rec)}
+    doc = json.loads(cli._json_text(rec))
+    assert set(doc) == names | extra
+    assert {k: doc[k] for k in values} == values

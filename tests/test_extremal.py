@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import nonzero_polys
 from rieszlab import extremal
+from rieszlab.cli import _json_text
 from rieszlab.extremal import (
     _objective,
     _pad_solution,
@@ -230,7 +231,7 @@ def test_solve_nonconvergence_raises():
 def test_triple_json():
     phi = TrigPoly(1, {(0,): 1.0, (1,): 0.5})
     triple = dual_extremal_solve(phi, q=2.5, tol=1e-7)
-    doc = json.loads(json.dumps(triple.to_json_dict()))
+    doc = json.loads(_json_text(triple))
     assert doc["q"] == 2.5
     assert doc["value"] == pytest.approx(triple.value)
     back = TrigPoly.from_json_dict(doc["natural_kernel"])
@@ -242,7 +243,7 @@ def test_padded_solution_keeps_psi_samples():
     # x is [Re c_1..c_K, Im c_1..c_K]: padding each half keeps phi0, so psi
     # is unchanged on one grid; padding x as a whole moves Im parts into Re slots
     phi, q, K, n = truncated_szego_poly(0.9j, 10), 1.05, 40, 512
-    x = _solve_at_degree(phi, q, K, 1e-6, n, 4000, np.zeros(0)).x
+    x, _ = _solve_at_degree(phi, q, K, 1e-6, n, 4000, np.zeros(0))
     assert np.abs(x[K:]).max() > 0.1  # complex w: the Im half carries weight
     grid = sample(phi, n)
     psi_k, _ = _objective(grid, q, K)

@@ -164,7 +164,7 @@ def test_coefficients_match_direct_quadrature(offset):
     # loop reference: c_alpha = mean over the offset nodes of g(theta) e^{-i alpha.theta}
     rng = np.random.default_rng(7)
     n, cutoff = 6, 2
-    grid = GridFunction(2, n, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), offset=offset)
+    grid = GridFunction(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), offset=offset)
     angles = axis_angles(n, offset)
     got = coefficients(grid, cutoff)
     for alpha in product(range(-cutoff, cutoff + 1), repeat=2):
@@ -243,10 +243,26 @@ def test_coefficients_cutoff_validation():
     coefficients(grid, 3)
 
 
+@pytest.mark.parametrize(
+    "samples,word",
+    [(np.zeros((4, 6)), "shape"), (np.zeros(3), "even"), (np.zeros(()), "dim")],
+)
+def test_grid_function_refuses_a_shape_that_is_not_an_even_cube(samples, word):
+    with pytest.raises(ValueError, match=word):
+        GridFunction(samples)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_function_reads_dim_and_n_off_its_samples(dim):
+    samples = np.zeros((6,) * dim)
+    grid = GridFunction(samples)
+    assert (grid.dim, grid.n_per_axis) == (samples.ndim, samples.shape[0]) == (dim, 6)
+
+
 def test_spectrum_inverse():
     rng = np.random.default_rng(5)
-    grid = GridFunction(2, 8, rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
-    back = grid_from_spectrum(grid_spectrum(grid), 2, 8, grid.offset)
+    grid = GridFunction(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    back = grid_from_spectrum(grid_spectrum(grid), grid.offset)
     assert np.allclose(back.samples, grid.samples, atol=1e-13)
 
 
@@ -255,7 +271,7 @@ def test_grid_from_spectrum_leaves_input_unchanged(offset):
     rng = np.random.default_rng(6)
     spec = rng.standard_normal((8, 8, 8)) + 1j * rng.standard_normal((8, 8, 8))
     before = spec.copy()
-    grid = grid_from_spectrum(spec, 3, 8, offset)
+    grid = grid_from_spectrum(spec, offset)
     assert np.array_equal(spec, before)
     assert not np.shares_memory(grid.samples, spec)
 
@@ -332,7 +348,7 @@ def test_grid_projection_reports_nyquist_loss():
     # place unit mass exactly in the ambiguous -N/2 bin
     spec = np.zeros(n, dtype=np.complex128)
     spec[n // 2] = 1.0
-    grid = grid_from_spectrum(spec, 1, n, 0.5)
+    grid = grid_from_spectrum(spec, 0.5)
     projected = riesz_project(grid)
     assert projected.aliasing_bound == pytest.approx(1.0, rel=1e-12)
     assert np.allclose(projected.samples, 0.0, atol=1e-12)
@@ -365,9 +381,7 @@ def test_parseval_grid(f):
 def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     for dim, n in ((1, 16), (2, 8)):
-        grid = GridFunction(
-            dim, n, rng.standard_normal((n,) * dim) + 1j * rng.standard_normal((n,) * dim)
-        )
+        grid = GridFunction(rng.standard_normal((n,) * dim) + 1j * rng.standard_normal((n,) * dim))
         path = tmp_path / f"g{dim}.rlgf"
         save_grid(grid, path)
         back = load_grid(path)
@@ -376,7 +390,7 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_save_load_zero_offset(tmp_path):
-    grid = GridFunction(1, 4, np.arange(4, dtype=np.complex128), offset=0.0)
+    grid = GridFunction(np.arange(4, dtype=np.complex128), offset=0.0)
     path = tmp_path / "g.rlgf"
     save_grid(grid, path)
     assert load_grid(path).offset == 0.0
@@ -400,7 +414,7 @@ def test_load_rejects_bad_header_fields(tmp_path, dim, half_cells):
 
 
 def test_load_rejects_truncated(tmp_path):
-    grid = GridFunction(1, 8, np.zeros(8, dtype=np.complex128))
+    grid = GridFunction(np.zeros(8, dtype=np.complex128))
     path = tmp_path / "short.rlgf"
     save_grid(grid, path)
     data = path.read_bytes()
@@ -411,7 +425,7 @@ def test_load_rejects_truncated(tmp_path):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_load_rejects_non_finite_samples(tmp_path, bad):
-    grid = GridFunction(1, 4, np.array([1.0, bad, 2.0, 3.0], dtype=np.complex128))
+    grid = GridFunction(np.array([1.0, bad, 2.0, 3.0], dtype=np.complex128))
     path = tmp_path / "bad.rlgf"
     save_grid(grid, path)
     with pytest.raises(ValueError, match="non-finite"):

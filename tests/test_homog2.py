@@ -1,9 +1,11 @@
+import json
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
+from rieszlab.cli import _json_text
 from rieszlab.fourier import coefficients, riesz_project, sample
 from rieszlab.homog2 import (
     PerturbedFamily,
@@ -264,7 +266,7 @@ def test_geometric_mean_violation_below_minimal_q():
 
 
 def test_scan_json_shape():
-    doc = threshold_scan(2.0, eps_list=(0.08, 0.04)).to_json_dict()
+    doc = json.loads(_json_text(threshold_scan(2.0, eps_list=(0.08, 0.04))))
     assert doc["q"] == 2.0 and doc["q_star"] == 2.0
     assert len(doc["rows"]) == 2
     assert set(doc["rows"][0]) == {"eps", "threshold_p", "a", "b", "psi_norm", "gm_gap"}

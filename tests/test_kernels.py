@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rieszlab.cli import _json_text
 from rieszlab.fourier import coefficients
 from rieszlab.kernels import (
     coefficient_check,
@@ -127,7 +129,7 @@ def test_coefficient_check_fails_just_above(q):
 
 
 def test_coefficient_check_json():
-    doc = coefficient_check(q=3.0, p=1.0, n_max=5).to_json_dict()
+    doc = json.loads(_json_text(coefficient_check(q=3.0, p=1.0, n_max=5)))
     assert doc["q"] == 3.0 and doc["n_max"] == 5
     assert len(doc["margins"]) == 5
     assert doc["first_violation"] is None

@@ -20,7 +20,7 @@ P_GRID = [0.0, 0.3, 0.5, 1.0, 4.0 / 3.0, 2.0, 3.0, 4.0, 7.5, math.inf]
 
 
 def constant_grid(c, n=8):
-    return GridFunction(1, n, np.full(n, c, dtype=np.complex128))
+    return GridFunction(np.full(n, c, dtype=np.complex128))
 
 
 @pytest.mark.parametrize("p", P_GRID)
@@ -64,7 +64,7 @@ def test_lp_norm_validation():
         lp_norm(g, -0.5)
     with pytest.raises(ValueError):
         lp_norm(g, math.nan)
-    zero = GridFunction(1, 4, np.zeros(4, dtype=np.complex128))
+    zero = GridFunction(np.zeros(4, dtype=np.complex128))
     with pytest.raises(ValueError):
         lp_norm(zero, 0.0)
 
@@ -81,7 +81,7 @@ def test_extreme_magnitudes_rescale(scale, p):
 
 
 def test_non_finite_samples_refused():
-    g = GridFunction(1, 4, np.array([1.0, np.inf, 0.0, 2.0], dtype=np.complex128))
+    g = GridFunction(np.array([1.0, np.inf, 0.0, 2.0], dtype=np.complex128))
     with pytest.raises(ValueError):
         lp_norm(g, 2.0)
 
@@ -89,7 +89,7 @@ def test_non_finite_samples_refused():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("p", [0.0, math.inf])
 def test_non_finite_samples_refused_at_p0_and_sup(p, bad, recwarn):
-    g = GridFunction(1, 4, np.array([1.0, bad, 2.0, 3.0], dtype=np.complex128))
+    g = GridFunction(np.array([1.0, bad, 2.0, 3.0], dtype=np.complex128))
     with pytest.raises(ValueError, match="not finite"):
         lp_norm(g, p)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
@@ -132,7 +132,7 @@ def test_nonlinear_map_norm_power():
 
 
 def test_nonlinear_map_zero_handling():
-    g = GridFunction(1, 4, np.array([0.0, 1.0, 2.0, 0.0], dtype=np.complex128))
+    g = GridFunction(np.array([0.0, 1.0, 2.0, 0.0], dtype=np.complex128))
     out = nonlinear_map(g, 0.5)  # negative power of |g|
     assert out.samples[0] == 0.0 and np.isfinite(out.samples).all()
 
