@@ -96,11 +96,11 @@ def _json_text(doc) -> str:
     return json.dumps(_json_data(doc), indent=2, sort_keys=True) + "\n"
 
 
-def _write_sidecar(doc, out: str | None, suffix: str) -> None:
-    """Write a secondary JSON document to ``out + suffix``, or to stderr
-    when the main output goes to stdout."""
+def _write_sidecar(doc, out: str | None) -> None:
+    """Write what a CSV table cannot hold as JSON to ``OUT.meta.json``, or
+    to stderr when the table goes to stdout."""
     if out:
-        _write_text(_json_text(doc), out + suffix)
+        _write_text(_json_text(doc), out + ".meta.json")
     else:
         print(_json_text(doc), end="", file=sys.stderr)
 
@@ -182,26 +182,26 @@ def cmd_rpk_check(args) -> int:
     q = float(args.q)
     p = float(args.p) if args.p is not None else 4.0 / conjugate(q)
     report = coefficient_check(q=q, p=p, n_max=args.n_max)
-    doc = vars(report)
-    if args.r:
-        checks = []
-        for r in _float_list(args.r):
-            if not 0.0 <= r < 1.0:
-                raise ValueError(f"r = {r} must lie in [0, 1)")
-            w = math.sqrt(r)
-            series = szego_norm(w, p)
-            grid = szego_kernel_grid(w, n_per_axis=4096)
-            quad = lp_norm(grid, p)
-            checks.append({"r": r, "series": series, "quadrature": quad, "diff": abs(series - quad)})
-        doc = {**doc, "quadrature_checks": checks}
+    checks = []
+    for r in _float_list(args.r) if args.r else []:
+        if not 0.0 <= r < 1.0:
+            raise ValueError(f"r = {r} must lie in [0, 1)")
+        w = math.sqrt(r)
+        series = szego_norm(w, p)
+        grid = szego_kernel_grid(w, n_per_axis=4096)
+        quad = lp_norm(grid, p)
+        checks.append({"r": r, "series": series, "quadrature": quad, "diff": abs(series - quad)})
+    doc = {"quadrature_checks": checks} if args.r else {}
     if args.fmt == "json":
-        _write_text(_json_text(doc), args.out)
+        _write_text(_json_text({**vars(report), **doc}), args.out)
     else:
         rows = [
             f"{n + 1},{_cell(m)},{_cell(fm)}"
             for n, (m, fm) in enumerate(zip(report.margins, report.factor_margins))
         ]
         _write_text(_csv_text("n,margin,factor_margin", rows), args.out)
+        if doc:
+            _write_sidecar(doc, args.out)
     status = "passed" if report.passed else f"violation at n={report.first_violation}"
     print(f"rpk-check q={q} p={p}: {status}", file=sys.stderr)
     return 0
@@ -234,6 +234,12 @@ def cmd_dual_extremal(args) -> int:
 def cmd_d2_scan(args) -> int:
     qs = _float_list(args.q)
     eps_list = tuple(_float_list(args.eps))
+    run = {
+        "eps": list(eps_list),
+        "p_window": [args.p_lo, args.p_hi],
+        "resolution": args.resolution,
+        "series": DEFAULT_CONTROL,
+    }
     scans = [
         threshold_scan(
             q,
@@ -245,7 +251,7 @@ def cmd_d2_scan(args) -> int:
         for q in qs
     ]
     if args.fmt == "json":
-        _write_text(_json_text({"scans": scans}), args.out)
+        _write_text(_json_text({**run, "scans": scans}), args.out)
         return 0
     rows = []
     for scan in scans:
@@ -257,18 +263,14 @@ def cmd_d2_scan(args) -> int:
                 )
             )
     _write_text(_csv_text("q,eps,threshold_p,a,b,psi_norm", rows), args.out)
-    meta = {
-        "eps": list(eps_list),
-        "p_window": [args.p_lo, args.p_hi],
-        "resolution": args.resolution,
-        "series": {"max_terms": DEFAULT_CONTROL.max_terms, "rel_tol": DEFAULT_CONTROL.rel_tol},
-        "scans": [
-            {"q": s.q, "q_star": s.q_star, "extrapolated": s.extrapolated, **s.metadata}
-            for s in scans
-        ],
-    }
-    _write_sidecar(meta, args.out, ".meta.json")
+    summaries = [{k: v for k, v in vars(s).items() if k != "rows"} for s in scans]
+    _write_sidecar({**run, "scans": summaries}, args.out)
     return 0
+
+
+#: How ``dirichlet --fit`` reads a growth exponent, the same for every fit.
+_FIT_METHOD = {"method": "log-log least squares, smallest radius dropped",
+               "note": "empirical rate only; absolute constants are not certified"}
 
 
 def cmd_dirichlet(args) -> int:
@@ -279,20 +281,8 @@ def cmd_dirichlet(args) -> int:
     fits = []
     for p in ps:
         if args.fit:
-            fit = growth_fit(dim, p, radii, n_per_axis=args.n_per_axis)
-            norms = fit.norms
-            fits.append(
-                {
-                    "d": dim,
-                    "p": p,
-                    "exponent": fit.exponent,
-                    "c_hat": fit.c_hat,
-                    "target": fit.target,
-                    "radii": list(fit.radii),
-                    "method": "log-log least squares, smallest radius dropped",
-                    "note": "empirical rate only; absolute constants are not certified",
-                }
-            )
+            fits.append(growth_fit(dim, p, radii, n_per_axis=args.n_per_axis))
+            norms = fits[-1].norms
         else:
             norms = [
                 dirichlet_norm(DirichletSpec(radius=radius, dim=dim), p, n_per_axis=args.n_per_axis)
@@ -302,16 +292,14 @@ def cmd_dirichlet(args) -> int:
             {"d": dim, "p": p, "R": radius, "norm": norm, "lattice_count": lattice_count(radius, dim)}
             for radius, norm in zip(radii, norms)
         )
+    fit_doc = {"fits": fits, **_FIT_METHOD} if fits else {}
     if args.fmt == "json":
-        doc = {"rows": rows}
-        if fits:
-            doc["fits"] = fits
-        _write_text(_json_text(doc), args.out)
+        _write_text(_json_text({"rows": rows, **fit_doc}), args.out)
         return 0
     lines = [",".join(_cell(v) for v in row.values()) for row in rows]
     _write_text(_csv_text(",".join(rows[0]), lines), args.out)
-    if fits:
-        _write_sidecar({"fits": fits}, args.out, ".fit.json")
+    if fit_doc:
+        _write_sidecar(fit_doc, args.out)
     return 0
 
 
@@ -336,8 +324,7 @@ def cmd_search(args) -> int:
 def cmd_figures(args) -> int:
     table = figure_tables(args.d)
     if args.fmt == "json":
-        rows = [{**vars(r), "q": None if math.isinf(r.q) else r.q} for r in table.rows]
-        _write_text(_json_text({"dim": table.dim, "rows": rows}), args.out)
+        _write_text(_json_text(table), args.out)
     else:
         _write_text(table_csv(table), args.out)
     return 0

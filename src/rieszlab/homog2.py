@@ -203,7 +203,6 @@ class ThresholdScan:
     q_star: float
     rows: tuple[ScanRow, ...]
     extrapolated: float | None
-    metadata: dict
 
 
 def threshold_scan(
@@ -268,17 +267,4 @@ def threshold_scan(
     if len(found) >= 2:
         (e1, t1), (e2, t2) = found[-2], found[-1]  # e2 is the smallest eps
         extrapolated = (t2 * e1**2 - t1 * e2**2) / (e1**2 - e2**2)
-    return ThresholdScan(
-        q=q,
-        q_star=q_star,
-        rows=tuple(rows),
-        extrapolated=extrapolated,
-        metadata={
-            "eps_list": [float(e) for e in eps_list],
-            "p_lo": p_lo,
-            "p_hi": p_hi,
-            "resolution": resolution,
-            "max_terms": ctl.max_terms,
-            "rel_tol": ctl.rel_tol,
-        },
-    )
+    return ThresholdScan(q=q, q_star=q_star, rows=tuple(rows), extrapolated=extrapolated)

@@ -44,6 +44,14 @@ def lp_norm(g: GridFunction, p: float) -> float:
     elif math.isinf(p):
         value = float(mags.max())
     else:
+        if p < 1.0:
+            # the power 1/p amplifies the rounding of m = mean |h|^p, h = g / max|g|; for m > 1/2,
+            # as at every small p, expm1 sums m - 1 with less rounding than m itself
+            top = float(mags.max())
+            with np.errstate(all="ignore"):  # a zero sample gives expm1(-inf) = -1
+                excess = float(np.mean(np.expm1(p * np.log(mags / top))))
+            if excess > -0.5:  # false also when a sample, and so excess, is not finite
+                return top * math.exp(math.log1p(excess) / p)
         with np.errstate(over="ignore", under="ignore"):
             mean = np.mean(mags**p)
             if not math.isfinite(mean) or (mean < _TINY and mags.any()):

@@ -288,12 +288,12 @@ def violation_search(
         candidates.extend(_homog2_candidates(q, n))
     candidates.extend(_shifted_dirichlet_candidates(rng, dim, count=max(4, budget // 20)))
 
-    def evaluate(item: tuple[str, TrigPoly]) -> float:
+    def score(item: tuple[str, TrigPoly]) -> float:
         _, poly = item
         return projection_ratio(poly, p, q, resolving_grid(poly, n), offset)
 
     with ThreadPoolExecutor(max_workers=thread_count(threads)) as pool:
-        ratios = list(pool.map(evaluate, candidates))  # map keeps the candidate order
+        ratios = list(pool.map(score, candidates))  # map keeps the candidate order
     evaluations = len(candidates)
 
     order = sorted(range(len(candidates)), key=lambda i: (-ratios[i], i))

@@ -61,7 +61,7 @@ def test_figures_json_maps_inf(capsys):
     assert code == 0
     doc = json.loads(out)
     last = doc["rows"][-1]
-    assert last["q"] is None  # q = inf encoded as null
+    assert last["q"] == "inf"  # encoded as every command encodes a non-finite float
     assert last["upper"] == pytest.approx(3.0)
 
 
@@ -265,6 +265,19 @@ def test_rpk_check_quadrature_cross_check(capsys):
     assert check["diff"] < 1e-9
 
 
+def test_rpk_check_csv_keeps_quadrature_checks(capsys, tmp_path):
+    # the CSV table holds only the margins; the checks go to the sidecar,
+    # which is stderr (before the status line) when the table is stdout
+    code, out, err = run(capsys, ["rpk-check", "--q", "4", "--r", "0.25"])
+    assert code == 0 and out.startswith("n,margin,factor_margin\n")
+    doc, end = json.JSONDecoder().raw_decode(err)
+    assert err[end:] == "\nrpk-check q=4.0 p=3.0: passed\n"
+    assert set(doc) == {"quadrature_checks"} and doc["quadrature_checks"][0]["diff"] < 1e-9
+    code, _, err = run(capsys, ["rpk-check", "--q", "4", "--r", "0.25", "--out", str(tmp_path / "m.csv")])
+    assert code == 0 and err == "rpk-check q=4.0 p=3.0: passed\n"
+    assert json.loads((tmp_path / "m.csv.meta.json").read_text()) == doc
+
+
 def test_rpk_check_nonconvergence_exit_code(capsys):
     # r this close to the boundary cannot converge in the default 200 terms
     code, _, err = run(capsys, ["rpk-check", "--q", "4", "--r", "0.9995"])
@@ -438,6 +451,23 @@ def test_d2_scan_csv_and_sidecar(capsys, tmp_path):
     assert scan_meta["extrapolated"] == pytest.approx(2.5, abs=0.01)
 
 
+def test_d2_scan_states_run_parameters_once(capsys, tmp_path):
+    argv = ["d2-scan", "--q", "3,inf", "--eps", "0.08,0.04"]
+    code, out, _ = run(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    assert run(capsys, [*argv, "--out", str(tmp_path / "scan.csv")])[0] == 0
+    sidecar = json.loads((tmp_path / "scan.csv.meta.json").read_text())
+    for doc, scan_keys in [
+        (json.loads(out), {"q", "q_star", "rows", "extrapolated"}),
+        (sidecar, {"q", "q_star", "extrapolated"}),
+    ]:
+        assert set(doc) == {"eps", "p_window", "resolution", "series", "scans"}
+        assert doc["eps"] == [0.08, 0.04] and doc["p_window"] == [0.05, 4.5]
+        assert doc["resolution"] == 1e-4 and doc["series"] == {"max_terms": 200, "rel_tol": 1e-16}
+        assert [set(scan) for scan in doc["scans"]] == [scan_keys, scan_keys]
+        assert doc["scans"][1]["q"] == "inf"
+
+
 @pytest.mark.parametrize("q", ["1", "0.5"])
 def test_d2_scan_rejects_q_at_most_one(capsys, q):
     code, out, err = run(capsys, ["d2-scan", "--q", q])
@@ -472,6 +502,24 @@ def test_dirichlet_fit_computes_each_norm_once(capsys, monkeypatch):
     assert code == 0
     assert len(out.strip().split("\n")) == 1 + 8
     assert sorted(calls) == sorted((r, p) for p in (0.5, 1.0) for r in (5.0, 10.0, 20.0, 40.0))
+
+
+def test_dirichlet_fit_prints_growth_fit_records(capsys, tmp_path):
+    from rieszlab.dirichlet import GrowthFit
+
+    argv = ["dirichlet", "--d", "2", "--p", "1", "--radii", "5,10,20,40", "--fit"]
+    code, out, _ = run(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert set(doc) == {"rows", "fits", "method", "note"}
+    assert set(doc["fits"][0]) == {f.name for f in dataclasses.fields(GrowthFit)}
+    assert out.count('"method"') == out.count('"note"') == 1
+    assert doc["fits"][0]["norms"] == [row["norm"] for row in doc["rows"]]
+    code, out, err = run(capsys, [*argv, "--out", str(tmp_path / "d.csv")])
+    assert code == 0 and out == err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.csv.meta.json"]
+    sidecar = json.loads((tmp_path / "d.csv.meta.json").read_text())
+    assert sidecar == {k: doc[k] for k in ("fits", "method", "note")}
 
 
 def test_dirichlet_fit_needs_enough_radii(capsys):

@@ -270,7 +270,6 @@ def test_scan_json_shape():
     assert doc["q"] == 2.0 and doc["q_star"] == 2.0
     assert len(doc["rows"]) == 2
     assert set(doc["rows"][0]) == {"eps", "threshold_p", "a", "b", "psi_norm", "gm_gap"}
-    assert "metadata" in doc
 
 
 def test_scan_respects_series_control():

@@ -204,6 +204,7 @@ KEPT = {
     "extremal.l1_equality_certificate": "the equality case q = 1 of the paper's L^1 bound",
     "extremal.outer_from_modulus": "the outer factor, whose value at 0 is an independent geometric mean",
     "fourier.TrigPoly.coeff": "acceptance criterion 5 reads the coefficients (a, b) of P+ psi through it",
+    "fourier.TrigPoly.evaluate": "test_sample_matches_evaluate and the algebra tests compare against direct evaluation",
     "homog2.projection_geometric_mean_closed": "an independent route to ||phi||_0 (ROADMAP item 5)",
     "homog2.projection_polynomial": "a cross-check of the coefficients (a, b) of P+ psi",
     "kernels.poisson_kernel": "its mean 1 cross-checks ||k_w||_2^2 = 1/(1 - |w|^2) (ROADMAP item 5)",

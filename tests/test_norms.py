@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -78,6 +79,21 @@ def test_extreme_magnitudes_rescale(scale, p):
     with np.errstate(all="raise"):  # a stray overflow warning would raise here
         got = lp_norm(sample(f.scale(scale), 16), p)
     assert got == pytest.approx(unit * scale, rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [1e-12, 1e-6, 1e-3, 0.5])
+def test_small_p_matches_mpmath(p):
+    # mean |g|^p = 1 + O(p), and the power 1/p amplifies its rounding
+    grid = sample(TrigPoly(1, {(0,): 3.0, (1,): 1.0}), 256)
+    with mpmath.workdps(40):
+        mean = mpmath.fsum(mpmath.mpf(float(m)) ** p for m in np.abs(grid.samples)) / grid.samples.size
+        exact = float(mean ** (1 / mpmath.mpf(p)))
+    assert lp_norm(grid, p) == pytest.approx(exact, rel=1e-14)
+
+
+def test_tiny_p_is_the_geometric_mean():
+    grid = sample(TrigPoly(1, {(0,): 3.0, (1,): 1.0}), 256)
+    assert lp_norm(grid, 1e-300) == pytest.approx(lp_norm(grid, 0.0), rel=1e-12)
 
 
 def test_non_finite_samples_refused():
