@@ -24,7 +24,7 @@ import re
 import sys
 
 from . import __version__
-from .dirichlet import DirichletSpec, dirichlet_norm, growth_fit, lattice_count
+from .dirichlet import DirichletSpec, dirichlet_norm, fit_radii, growth_fit, lattice_count
 from .extremal import dual_extremal_solve
 from .figures import figure_tables, table_csv
 from .fourier import (
@@ -105,10 +105,6 @@ def _write_sidecar(doc, out: str | None) -> None:
         print(_json_text(doc), end="", file=sys.stderr)
 
 
-def _csv_text(header: str, rows: list[str]) -> str:
-    return "\n".join([header, *rows]) + "\n"
-
-
 def _cell(x) -> str:
     if x is None:
         return ""
@@ -117,6 +113,18 @@ def _cell(x) -> str:
             return "inf" if x > 0 else "-inf"
         return repr(x)
     return str(x)
+
+
+def _emit(fmt: str, out: str | None, doc, header: str, rows, sidecar=None) -> None:
+    """Write ``doc`` as JSON, or the CSV table ``header`` plus one line of
+    cells per row, followed by ``sidecar`` when there is one."""
+    if fmt == "json":
+        _write_text(_json_text(doc), out)
+        return
+    lines = [",".join(_cell(v) for v in row) for row in rows]
+    _write_text("\n".join([header, *lines]) + "\n", out)
+    if sidecar:
+        _write_sidecar(sidecar, out)
 
 
 def _is_grid_file(path: str) -> bool:
@@ -151,6 +159,8 @@ def cmd_project(args) -> int:
             print(f"aliasing_bound {proj.aliasing_bound!r}", file=sys.stderr)
         return 0
     poly = _load_poly(args.infile)
+    if args.axes and args.minus:
+        raise ValueError("--minus and --axes do not combine: a partial projection keeps P+ on its axes")
     if args.axes:
         proj = partial_project(poly, _int_list(args.axes))
     elif args.minus:
@@ -171,10 +181,7 @@ def cmd_norm(args) -> int:
         poly = _load_poly(args.infile)
         grid = sample(poly, resolving_grid(poly, args.grid))
     value = lp_norm(grid, p)
-    if args.fmt == "json":
-        _write_text(_json_text({"p": p, "norm": value, "n_per_axis": grid.n_per_axis}), args.out)
-    else:
-        _write_text(_csv_text("p,norm", [f"{_cell(p)},{_cell(value)}"]), args.out)
+    _emit(args.fmt, args.out, {"p": p, "norm": value, "n_per_axis": grid.n_per_axis}, "p,norm", [(p, value)])
     return 0
 
 
@@ -192,16 +199,8 @@ def cmd_rpk_check(args) -> int:
         quad = lp_norm(grid, p)
         checks.append({"r": r, "series": series, "quadrature": quad, "diff": abs(series - quad)})
     doc = {"quadrature_checks": checks} if args.r else {}
-    if args.fmt == "json":
-        _write_text(_json_text({**vars(report), **doc}), args.out)
-    else:
-        rows = [
-            f"{n + 1},{_cell(m)},{_cell(fm)}"
-            for n, (m, fm) in enumerate(zip(report.margins, report.factor_margins))
-        ]
-        _write_text(_csv_text("n,margin,factor_margin", rows), args.out)
-        if doc:
-            _write_sidecar(doc, args.out)
+    rows = [(n + 1, m, fm) for n, (m, fm) in enumerate(zip(report.margins, report.factor_margins))]
+    _emit(args.fmt, args.out, {**vars(report), **doc}, "n,margin,factor_margin", rows, doc)
     status = "passed" if report.passed else f"violation at n={report.first_violation}"
     print(f"rpk-check q={q} p={p}: {status}", file=sys.stderr)
     return 0
@@ -250,21 +249,12 @@ def cmd_d2_scan(args) -> int:
         )
         for q in qs
     ]
-    if args.fmt == "json":
-        _write_text(_json_text({**run, "scans": scans}), args.out)
-        return 0
-    rows = []
-    for scan in scans:
-        for row in scan.rows:
-            rows.append(
-                ",".join(
-                    _cell(v)
-                    for v in (scan.q, row.eps, row.threshold_p, row.a, row.b, row.psi_norm)
-                )
-            )
-    _write_text(_csv_text("q,eps,threshold_p,a,b,psi_norm", rows), args.out)
+    rows = [
+        (scan.q, row.eps, row.threshold_p, row.a, row.b, row.psi_norm) for scan in scans for row in scan.rows
+    ]
     summaries = [{k: v for k, v in vars(s).items() if k != "rows"} for s in scans]
-    _write_sidecar({**run, "scans": summaries}, args.out)
+    _emit(args.fmt, args.out, {**run, "scans": scans}, "q,eps,threshold_p,a,b,psi_norm", rows,
+          {**run, "scans": summaries})
     return 0
 
 
@@ -277,29 +267,21 @@ def cmd_dirichlet(args) -> int:
     dim = args.d
     ps = _float_list(args.p)
     radii = _float_list(args.radii) if args.radii else _default_radii(dim)
-    rows = []
-    fits = []
+    if args.fit:
+        radii = fit_radii(radii)
+    specs = [DirichletSpec(radius=radius, dim=dim) for radius in radii]
+    rows, fits = [], []
     for p in ps:
-        if args.fit:
-            fits.append(growth_fit(dim, p, radii, n_per_axis=args.n_per_axis))
-            norms = fits[-1].norms
-        else:
-            norms = [
-                dirichlet_norm(DirichletSpec(radius=radius, dim=dim), p, n_per_axis=args.n_per_axis)
-                for radius in radii
-            ]
+        norms = [dirichlet_norm(spec, p, n_per_axis=args.n_per_axis) for spec in specs]
         rows += (
             {"d": dim, "p": p, "R": radius, "norm": norm, "lattice_count": lattice_count(radius, dim)}
             for radius, norm in zip(radii, norms)
         )
+        if args.fit:
+            fits.append(growth_fit(dim, p, radii, norms))
     fit_doc = {"fits": fits, **_FIT_METHOD} if fits else {}
-    if args.fmt == "json":
-        _write_text(_json_text({"rows": rows, **fit_doc}), args.out)
-        return 0
-    lines = [",".join(_cell(v) for v in row.values()) for row in rows]
-    _write_text(_csv_text(",".join(rows[0]), lines), args.out)
-    if fit_doc:
-        _write_sidecar(fit_doc, args.out)
+    _emit(args.fmt, args.out, {"rows": rows, **fit_doc}, ",".join(rows[0]), [row.values() for row in rows],
+          fit_doc)
     return 0
 
 

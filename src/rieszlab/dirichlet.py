@@ -95,25 +95,25 @@ class GrowthFit:
     p: float
     exponent: float
     c_hat: float  # exp(p * intercept): implied constant for ||D||_p^p ~ c R^{p*exponent}
-    radii: tuple[float, ...]
-    norms: tuple[float, ...]
     target: float  # (d-1)/2, the predicted exponent for 0 < p <= 1
 
 
-def growth_fit(dim: int, p: float, radii, n_per_axis: int | None = None) -> GrowthFit:
-    """Fit the growth exponent of R -> ||D_{R,d}||_p.
-
-    Needs at least four increasing radii; the smallest is kept in the
-    report but excluded from the regression as preasymptotic.
-    """
+def fit_radii(radii) -> list[float]:
+    """The radii as floats, if a growth fit can use them: four or more, strictly increasing."""
     radii = [float(r) for r in radii]
     if len(radii) < 4:
         raise ValueError("need at least 4 radii")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
-    specs = [DirichletSpec(radius=r, dim=dim) for r in radii]
-    norms = [dirichlet_norm(spec, p, n_per_axis) for spec in specs]
+    return radii
 
+
+def growth_fit(dim: int, p: float, radii, norms) -> GrowthFit:
+    """Fit the growth exponent of R -> ||D_{R,d}||_p to the norms measured
+    at ``radii``, leaving out the smallest radius as preasymptotic."""
+    radii = fit_radii(radii)
+    if len(norms) != len(radii):
+        raise ValueError(f"{len(norms)} norms for {len(radii)} radii")
     log_r = np.log(np.asarray(radii[1:]))
     log_n = np.log(np.asarray(norms[1:]))
     slope, intercept = np.polyfit(log_r, log_n, 1)
@@ -122,7 +122,5 @@ def growth_fit(dim: int, p: float, radii, n_per_axis: int | None = None) -> Grow
         p=float(p),
         exponent=float(slope),
         c_hat=float(math.exp(float(p) * float(intercept))),
-        radii=tuple(radii),
-        norms=tuple(float(v) for v in norms),
         target=(dim - 1) / 2.0,
     )

@@ -173,7 +173,6 @@ class ExtremalTriple:
 
     natural_kernel:    the analytic datum phi
     extremal_kernel:   psi = phi + conj(phi0) attaining the minimum
-    extremal_function: f = N_q(psi), the dual witness with psi = N_{q*} f
     value:             ||psi||_q = sup |<f, phi>| / ||f||_{q*}
     attempts:          every escalation cap tried, in order; the last
                        one certified, and ``iterations``,
@@ -182,7 +181,6 @@ class ExtremalTriple:
 
     natural_kernel: TrigPoly
     extremal_kernel: GridFunction
-    extremal_function: GridFunction
     value: float
     q: float
     q_star: float
@@ -367,11 +365,10 @@ def _solve_at_degree(
 
     psi_grid = phi_grid.with_samples(psi_samples(result.x))
     primal = lp_norm(psi_grid, q)
-    f_grid = nonlinear_map(psi_grid, q)
-    f_analytic = riesz_project(f_grid)
+    f_analytic = riesz_project(nonlinear_map(psi_grid, q))  # P+ of the dual witness N_q(psi)
     denom = lp_norm(f_analytic, q_star)
     dual = abs(grid_inner(f_analytic, phi_grid)) / denom if denom > 0 else 0.0
     gap = float(primal - dual)
     certified = math.isfinite(gap) and gap <= tol
     attempt = CapAttempt(K, n, result.nit, result.nfev, result.stop, gap, certified)
-    return result.x, ExtremalTriple(phi, psi_grid, f_grid, primal, q, q_star, (attempt,))
+    return result.x, ExtremalTriple(phi, psi_grid, primal, q, q_star, (attempt,))

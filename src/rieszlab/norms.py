@@ -49,7 +49,12 @@ def lp_norm(g: GridFunction, p: float) -> float:
             # as at every small p, expm1 sums m - 1 with less rounding than m itself
             top = float(mags.max())
             with np.errstate(all="ignore"):  # a zero sample gives expm1(-inf) = -1
-                excess = float(np.mean(np.expm1(p * np.log(mags / top))))
+                logs = np.log(mags / top)
+                x = p * logs
+                if np.abs(x).max() < _TINY and logs.any():
+                    # every p log h is subnormal, too short for expm1 to carry digits: p is 0 here
+                    return lp_norm(g, 0.0)
+                excess = float(np.mean(np.expm1(x)))
             if excess > -0.5:  # false also when a sample, and so excess, is not finite
                 return top * math.exp(math.log1p(excess) / p)
         with np.errstate(over="ignore", under="ignore"):

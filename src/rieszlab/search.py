@@ -141,7 +141,7 @@ def _homog2_candidates(q: float, n_per_axis: int) -> list[tuple[str, TrigPoly]]:
         try:
             psi = kernel_polynomial(fam)  # exact when q* is an even integer
         except ValueError:
-            _, psi_grid = build_family(eps, q_star, n_per_axis)
+            psi_grid = build_family(eps, q_star, n_per_axis)
             psi = coefficients(psi_grid, min(16, n_per_axis // 2 - 1)).prune(1e-13)
         out.append((f"homog2(eps={eps})", psi))
     return out

@@ -128,7 +128,7 @@ def check_coefficient_check_spot():
 
 def check_homog2_exact_q2():
     fam = homog2.PerturbedFamily(eps=0.1, q_star=2.0)
-    assert abs(homog2.kernel_norm_series(fam, 2.0) - math.sqrt(1.02)) <= 1e-14
+    assert abs(homog2.kernel_norm_series(fam) - math.sqrt(1.02)) <= 1e-14
     a, b = homog2.projection_coefficients(fam)
     assert a == 1.0 and b == 1.0, "q*=2 projection must be the identity data"
 

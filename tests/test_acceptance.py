@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from rieszlab.dirichlet import growth_fit
+from rieszlab.dirichlet import DirichletSpec, dirichlet_norm, growth_fit
 from rieszlab.extremal import dual_extremal_solve, geometric_mean_l1_check, blaschke_product
 from rieszlab.figures import figure_tables, table_csv
 from rieszlab.fourier import (
@@ -140,12 +140,12 @@ def test_criterion_5_two_dimensional_series():
     for q in (1.5, 2.0, 3.0, 4.0):
         for eps in (0.05, 0.1, 0.2):
             fam = PerturbedFamily(eps=eps, q_star=conjugate(q))
-            _, psi = build_family(eps, conjugate(q), n_per_axis=128)
-            assert abs(kernel_norm_series(fam, q) - lp_norm(psi, q)) <= 1e-9
+            psi = build_family(eps, conjugate(q), n_per_axis=128)
+            assert abs(kernel_norm_series(fam) - lp_norm(psi, q)) <= 1e-9
     for q in (1.5, 2.0, 3.0, 4.0, math.inf):
         fam = PerturbedFamily(eps=0.1, q_star=conjugate(q))
         a, b = projection_coefficients(fam)
-        _, psi = build_family(0.1, conjugate(q), n_per_axis=128)
+        psi = build_family(0.1, conjugate(q), n_per_axis=128)
         hat = coefficients(psi, 3)
         assert complex(hat.coeff((1, 1))).real == pytest.approx(a, abs=1e-10)
         assert complex(hat.coeff((2, 0))).real == pytest.approx(0.1 * b, abs=1e-10)
@@ -162,7 +162,7 @@ def test_criterion_5_two_dimensional_series():
     for q, p in ((4.0, 3.0), (3.0, 1.0), (2.0, 2.0), (1.5, 0.0)):
         qs = conjugate(q)
         c2_psi, c4_psi = fit_coeffs(
-            lambda e: kernel_norm_series(PerturbedFamily(eps=e, q_star=qs), q), qs - 1.0
+            lambda e: kernel_norm_series(PerturbedFamily(eps=e, q_star=qs)), qs - 1.0
         )
         assert c2_psi == pytest.approx(qs - 1.0, rel=0.01)
         assert c4_psi == pytest.approx((qs - 1.0) * (3.0 * qs - 8.0) / 4.0, rel=0.01)
@@ -188,14 +188,15 @@ def test_criterion_6_threshold_limit():
     edge = threshold_scan(4.0 / 3.0, eps_list=(0.05,))
     assert edge.rows[0].threshold_p is None  # no positive exponent survives
     fam = PerturbedFamily(eps=0.02, q_star=conjugate(1.2))
-    assert projection_geometric_mean_closed(fam) > kernel_norm_series(fam, 1.2)
+    assert projection_geometric_mean_closed(fam) > kernel_norm_series(fam)
     _pass(6, "threshold limit of the perturbed family", t0, 120.0)
 
 
 def test_criterion_7_small_exponent_growth():
     """L^1 norm of the 2-d spherical kernel grows like sqrt(R)."""
     t0 = time.perf_counter()
-    fit = growth_fit(2, 1.0, [5.0, 10.0, 20.0, 40.0])
+    radii = [5.0, 10.0, 20.0, 40.0]
+    fit = growth_fit(2, 1.0, radii, [dirichlet_norm(DirichletSpec(r, 2), 1.0) for r in radii])
     assert 0.35 <= fit.exponent <= 0.65, fit.exponent
     _pass(7, "small-exponent growth rate of spherical kernels", t0, 120.0)
 

@@ -200,6 +200,13 @@ def test_project_minus(capsys, monkeypatch):
     assert set(proj.coeffs) == {(-1,)}
 
 
+def test_project_minus_with_axes_refused(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(poly_json(TrigPoly(2, {(-1, 2): 1.0, (1, 2): 1.0}))))
+    code, out, err = run(capsys, ["project", "--minus", "--axes", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_project_axes_2d(capsys, monkeypatch):
     poly = TrigPoly(2, {(-1, 2): 1.0, (1, -2): 1.0, (1, 2): 1.0})
     monkeypatch.setattr("sys.stdin", io.StringIO(poly_json(poly)))
@@ -514,7 +521,6 @@ def test_dirichlet_fit_prints_growth_fit_records(capsys, tmp_path):
     assert set(doc) == {"rows", "fits", "method", "note"}
     assert set(doc["fits"][0]) == {f.name for f in dataclasses.fields(GrowthFit)}
     assert out.count('"method"') == out.count('"note"') == 1
-    assert doc["fits"][0]["norms"] == [row["norm"] for row in doc["rows"]]
     code, out, err = run(capsys, [*argv, "--out", str(tmp_path / "d.csv")])
     assert code == 0 and out == err == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.csv.meta.json"]
@@ -528,6 +534,15 @@ def test_dirichlet_fit_needs_enough_radii(capsys):
     )
     assert code == 2
     assert err.strip()
+
+
+@pytest.mark.parametrize("radii", ["5,10,20", "5,10,10,20", "5,10,20,50"])
+def test_dirichlet_fit_checks_radii_before_measuring(capsys, monkeypatch, radii):
+    calls = []
+    monkeypatch.setattr("rieszlab.cli.dirichlet_norm", lambda *a, **k: calls.append(a))
+    code, out, err = run(capsys, ["dirichlet", "--d", "2", "--radii", radii, "--fit"])
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert calls == []
 
 
 def test_search_json_deterministic(capsys):
