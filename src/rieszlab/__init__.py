@@ -30,7 +30,7 @@ _EXPORTS = {
     "norms": ("conjectured_exponent", "conjugate", "interpolation_lower_bound", "lp_norm", "nonlinear_map",
               "riesz_projection_norm"),
     "search": ("SearchResult", "ViolationCertificate", "projection_ratio", "violation_search"),
-    "series": ("NonconvergenceError", "SeriesControl"),
+    "series": ("NonconvergenceError",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_HOME)

@@ -43,7 +43,7 @@ from .kernels import coefficient_check, szego_kernel_grid, szego_norm, truncated
 from .norms import conjugate, lp_norm
 from .search import violation_search
 from .selftest import run_selftest
-from .series import DEFAULT_CONTROL, NonconvergenceError
+from .series import MAX_TERMS, REL_TOL, NonconvergenceError
 
 
 def _float_list(text: str) -> list[float]:
@@ -237,7 +237,7 @@ def cmd_d2_scan(args) -> int:
         "eps": list(eps_list),
         "p_window": [args.p_lo, args.p_hi],
         "resolution": args.resolution,
-        "series": DEFAULT_CONTROL,
+        "series": {"max_terms": MAX_TERMS, "rel_tol": REL_TOL},
     }
     scans = [
         threshold_scan(
@@ -268,7 +268,7 @@ def cmd_dirichlet(args) -> int:
     ps = _float_list(args.p)
     radii = _float_list(args.radii) if args.radii else _default_radii(dim)
     if args.fit:
-        radii = fit_radii(radii)
+        radii = fit_radii(radii, ps)
     specs = [DirichletSpec(radius=radius, dim=dim) for radius in radii]
     rows, fits = [], []
     for p in ps:

@@ -98,20 +98,24 @@ class GrowthFit:
     target: float  # (d-1)/2, the predicted exponent for 0 < p <= 1
 
 
-def fit_radii(radii) -> list[float]:
-    """The radii as floats, if a growth fit can use them: four or more, strictly increasing."""
+def fit_radii(radii, ps) -> list[float]:
+    """The radii as floats, if a growth fit at each p in ``ps`` can use them:
+    four or more, strictly increasing, and p neither 0 nor inf, where
+    c_hat = exp(p * intercept) is 1 or inf whatever the norms."""
     radii = [float(r) for r in radii]
     if len(radii) < 4:
         raise ValueError("need at least 4 radii")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
+    if any(p == 0.0 or math.isinf(p) for p in ps):
+        raise ValueError("no growth fit at p = 0 or p = inf")
     return radii
 
 
 def growth_fit(dim: int, p: float, radii, norms) -> GrowthFit:
     """Fit the growth exponent of R -> ||D_{R,d}||_p to the norms measured
     at ``radii``, leaving out the smallest radius as preasymptotic."""
-    radii = fit_radii(radii)
+    radii = fit_radii(radii, [p])
     if len(norms) != len(radii):
         raise ValueError(f"{len(norms)} norms for {len(radii)} radii")
     log_r = np.log(np.asarray(radii[1:]))

@@ -89,9 +89,9 @@ class TrigPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def monomial(cls, alpha: Iterable[int], c: complex = 1.0) -> "TrigPoly":
+    def monomial(cls, alpha: Iterable[int]) -> "TrigPoly":
         idx = tuple(int(a) for a in alpha)
-        return cls(dim=len(idx), coeffs={idx: complex(c)})
+        return cls(dim=len(idx), coeffs={idx: 1.0})
 
     # -- basic queries -------------------------------------------------
 

@@ -28,18 +28,12 @@ coefficients (a, b).  The threshold scan locates the exponent p at which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .fourier import GridFunction, TrigPoly, sample
 from .norms import conjugate, nonlinear_map
-from .series import (
-    DEFAULT_CONTROL,
-    SeriesControl,
-    hyp2f1,
-    require_converged,
-    sum_series,
-)
+from .series import hyp2f1, require_converged, sum_series
 
 
 def base_polynomial() -> TrigPoly:
@@ -62,7 +56,6 @@ class PerturbedFamily:
 
     eps: float
     q_star: float
-    ctl: SeriesControl = field(default=DEFAULT_CONTROL)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps < 0.25:
@@ -105,7 +98,7 @@ def kernel_norm_series(fam: PerturbedFamily) -> float:
     q = fam.q
     if math.isinf(q):
         return 1.0  # |psi| = 1 pointwise
-    tally = hyp2f1(-fam.q_star / 2.0, 0.5, 1.0, -4.0 * fam.eps**2, fam.ctl)
+    tally = hyp2f1(-fam.q_star / 2.0, 0.5, 1.0, -4.0 * fam.eps**2)
     return require_converged(tally, f"kernel_norm_series(q*={fam.q_star})") ** (1.0 / q)
 
 
@@ -119,8 +112,8 @@ class ProjectionCoefficients(NamedTuple):
 def projection_coefficients(fam: PerturbedFamily) -> ProjectionCoefficients:
     s = fam.q_star / 2.0 - 1.0
     z = -4.0 * fam.eps**2
-    a = require_converged(hyp2f1(-s, 0.5, 1.0, z, fam.ctl), f"projection a(q*={fam.q_star})")
-    b = require_converged(hyp2f1(-s, 1.5, 2.0, z, fam.ctl), f"projection b(q*={fam.q_star})")
+    a = require_converged(hyp2f1(-s, 0.5, 1.0, z), f"projection a(q*={fam.q_star})")
+    b = require_converged(hyp2f1(-s, 1.5, 2.0, z), f"projection b(q*={fam.q_star})")
     return ProjectionCoefficients(a=a, b=b)
 
 
@@ -148,7 +141,7 @@ def projection_norm_series(fam: PerturbedFamily, p: float) -> float:
         return a * math.sqrt(1.0 + 4.0 * x * x)
     x2 = x * x
     if p > 0.0:
-        tally = hyp2f1(-p / 2.0, 0.5, 1.0, -4.0 * x2, fam.ctl)
+        tally = hyp2f1(-p / 2.0, 0.5, 1.0, -4.0 * x2)
         return a * require_converged(tally, f"projection norm series(p={p})") ** (1.0 / p)
     # sum_{j>=1} -(1/2)_j/(j j!) (-4v)^j: v = x^2 directly, v = -t/4 after Pfaff
     shift, v = (0.0, x2) if 4.0 * x2 <= 0.5 else (math.log1p(4.0 * x2), -x2 / (1.0 + 4.0 * x2))
@@ -156,7 +149,6 @@ def projection_norm_series(fam: PerturbedFamily, p: float) -> float:
         2.0 * v,  # j=1 term: (1/1) C(2,1) v
         lambda j: -((j + 1.0) / (j + 2.0)) * (2.0 * (2 * j + 3.0) / (j + 2.0)) * v,
         4.0 * abs(v),
-        fam.ctl,
     )
     log_sum = shift + require_converged(tally, "projection geometric-mean series")
     return a * math.exp(0.5 * log_sum)
@@ -204,7 +196,6 @@ def threshold_scan(
     p_lo: float = 0.05,
     p_hi: float = 4.5,
     resolution: float = 1e-4,
-    ctl: SeriesControl = DEFAULT_CONTROL,
 ) -> ThresholdScan:
     """Largest p with ||P+ psi||_p <= ||psi||_q for each eps, then the
     Richardson limit in eps^2 of those thresholds.
@@ -223,7 +214,7 @@ def threshold_scan(
     q_star = conjugate(q)
     rows = []
     for eps in sorted(eps_list, reverse=True):
-        fam = PerturbedFamily(eps=float(eps), q_star=q_star, ctl=ctl)
+        fam = PerturbedFamily(eps=float(eps), q_star=q_star)
         psi_norm = kernel_norm_series(fam)
         a, b = projection_coefficients(fam)
         gm_gap = projection_norm_series(fam, 0.0) - psi_norm

@@ -25,7 +25,7 @@ import numpy as np
 
 from .fourier import GridFunction, TrigPoly, grid_from_function
 from .norms import conjugate
-from .series import DEFAULT_CONTROL, SeriesControl, hyp2f1, require_converged
+from .series import REL_TOL, hyp2f1, require_converged
 
 
 def _point(w) -> tuple[complex, float]:
@@ -37,13 +37,13 @@ def _point(w) -> tuple[complex, float]:
     return w, r
 
 
-def szego_norm(w, p: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def szego_norm(w, p: float) -> float:
     """||k_w||_p from 2F1(p/2, p/2; 1; r) (p > 0)."""
     p = float(p)
     if not p > 0 or math.isinf(p):
         raise ValueError("p must be a positive finite exponent")
     w, r = _point(w)
-    tally = hyp2f1(p / 2.0, p / 2.0, 1.0, r, ctl)
+    tally = hyp2f1(p / 2.0, p / 2.0, 1.0, r)
     total = require_converged(tally, f"szego_norm(w={w}, p={p})")
     return total ** (1.0 / p)
 
@@ -56,7 +56,7 @@ class ExtremalKernelNorm:
     series: float
 
 
-def extremal_kernel_norm(w, q: float, ctl: SeriesControl = DEFAULT_CONTROL) -> ExtremalKernelNorm:
+def extremal_kernel_norm(w, q: float) -> ExtremalKernelNorm:
     """(1-r)^{-1/q*} with its cross-check by the series 2F1(1/q*, 1; 1; r).
 
     The two routes must agree within 10x the series tolerance; a larger
@@ -68,9 +68,9 @@ def extremal_kernel_norm(w, q: float, ctl: SeriesControl = DEFAULT_CONTROL) -> E
     w, r = _point(w)
     s = 1.0 / conjugate(q)
     closed = (1.0 - r) ** (-s)
-    tally = hyp2f1(s, 1.0, 1.0, r, ctl)
+    tally = hyp2f1(s, 1.0, 1.0, r)
     total = require_converged(tally, f"extremal_kernel_norm(w={w}, q={q})")
-    if abs(total - closed) > 10.0 * ctl.rel_tol * max(abs(closed), 1.0) + tally.tail_bound:
+    if abs(total - closed) > 10.0 * REL_TOL * max(abs(closed), 1.0) + tally.tail_bound:
         raise ArithmeticError(
             f"series {total!r} and closed form {closed!r} disagree beyond tolerance"
         )

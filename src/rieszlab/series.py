@@ -6,9 +6,9 @@ Every norm series in this package is a Gauss 2F1(a, b; c; z), z < 1:
 ``homog2``.  ``hyp2f1`` sums them after a Pfaff transform when z < -1/2
 or an Euler transform when a + b > c + 1.  ``sum_series`` underneath
 takes the first term and a term-to-term ratio callback, adds terms until
-the running term drops below ``rel_tol`` relative to the partial sum (or
-the term cap is hit), and reports a geometric tail bound computed from
-the asymptotic term ratio.
+the running term drops below ``REL_TOL`` relative to the partial sum (or
+the ``MAX_TERMS`` cap is hit), and reports a geometric tail bound computed
+from the asymptotic term ratio.
 """
 
 from __future__ import annotations
@@ -22,21 +22,9 @@ class NonconvergenceError(ArithmeticError):
     """A truncated series or iterative solve missed its accuracy target."""
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy: hard cap on terms plus a relative tolerance."""
-
-    max_terms: int = 200
-    rel_tol: float = 1e-16
-
-    def __post_init__(self) -> None:
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be a positive integer")
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ValueError("rel_tol must lie in (0, 1)")
-
-
-DEFAULT_CONTROL = SeriesControl()
+#: Every series stops after MAX_TERMS terms, or once a term is within REL_TOL of the partial sum.
+MAX_TERMS = 200
+REL_TOL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -49,36 +37,32 @@ class SeriesTally:
     converged: bool
 
 
-def sum_series(
-    first_term: float,
-    ratio: Callable[[int], float],
-    tail_ratio: float,
-    ctl: SeriesControl = DEFAULT_CONTROL,
-) -> SeriesTally:
+def sum_series(first_term: float, ratio: Callable[[int], float], tail_ratio: float) -> SeriesTally:
     """Sum t_0 + t_1 + ... where t_{n+1} = t_n * ratio(n).
 
-    Stops once |t_n| <= rel_tol * |sum|.  The reported tail bound is the
-    geometric bound |t_last| * rho / (1 - rho) with rho = ``tail_ratio``,
-    the asymptotic term-to-term ratio (e.g. the radius r for a series in
-    powers of r).  If the cap is hit first, the summation still counts as
-    converged when the tail bound is within a decade of the tolerance.
+    Stops once |t_n| <= REL_TOL * |sum|, or after MAX_TERMS terms.  The
+    reported tail bound is the geometric bound |t_last| * rho / (1 - rho)
+    with rho = ``tail_ratio``, the asymptotic term-to-term ratio (e.g. the
+    radius r for a series in powers of r).  If the cap is hit first, the
+    summation still counts as converged when the tail bound is within a
+    decade of the tolerance.
     """
     total = first_term
     term = first_term
     terms_used = 1
     hit_tolerance = False
-    for n in range(ctl.max_terms - 1):
+    for n in range(MAX_TERMS - 1):
         term = term * ratio(n)
         total += term
         terms_used += 1
-        if abs(term) <= ctl.rel_tol * abs(total):
+        if abs(term) <= REL_TOL * abs(total):
             hit_tolerance = True
             break
     if 0.0 <= tail_ratio < 1.0:
         tail = abs(term) * tail_ratio / (1.0 - tail_ratio)
     else:
         tail = math.inf if term != 0.0 else 0.0
-    converged = hit_tolerance or tail <= 10.0 * ctl.rel_tol * abs(total)
+    converged = hit_tolerance or tail <= 10.0 * REL_TOL * abs(total)
     return SeriesTally(value=total, terms=terms_used, tail_bound=tail, converged=converged)
 
 
@@ -86,7 +70,7 @@ def _nonpositive_int(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
 
 
-def hyp2f1(a: float, b: float, c: float, z: float, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesTally:
+def hyp2f1(a: float, b: float, c: float, z: float) -> SeriesTally:
     """Gauss 2F1(a, b; c; z) for z < 1, by a rule chosen from (a, b, c, z):
 
     - z < -1/2: Pfaff, (1-z)^{-a} 2F1(a, c-b; c; z/(z-1)), keeping a
@@ -109,7 +93,7 @@ def hyp2f1(a: float, b: float, c: float, z: float, ctl: SeriesControl = DEFAULT_
     elif a + b > c + 1.0 and not (_nonpositive_int(a) or _nonpositive_int(b)):
         scale = (1.0 - z) ** (c - a - b)
         a, b = c - a, c - b
-    tally = sum_series(1.0, lambda n: (n + a) * (n + b) / ((n + c) * (n + 1.0)) * z, abs(z), ctl)
+    tally = sum_series(1.0, lambda n: (n + a) * (n + b) / ((n + c) * (n + 1.0)) * z, abs(z))
     return replace(tally, value=scale * tally.value, tail_bound=scale * tally.tail_bound)
 
 

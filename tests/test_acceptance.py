@@ -40,7 +40,6 @@ from rieszlab.kernels import (
 )
 from rieszlab.norms import conjectured_exponent, conjugate, lp_norm
 from rieszlab.selftest import run_selftest
-from rieszlab.series import SeriesControl
 
 SEED = 20240814
 Q_SIX = [4.0 / 3.0, 3.0 / 2.0, 2.0, 3.0, 4.0, math.inf]
@@ -106,12 +105,11 @@ def test_criterion_3_kernel_coefficient_comparison():
         assert report.passed, f"q={q}: unexpected violation at n={report.first_violation}"
         above = coefficient_check(q=q, p=p_crit + 0.01, n_max=50)
         assert not above.passed and above.first_violation == 1
-    ctl = SeriesControl(max_terms=600)
     for q in Q_SIX:
         p_crit = 4.0 / conjugate(q)
         for r in (0.25, 0.49, 0.81):
             w = math.sqrt(r)
-            series = szego_norm(w, p_crit, ctl)
+            series = szego_norm(w, p_crit)
             quad = lp_norm(szego_kernel_grid(w, n_per_axis=4096), p_crit)
             assert abs(series - quad) <= 1e-9, (q, r)
     _pass(3, "kernel norm coefficient comparison and series cross-check", t0, 5.0)

@@ -286,10 +286,11 @@ def test_rpk_check_csv_keeps_quadrature_checks(capsys, tmp_path):
 
 
 def test_rpk_check_nonconvergence_exit_code(capsys):
-    # r this close to the boundary cannot converge in the default 200 terms
+    # r this close to the boundary cannot converge in series.MAX_TERMS = 200 terms
     code, _, err = run(capsys, ["rpk-check", "--q", "4", "--r", "0.9995"])
     assert code == 3
-    assert err.strip()
+    [line] = err.splitlines()
+    assert line.startswith("nonconvergence: ") and "after 200 terms" in line
 
 
 def test_rpk_check_converges_at_r_0_9(capsys):
@@ -544,6 +545,24 @@ def test_dirichlet_fit_checks_radii_before_measuring(capsys, monkeypatch, radii)
     assert code == 2 and out == "" and err.startswith("error: ")
     assert calls == []
 
+
+
+@pytest.mark.parametrize("p", ["0", "inf", "1,inf"])
+def test_dirichlet_fit_refuses_p_0_and_inf_before_measuring(capsys, monkeypatch, p):
+    # c_hat = exp(p * intercept) would print inf, or 1 whatever the norms
+    calls = []
+    monkeypatch.setattr("rieszlab.cli.dirichlet_norm", lambda *a, **k: calls.append(a))
+    code, out, err = run(capsys, ["dirichlet", "--d", "2", "--p", p, "--fit", "--format", "json"])
+    assert code == 2 and out == "" and err == "error: no growth fit at p = 0 or p = inf\n"
+    assert calls == []
+
+
+def test_dirichlet_p_0_and_inf_without_fit(capsys):
+    code, out, _ = run(capsys, ["dirichlet", "--d", "2", "--p", "0,inf", "--format", "json"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["p"] for row in rows] == [0.0] * 4 + ["inf"] * 4
+    assert [row["norm"] for row in rows[4:]] == [row["lattice_count"] for row in rows[4:]]
 
 def test_search_json_deterministic(capsys):
     argv = [

@@ -132,3 +132,6 @@ def test_growth_fit_validation():
         growth_fit(2, 1.0, [5.0, 10.0, 20.0], [1.0] * 3)
     with pytest.raises(ValueError):
         growth_fit(2, 1.0, [5.0, 5.0, 10.0, 20.0], [1.0] * 4)
+    for p in (0.0, math.inf):
+        with pytest.raises(ValueError, match="p = 0 or p = inf"):
+            growth_fit(2, p, [5.0, 10.0, 20.0, 40.0], [1.0, 2.0, 3.0, 4.0])

@@ -49,7 +49,7 @@ def test_non_finite_coefficients_rejected(c):
 
 
 def test_monomial_and_bandwidth():
-    f = TrigPoly.monomial((3, -5), 2j)
+    f = TrigPoly.monomial((3, -5)).scale(2j)
     assert f.dim == 2
     assert f.bandwidth() == 5
     assert TrigPoly(2, {}).bandwidth() == 0

@@ -23,7 +23,6 @@ from rieszlab.homog2 import (
     threshold_scan,
 )
 from rieszlab.norms import conjugate, lp_norm
-from rieszlab.series import SeriesControl
 
 Q_GRID = [1.5, 2.0, 3.0, 4.0]
 EPS_GRID = [0.05, 0.1, 0.2]
@@ -264,8 +263,3 @@ def test_scan_json_shape():
     assert len(doc["rows"]) == 2
     assert set(doc["rows"][0]) == {"eps", "threshold_p", "a", "b", "psi_norm", "gm_gap"}
 
-
-def test_scan_respects_series_control():
-    ctl = SeriesControl(max_terms=400, rel_tol=1e-14)
-    scan = threshold_scan(3.0, eps_list=(0.1,), ctl=ctl)
-    assert scan.rows[0].threshold_p is not None

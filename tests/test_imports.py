@@ -11,6 +11,8 @@ Every FFT goes through ``fourier``, and one function there computes the
 grid-offset phase e^{2 pi i offset k / N}.  A public module-level function,
 or a public method of a module-level class, that no library module
 references is dead code unless ``KEPT`` names it with the reason it stays.
+Likewise a defaulted parameter of such a function that no library call
+passes is a knob only tests set, unless ``UNPASSED`` gives its reason.
 """
 
 import ast
@@ -257,3 +259,79 @@ def test_every_unreferenced_function_is_kept_for_a_reason():
     # __init__ only re-exports, so its imports reach nothing
     found = unreferenced_functions({path.stem: path.read_text() for path in MODULES})
     assert found == sorted(KEPT)
+
+
+#: Defaulted parameters that no library module passes, and why each stays.
+UNPASSED = {
+    "cli.main(argv)": "tests and bench/tracer.py drive the CLI in-process",
+    "selftest.run_selftest(out)": "test_acceptance silences the report through it",
+}
+
+
+def unpassed_defaults(sources: dict[str, str]) -> list[str]:
+    """``function(param)`` for each defaulted parameter of a public
+    module-level function, or of a public method of a module-level class,
+    that no call in any source passes by position or by keyword.  Calls
+    match by name alone; ``*args`` or ``**kwargs`` at a call site counts as
+    passing every parameter."""
+    params, calls = [], {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        funcs = [(f"{module}.{n.name}", n, False) for n in tree.body if isinstance(n, ast.FunctionDef)]
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            funcs += [(f"{module}.{cls.name}.{n.name}", n, True) for n in cls.body if isinstance(n, ast.FunctionDef)]
+        for qual, fn, is_method in funcs:
+            if fn.name.startswith("_"):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            if is_method and "staticmethod" not in {getattr(d, "id", None) for d in fn.decorator_list}:
+                positional = positional[1:]  # self or cls: bound at the call
+            first = len(positional) - len(args.defaults)
+            params += [(qual, fn.name, i, a.arg) for i, a in enumerate(positional) if i >= first]
+            params += [(qual, fn.name, None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def passed(call: ast.Call, index: int | None, name: str) -> bool:
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+            return True
+        return (index is not None and index < len(call.args)) or name in {k.arg for k in call.keywords}
+
+    return sorted(
+        f"{qual}({name})"
+        for qual, fn_name, index, name in params
+        if not any(passed(call, index, name) for call in calls.get(fn_name, []))
+    )
+
+
+def test_scanner_flags_unpassed_defaults():
+    sources = {
+        "a": (
+            "def f(x, y=1, *, z=2):\n    pass\n"
+            "def _private(x=0):\n    pass\n"
+            "def spread(x=0, y=0):\n    pass\n"
+            "class C:\n"
+            "    def m(self, x=0, y=0):\n        pass\n"
+            "    @classmethod\n    def make(cls, x=0):\n        pass\n"
+            "    @staticmethod\n    def s(x=0):\n        pass\n"
+        ),
+        "b": (
+            "from . import a\n"
+            "a.f(1, z=3)\n"
+            "a.spread(*args)\n"
+            "a.C().m(5)\n"
+            "a.C.make()\n"
+            "a.C.s(1)\n"
+        ),
+    }
+    assert unpassed_defaults(sources) == ["a.C.m(y)", "a.C.make(x)", "a.f(y)"]
+
+
+def test_every_unpassed_default_has_a_reason():
+    # a knob that only tests set is a constant; KEPT functions have no library caller at all
+    found = unpassed_defaults({path.stem: path.read_text() for path in MODULES})
+    kept = tuple(f"{qual}(" for qual in KEPT)
+    assert [entry for entry in found if not entry.startswith(kept)] == sorted(UNPASSED)
