@@ -329,12 +329,19 @@ def _even_grid(text: str) -> int:
     return n
 
 
+def _thread_cap(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"threads must be >= 1, got {n}")
+    return n
+
+
 #: Flags shared by several subcommands; each takes only those its handler reads.
 _SHARED_FLAGS = {
     "--grid": {"type": _even_grid, "metavar": "N", "help": "points per axis, rounded up to resolve the input"},
     "--seed": {"type": int, "default": 0, "help": "RNG seed"},
     "--budget": {"type": int, "default": 200, "help": "evaluation budget"},
-    "--threads": {"type": int, "help": "worker-thread cap for the candidate scan"},
+    "--threads": {"type": _thread_cap, "help": "worker-thread cap for the candidate scan"},
     "--out": {"metavar": "FILE", "help": "write output here instead of stdout"},
     "--format": {"dest": "fmt", "choices": ("csv", "json"), "default": "csv", "help": "output format"},
 }

@@ -12,9 +12,11 @@ c_alpha e^{i alpha.theta} on the shifted grid are those of
 c_alpha e^{2 pi i offset sum(alpha)/N} e^{i alpha.theta} on the unshifted
 one, so :func:`sample` folds that phase (:func:`offset_phase`) into the
 sparse coefficients and :func:`coefficients` removes it from the bins it
-reads.  :func:`grid_spectrum` and :func:`grid_from_spectrum` are plain
-normalized FFTs of the samples as they lie: a Fourier multiplier such as
-the Riesz projection commutes with the grid shift, so it needs no phase.
+reads.  :func:`sample` transforms only the slabs its coefficients occupy
+and equals the dense inverse FFT bit for bit.  :func:`grid_spectrum` and
+:func:`grid_from_spectrum` are plain normalized FFTs of the samples as
+they lie: a Fourier multiplier such as the Riesz projection commutes
+with the grid shift, so it needs no phase.
 
 Every FFT in the package goes through this module.  Inner products are
 normalized against Lebesgue measure of total mass one, i.e. plain means
@@ -290,7 +292,9 @@ def sample(poly: TrigPoly, n_per_axis: int, offset: float = 0.5) -> GridFunction
     """Evaluate a TrigPoly on the N^d grid (exact; refuses to alias).
 
     Requires even N >= 2 * (bandwidth + 1), see :func:`resolving_grid`,
-    so every stored frequency has an unambiguous bin.
+    so every stored frequency has an unambiguous bin.  Only rows through
+    occupied bins are transformed; the rest are exactly zero, so the
+    samples equal the dense ``ifftn`` of the scattered spectrum bit for bit.
     """
     n = int(n_per_axis)
     if resolving_grid(poly, n) != n:
@@ -302,10 +306,15 @@ def sample(poly: TrigPoly, n_per_axis: int, offset: float = 0.5) -> GridFunction
     with np.errstate(over="ignore"):  # the l1 sum bounds every sample
         if not np.isfinite(np.abs(values).sum()):
             raise ValueError("coefficient l1 sum overflows float64, so the samples would too")
-    spec = np.zeros((n,) * poly.dim, dtype=np.complex128)
-    # distinct bins: the check above rules out aliasing
-    spec[tuple((alphas % n).T)] = values * offset_phase(alphas.sum(axis=1), n, offset)
-    return grid_from_spectrum(spec, offset)
+    # occupied bins per axis and each coefficient's place (distinct: no aliasing)
+    occupied, where = zip(*(np.unique(b, return_inverse=True) for b in (alphas % n).T))
+    block = np.zeros([len(o) for o in occupied], dtype=np.complex128)
+    block[where] = values * offset_phase(alphas.sum(axis=1), n, offset)
+    for axis in reversed(range(poly.dim)):  # ifftn's order, last axis first
+        wide = np.zeros(block.shape[:axis] + (n,) + block.shape[axis + 1 :], dtype=np.complex128)
+        wide[(slice(None),) * axis + (occupied[axis],)] = block
+        block = np.fft.ifft(wide, axis=axis, norm="forward")
+    return GridFunction(block, offset)
 
 
 #: Points per axis for a polynomial sampled with no grid given, by dimension.

@@ -666,6 +666,14 @@ def test_exact_grid_must_be_even(capsys, argv):
     assert "grid must be even and >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_exit_2(capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--d", "3", "--q", "3", "--p", "2.6", "--threads", threads])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"threads must be >= 1, got {threads}")
+
+
 # ---------------------------------------------------------------------------
 # the settings of the removed config file: a subcommand that never read one
 # has no home for it, neither as a config-file key nor as a flag of its name

@@ -5,10 +5,10 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import nonzero_polys, trig_polys
+from conftest import coefficient_values, nonzero_polys, trig_polys
 from rieszlab.fourier import (
     MAX_GRID_POINTS,
     GridFunction,
@@ -20,6 +20,7 @@ from rieszlab.fourier import (
     grid_inner,
     grid_spectrum,
     load_grid,
+    offset_phase,
     partial_project,
     poly_inner,
     resolving_grid,
@@ -203,6 +204,37 @@ def test_sample_matches_evaluate_at_offsets(dim, n, offset):
     angles = axis_angles(n, offset)
     direct = np.array([f.evaluate(theta) for theta in product(angles, repeat=dim)]).reshape((n,) * dim)
     assert np.max(np.abs(grid.samples - direct)) <= 1e-12
+
+
+@st.composite
+def sampled_polys(draw):
+    """(poly, N): a sparse support that often touches the bins +-(N/2 - 1),
+    and sometimes occupies every resolvable bin of one axis."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([2, 6, 16, 64] if dim == 3 else [2, 6, 16, 128]))
+    edge = n // 2 - 1
+    freq = st.integers(-edge, edge) | st.sampled_from([-edge, edge])
+    support = draw(st.lists(st.tuples(*[freq] * dim), max_size=12))
+    if draw(st.booleans()):
+        axis, rest = draw(st.integers(0, dim - 1)), draw(st.tuples(*[freq] * dim))
+        support += [rest[:axis] + (k,) + rest[axis + 1 :] for k in range(-edge, edge + 1)]
+    return TrigPoly(dim, {alpha: draw(coefficient_values()) for alpha in support}), n
+
+
+@given(sampled_polys(), st.sampled_from([0.0, 0.5]))
+@example((TrigPoly(3, {}), 64), 0.5)
+@example((TrigPoly(2, {(0, 0): 1.5 - 2j}), 16), 0.0)
+@example((TrigPoly(3, {(0, 0, k): 1.0 + 1j * k for k in range(-31, 32)}), 64), 0.5)
+def test_sample_equals_the_dense_inverse_fft_bit_for_bit(case, offset):
+    # the dense route: scatter the phased coefficients into the full N^d
+    # spectrum and run one ifftn; the search pins rest on this equality
+    poly, n = case
+    alphas = np.array(list(poly.coeffs), dtype=np.int64).reshape(-1, poly.dim)
+    spec = np.zeros((n,) * poly.dim, dtype=np.complex128)
+    spec[tuple((alphas % n).T)] = np.array(list(poly.coeffs.values()), dtype=np.complex128) * offset_phase(
+        alphas.sum(axis=1), n, offset
+    )
+    assert np.array_equal(sample(poly, n, offset).samples, np.fft.ifftn(spec, norm="forward"))
 
 
 def test_sample_refuses_aliasing():
