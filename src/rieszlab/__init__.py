@@ -21,7 +21,7 @@ _EXPORTS = {
     "dirichlet": ("DirichletSpec", "dirichlet_norm", "growth_fit", "lattice_count", "spherical_dirichlet"),
     "extremal": ("ExtremalTriple", "blaschke_product", "dual_extremal_solve", "geometric_mean_l1_check",
                  "l1_equality_certificate", "outer_from_modulus"),
-    "figures": ("BoundRow", "BoundTable", "figure_tables", "table_csv"),
+    "figures": ("BoundRow", "BoundTable", "figure_tables"),
     "fourier": ("GridFunction", "TrigPoly", "coefficients", "grid_from_function", "load_grid",
                 "partial_project", "riesz_project", "riesz_project_minus", "sample", "save_grid"),
     "homog2": ("PerturbedFamily", "build_family", "threshold_scan"),

@@ -26,7 +26,7 @@ import sys
 from . import __version__
 from .dirichlet import DirichletSpec, dirichlet_norm, fit_radii, growth_fit, lattice_count
 from .extremal import dual_extremal_solve
-from .figures import figure_tables, table_csv
+from .figures import figure_tables
 from .fourier import (
     GRID_MAGIC,
     TrigPoly,
@@ -39,7 +39,7 @@ from .fourier import (
     save_grid,
 )
 from .homog2 import threshold_scan
-from .kernels import coefficient_check, szego_kernel_grid, szego_norm, truncated_szego_poly
+from .kernels import coefficient_check, point_extremal_function, szego_norm, truncated_szego_poly
 from .norms import conjugate, lp_norm
 from .search import violation_search
 from .selftest import run_selftest
@@ -115,14 +115,15 @@ def _cell(x) -> str:
     return str(x)
 
 
-def _emit(fmt: str, out: str | None, doc, header: str, rows, sidecar=None) -> None:
-    """Write ``doc`` as JSON, or the CSV table ``header`` plus one line of
-    cells per row, followed by ``sidecar`` when there is one."""
+def _emit(fmt: str, out: str | None, doc, rows: list[dict], sidecar=None) -> None:
+    """Write ``doc`` as JSON, or the CSV table of ``rows`` (at least one;
+    the header is the first row's keys, then one line of cells per row),
+    followed by ``sidecar`` when there is one."""
     if fmt == "json":
         _write_text(_json_text(doc), out)
         return
-    lines = [",".join(_cell(v) for v in row) for row in rows]
-    _write_text("\n".join([header, *lines]) + "\n", out)
+    lines = [",".join(_cell(v) for v in row.values()) for row in rows]
+    _write_text("\n".join([",".join(rows[0]), *lines]) + "\n", out)
     if sidecar:
         _write_sidecar(sidecar, out)
 
@@ -138,7 +139,7 @@ def _is_grid_file(path: str) -> bool:
 
 
 def _load_poly(path: str) -> TrigPoly:
-    return TrigPoly.from_json(_read_text(path))
+    return TrigPoly.from_json_dict(json.loads(_read_text(path)))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +182,8 @@ def cmd_norm(args) -> int:
         poly = _load_poly(args.infile)
         grid = sample(poly, resolving_grid(poly, args.grid))
     value = lp_norm(grid, p)
-    _emit(args.fmt, args.out, {"p": p, "norm": value, "n_per_axis": grid.n_per_axis}, "p,norm", [(p, value)])
+    row = {"p": p, "norm": value}
+    _emit(args.fmt, args.out, {**row, "n_per_axis": grid.n_per_axis}, [row])
     return 0
 
 
@@ -195,12 +197,15 @@ def cmd_rpk_check(args) -> int:
             raise ValueError(f"r = {r} must lie in [0, 1)")
         w = math.sqrt(r)
         series = szego_norm(w, p)
-        grid = szego_kernel_grid(w, n_per_axis=4096)
+        grid = point_extremal_function(w, 2.0, n_per_axis=4096)  # the Szego kernel k_w
         quad = lp_norm(grid, p)
         checks.append({"r": r, "series": series, "quadrature": quad, "diff": abs(series - quad)})
     doc = {"quadrature_checks": checks} if args.r else {}
-    rows = [(n + 1, m, fm) for n, (m, fm) in enumerate(zip(report.margins, report.factor_margins))]
-    _emit(args.fmt, args.out, {**vars(report), **doc}, "n,margin,factor_margin", rows, doc)
+    rows = [
+        {"n": n + 1, "margin": m, "factor_margin": fm}
+        for n, (m, fm) in enumerate(zip(report.margins, report.factor_margins))
+    ]
+    _emit(args.fmt, args.out, {**vars(report), **doc}, rows, doc)
     status = "passed" if report.passed else f"violation at n={report.first_violation}"
     print(f"rpk-check q={q} p={p}: {status}", file=sys.stderr)
     return 0
@@ -249,12 +254,9 @@ def cmd_d2_scan(args) -> int:
         )
         for q in qs
     ]
-    rows = [
-        (scan.q, row.eps, row.threshold_p, row.a, row.b, row.psi_norm) for scan in scans for row in scan.rows
-    ]
+    rows = [{"q": scan.q, **vars(row)} for scan in scans for row in scan.rows]
     summaries = [{k: v for k, v in vars(s).items() if k != "rows"} for s in scans]
-    _emit(args.fmt, args.out, {**run, "scans": scans}, "q,eps,threshold_p,a,b,psi_norm", rows,
-          {**run, "scans": summaries})
+    _emit(args.fmt, args.out, {**run, "scans": scans}, rows, {**run, "scans": summaries})
     return 0
 
 
@@ -280,8 +282,7 @@ def cmd_dirichlet(args) -> int:
         if args.fit:
             fits.append(growth_fit(dim, p, radii, norms))
     fit_doc = {"fits": fits, **_FIT_METHOD} if fits else {}
-    _emit(args.fmt, args.out, {"rows": rows, **fit_doc}, ",".join(rows[0]), [row.values() for row in rows],
-          fit_doc)
+    _emit(args.fmt, args.out, {"rows": rows, **fit_doc}, rows, fit_doc)
     return 0
 
 
@@ -305,10 +306,12 @@ def cmd_search(args) -> int:
 
 def cmd_figures(args) -> int:
     table = figure_tables(args.d)
-    if args.fmt == "json":
-        _write_text(_json_text(table), args.out)
-    else:
-        _write_text(table_csv(table), args.out)
+    # the pinned figure CSVs print each float in 12 significant digits
+    rows = [
+        {k: format(v, ".12g") if isinstance(v, float) else v for k, v in vars(row).items()}
+        for row in table.rows
+    ]
+    _emit(args.fmt, args.out, table, rows)
     return 0
 
 
@@ -329,19 +332,12 @@ def _even_grid(text: str) -> int:
     return n
 
 
-def _thread_cap(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"threads must be >= 1, got {n}")
-    return n
-
-
 #: Flags shared by several subcommands; each takes only those its handler reads.
 _SHARED_FLAGS = {
     "--grid": {"type": _even_grid, "metavar": "N", "help": "points per axis, rounded up to resolve the input"},
     "--seed": {"type": int, "default": 0, "help": "RNG seed"},
     "--budget": {"type": int, "default": 200, "help": "evaluation budget"},
-    "--threads": {"type": _thread_cap, "help": "worker-thread cap for the candidate scan"},
+    "--threads": {"type": int, "help": "worker-thread cap for the candidate scan"},
     "--out": {"metavar": "FILE", "help": "write output here instead of stdout"},
     "--format": {"dest": "fmt", "choices": ("csv", "json"), "default": "csv", "help": "output format"},
 }

@@ -9,7 +9,10 @@ import os
 
 
 def thread_count(threads: int | None = None) -> int:
-    """Worker count: the explicit arg (at least 1), else the cpu count capped at 8."""
+    """Worker count: the explicit arg, which must be at least 1, else the
+    cpu count capped at 8."""
     if threads is not None:
-        return max(1, int(threads))
+        if threads < 1:
+            raise ValueError(f"threads must be >= 1, got {threads}")
+        return int(threads)
     return min(8, os.cpu_count() or 1)

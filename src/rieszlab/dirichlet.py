@@ -10,6 +10,7 @@ discarding the smallest radius as preasymptotic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,10 +122,13 @@ def growth_fit(dim: int, p: float, radii, norms) -> GrowthFit:
     log_r = np.log(np.asarray(radii[1:]))
     log_n = np.log(np.asarray(norms[1:]))
     slope, intercept = np.polyfit(log_r, log_n, 1)
+    log_c = float(p) * float(intercept)
+    if not log_c <= math.log(sys.float_info.max):  # math.exp would overflow
+        raise ValueError(f"c_hat = exp({log_c!r}) is not finite in float64 at p = {p}")
     return GrowthFit(
         dim=dim,
         p=float(p),
         exponent=float(slope),
-        c_hat=float(math.exp(float(p) * float(intercept))),
+        c_hat=math.exp(log_c),
         target=(dim - 1) / 2.0,
     )

@@ -22,8 +22,6 @@ the composition of the one-variable exponents.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -83,19 +81,3 @@ def figure_tables(dim: int) -> BoundTable:
             )
         )
     return BoundTable(dim=dim, rows=tuple(rows))
-
-
-def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
-    return format(x, ".12g")
-
-
-def table_csv(table: BoundTable) -> str:
-    """Deterministic CSV rendering (fixed float format, LF newlines)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["q", "upper", "lower", "upper_source", "lower_source"])
-    for row in table.rows:
-        writer.writerow([_fmt(row.q), _fmt(row.upper), _fmt(row.lower), row.upper_source, row.lower_source])
-    return buf.getvalue()

@@ -26,7 +26,6 @@ reproducible.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass
@@ -190,10 +189,6 @@ class TrigPoly:
             c = complex(_json_float(term["re"], "re"), _json_float(term["im"], "im"))
             coeffs[alpha] = coeffs.get(alpha, 0.0) + c
         return cls(dim=dim, coeffs=coeffs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrigPoly":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass

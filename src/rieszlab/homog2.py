@@ -203,8 +203,10 @@ def threshold_scan(
     ||phi||_p is increasing in p, so the crossing is located by
     bisection to ``resolution``.  A row reports ``threshold_p = None``
     when even p = p_lo violates the bound (no positive p survives on
-    the scanned range).  Needs 0 <= p_lo < p_hi < inf and a finite
-    resolution > 0.
+    the scanned range), and ``threshold_p = p_hi`` when the bound still
+    holds at p_hi (the crossing lies above the window).  Only rows whose
+    crossing the bisection located enter the extrapolation.  Needs
+    0 <= p_lo < p_hi < inf and a finite resolution > 0.
     """
     if not 0.0 <= p_lo < p_hi < math.inf:
         raise ValueError(f"p window needs 0 <= p_lo < p_hi < inf, got [{p_lo}, {p_hi}]")
@@ -212,7 +214,7 @@ def threshold_scan(
         raise ValueError(f"resolution must be finite and > 0, got {resolution}")
     q = float(q)
     q_star = conjugate(q)
-    rows = []
+    rows, located = [], []
     for eps in sorted(eps_list, reverse=True):
         fam = PerturbedFamily(eps=float(eps), q_star=q_star)
         psi_norm = kernel_norm_series(fam)
@@ -235,6 +237,7 @@ def threshold_scan(
                 else:
                     hi = mid
             threshold = 0.5 * (lo + hi)
+            located.append((float(eps), threshold))
         rows.append(
             ScanRow(
                 eps=float(eps),
@@ -247,8 +250,7 @@ def threshold_scan(
         )
 
     extrapolated = None
-    found = [(r.eps, r.threshold_p) for r in rows if r.threshold_p is not None]
-    if len(found) >= 2:
-        (e1, t1), (e2, t2) = found[-2], found[-1]  # e2 is the smallest eps
+    if len(located) >= 2:
+        (e1, t1), (e2, t2) = located[-2], located[-1]  # e2 is the smallest eps
         extrapolated = (t2 * e1**2 - t1 * e2**2) / (e1**2 - e2**2)
     return ThresholdScan(q=q, q_star=q_star, rows=tuple(rows), extrapolated=extrapolated)

@@ -159,11 +159,6 @@ def point_extremal_function(w, q_star: float, n_per_axis: int = 256) -> GridFunc
     return grid_from_function(kernel, 1, n_per_axis)
 
 
-def szego_kernel_grid(w, n_per_axis: int = 256) -> GridFunction:
-    """Samples of k_w(z) = 1/(1 - conj(w) z)."""
-    return point_extremal_function(w, 2.0, n_per_axis)
-
-
 def truncated_szego_poly(w, degree: int) -> TrigPoly:
     """Degree-``degree`` Taylor truncation of k_w: sum of conj(w)^n z^n."""
     w, _ = _point(w)

@@ -272,6 +272,7 @@ def violation_search(
         raise ValueError("q must be >= 1")
     if not p >= 0:
         raise ValueError("p must be >= 0")
+    workers = thread_count(threads)
     n = DEFAULT_GRID[dim] if n_per_axis is None else int(n_per_axis)
     offset = 0.5  # every ratio below samples at sample's default offset
     rng = np.random.default_rng(seed)
@@ -292,7 +293,7 @@ def violation_search(
         _, poly = item
         return projection_ratio(poly, p, q, resolving_grid(poly, n), offset)
 
-    with ThreadPoolExecutor(max_workers=thread_count(threads)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         ratios = list(pool.map(score, candidates))  # map keeps the candidate order
     evaluations = len(candidates)
 

@@ -12,9 +12,10 @@ import time
 import numpy as np
 import pytest
 
+from rieszlab import cli
 from rieszlab.dirichlet import DirichletSpec, dirichlet_norm, growth_fit
 from rieszlab.extremal import dual_extremal_solve, geometric_mean_l1_check, blaschke_product
-from rieszlab.figures import figure_tables, table_csv
+from rieszlab.figures import figure_tables
 from rieszlab.fourier import (
     TrigPoly,
     coefficients,
@@ -34,7 +35,7 @@ from rieszlab.homog2 import (
 )
 from rieszlab.kernels import (
     coefficient_check,
-    szego_kernel_grid,
+    point_extremal_function,
     szego_norm,
     truncated_szego_poly,
 )
@@ -110,7 +111,7 @@ def test_criterion_3_kernel_coefficient_comparison():
         for r in (0.25, 0.49, 0.81):
             w = math.sqrt(r)
             series = szego_norm(w, p_crit)
-            quad = lp_norm(szego_kernel_grid(w, n_per_axis=4096), p_crit)
+            quad = lp_norm(point_extremal_function(w, 2.0, n_per_axis=4096), p_crit)
             assert abs(series - quad) <= 1e-9, (q, r)
     _pass(3, "kernel norm coefficient comparison and series cross-check", t0, 5.0)
 
@@ -231,7 +232,7 @@ def test_criterion_8_structural_invariants():
     _pass(8, "structural invariants and selftest", t0)
 
 
-def test_criterion_9_bound_tables():
+def test_criterion_9_bound_tables(tmp_path):
     """Pinned bound-table rows, byte-deterministic rendering."""
     t0 = time.perf_counter()
     d1 = {row.q: row for row in figure_tables(1).rows}
@@ -245,5 +246,7 @@ def test_criterion_9_bound_tables():
     assert d2[4.0 / 3.0].lower == pytest.approx(0.0, abs=1e-12)
     assert d2[math.inf].upper == pytest.approx(3.0)
     for dim in (1, 2):
-        assert table_csv(figure_tables(dim)) == table_csv(figure_tables(dim))
+        runs = [tmp_path / f"d{dim}_{i}.csv" for i in (1, 2)]
+        assert [cli.main(["figures", "--d", str(dim), "--out", str(out)]) for out in runs] == [0, 0]
+        assert runs[0].read_bytes() == runs[1].read_bytes()
     _pass(9, "bound tables pinned and deterministic", t0)

@@ -17,7 +17,7 @@ import pytest
 from rieszlab import cli
 from rieszlab.extremal import CapAttempt
 from rieszlab.fourier import GridFunction, TrigPoly, load_grid, sample, save_grid
-from rieszlab.homog2 import PerturbedFamily, projection_geometric_mean_closed, threshold_scan
+from rieszlab.homog2 import PerturbedFamily, ScanRow, projection_geometric_mean_closed, threshold_scan
 from rieszlab.kernels import coefficient_check
 from rieszlab.search import SearchResult, ViolationCertificate
 
@@ -236,6 +236,41 @@ def test_project_grid_requires_out(capsys, tmp_path):
     assert "--out" in err
 
 
+def test_project_grid_refuses_axes(capsys, tmp_path):
+    src = tmp_path / "in.rlgf"
+    save_grid(sample(PSI_L1, 32), str(src))
+    code, out, err = run(capsys, ["project", "--in", str(src), "--axes", "1", "--out", str(tmp_path / "o")])
+    assert (code, out) == (2, "")
+    assert err == "error: partial projection is only defined for polynomial input\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_project_grid_reports_aliasing_bound(capsys, tmp_path):
+    # e^{i pi k} on 8 points is all Nyquist bin, which a grid projection cannot label
+    src, dst = tmp_path / "in.rlgf", tmp_path / "out.rlgf"
+    save_grid(GridFunction(np.exp(1j * np.pi * np.arange(8)), offset=0.0), str(src))
+    code, out, err = run(capsys, ["project", "--in", str(src), "--out", str(dst)])
+    assert (code, out, err) == (0, "", "aliasing_bound 1.0\n")
+    assert np.allclose(load_grid(str(dst)).samples, 0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["d2-scan", "--q", ","], "empty list: ','"),
+        (["rpk-check", "--q", "4", "--r=-0.1"], "r = -0.1 must lie in [0, 1)"),
+        (
+            ["dual-extremal", "--kernel", "0.5", "--q", "2", "--degree", "40", "--grid", "64"],
+            "grid too small for phi plus the truncated phi0",
+        ),
+        (["dual-extremal", "--kernel", "0.5", "--q", "2", "--trunc-degree", "0"], "trunc_degree must be >= 1"),
+    ],
+    ids=["d2-scan-empty-q", "rpk-check-r-negative", "dual-grid-small", "dual-trunc-0"],
+)
+def test_refused_input_exits_2_with_one_line(capsys, argv, message):
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 def test_rpk_check_passes_at_critical_p(capsys):
     code, out, err = run(capsys, ["rpk-check", "--q", "4"])
     assert code == 0
@@ -340,7 +375,7 @@ def test_d2_scan_resolution_below_float_spacing_returns():
     assert float(proc.stdout.splitlines()[1].split(",")[2]) == pytest.approx(2.5, abs=0.01)
 
 
-@pytest.mark.parametrize("r", ["-0.1", "1", "nan"])
+@pytest.mark.parametrize("r", ["-0.1", "1", "nan", "1.5"])
 def test_rpk_check_r_outside_unit_interval_exits_2(r):
     proc = run_fresh(["rpk-check", "--q", "4", "--r", r])
     assert proc.returncode == 2
@@ -450,13 +485,25 @@ def test_d2_scan_csv_and_sidecar(capsys, tmp_path):
     assert code == 0
     text = out_path.read_text()
     lines = text.strip().split("\n")
-    assert lines[0] == "q,eps,threshold_p,a,b,psi_norm"
+    assert lines[0] == "q,eps,threshold_p,a,b,psi_norm,gm_gap"
     assert len(lines) == 3
     meta = json.loads((tmp_path / "scan.csv.meta.json").read_text())
     assert meta["eps"] == [0.08, 0.04]
     scan_meta = meta["scans"][0]
     assert scan_meta["q"] == 3.0
     assert scan_meta["extrapolated"] == pytest.approx(2.5, abs=0.01)
+
+
+def test_d2_scan_csv_keeps_every_row_field(capsys):
+    argv = ["d2-scan", "--q", "3,inf", "--eps", "0.08,0.04"]
+    code, out, _ = run(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    rows = [{"q": scan["q"], **row} for scan in json.loads(out)["scans"] for row in scan["rows"]]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    header, *lines = out.splitlines()
+    assert header.split(",") == ["q", *(f.name for f in dataclasses.fields(ScanRow))]
+    assert [line.split(",") for line in lines] == [[cli._cell(row[k]) for k in header.split(",")] for row in rows]
 
 
 def test_d2_scan_states_run_parameters_once(capsys, tmp_path):
@@ -555,6 +602,14 @@ def test_dirichlet_fit_refuses_p_0_and_inf_before_measuring(capsys, monkeypatch,
     code, out, err = run(capsys, ["dirichlet", "--d", "2", "--p", p, "--fit", "--format", "json"])
     assert code == 2 and out == "" and err == "error: no growth fit at p = 0 or p = inf\n"
     assert calls == []
+
+
+@pytest.mark.parametrize("p", ["1000", "1500", "5000"])
+def test_dirichlet_fit_overflowing_c_hat_exits_2(capsys, p):
+    code, out, err = run(capsys, ["dirichlet", "--d", "1", "--p", p, "--fit"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: c_hat = exp(") and err.count("\n") == 1
+    assert err.endswith(f"is not finite in float64 at p = {float(p)}\n")
 
 
 def test_dirichlet_p_0_and_inf_without_fit(capsys):
@@ -668,10 +723,9 @@ def test_exact_grid_must_be_even(capsys, argv):
 
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_threads_below_one_exit_2(capsys, threads):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["search", "--d", "3", "--q", "3", "--p", "2.6", "--threads", threads])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1].endswith(f"threads must be >= 1, got {threads}")
+    code, out, err = run(capsys, ["search", "--d", "3", "--q", "3", "--p", "2.6", "--threads", threads])
+    assert (code, out) == (2, "")
+    assert err == f"error: threads must be >= 1, got {threads}\n"
 
 
 # ---------------------------------------------------------------------------

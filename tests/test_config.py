@@ -1,9 +1,13 @@
+import pytest
+
 from rieszlab.config import thread_count
 
 
 def test_thread_count_explicit_wins():
     assert thread_count(5) == 5
-    assert thread_count(0) == 1  # floored
+    for threads in (0, -1):
+        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            thread_count(threads)
 
 
 def test_thread_count_env(monkeypatch):

@@ -135,3 +135,6 @@ def test_growth_fit_validation():
     for p in (0.0, math.inf):
         with pytest.raises(ValueError, match="p = 0 or p = inf"):
             growth_fit(2, p, [5.0, 10.0, 20.0, 40.0], [1.0, 2.0, 3.0, 4.0])
+    # c_hat = exp(p * intercept) = 10^(3p) is past float64 at p = 1000
+    with pytest.raises(ValueError, match="not finite in float64 at p = 1000"):
+        growth_fit(1, 1000.0, [5.0, 10.0, 20.0, 40.0], [1e3] * 4)

@@ -3,8 +3,16 @@ from pathlib import Path
 
 import pytest
 
-from rieszlab.figures import BoundRow, BoundTable, figure_tables, table_csv
+from rieszlab import cli
+from rieszlab.figures import BoundRow, BoundTable, figure_tables
 from rieszlab.norms import conjectured_exponent
+
+
+def figure_csv(tmp_path: Path, dim: int) -> bytes:
+    """The bytes ``rieszlab figures --d DIM --out FILE`` writes."""
+    out = tmp_path / f"figures_d{dim}.csv"
+    assert cli.main(["figures", "--d", str(dim), "--out", str(out)]) == 0
+    return out.read_bytes()
 
 
 def row_at(table: BoundTable, q: float) -> BoundRow:
@@ -75,9 +83,9 @@ def test_dim_validation():
         figure_tables(3)
 
 
-def test_csv_deterministic():
-    first = table_csv(figure_tables(1))
-    second = table_csv(figure_tables(1))
+def test_csv_deterministic(tmp_path):
+    first = figure_csv(tmp_path, 1).decode()
+    second = figure_csv(tmp_path, 1).decode()
     assert first == second
     assert "\r" not in first
     lines = first.split("\n")
@@ -87,11 +95,11 @@ def test_csv_deterministic():
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_csv_matches_pinned_bytes(dim):
+def test_csv_matches_pinned_bytes(tmp_path, dim):
     pinned = Path(__file__).resolve().parent.parent / "bench" / "pinned" / f"figures_d{dim}.csv"
-    assert table_csv(figure_tables(dim)).encode() == pinned.read_bytes()
+    assert figure_csv(tmp_path, dim) == pinned.read_bytes()
 
 
-def test_csv_d2_exact_region():
-    text = table_csv(figure_tables(2))
+def test_csv_d2_exact_region(tmp_path):
+    text = figure_csv(tmp_path, 2).decode()
     assert "1,-1,-1,exact,exact" in text.split("\n")[1]

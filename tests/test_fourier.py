@@ -107,7 +107,7 @@ def test_prune():
 def test_json_round_trip():
     f = TrigPoly(2, {(1, -2): 1.5 - 0.25j, (0, 0): 3.0})
     doc = json.dumps(f.to_json_dict())
-    g = TrigPoly.from_json(doc)
+    g = TrigPoly.from_json_dict(json.loads(doc))
     assert g.distance(f) == 0.0
     assert g.dim == 2
 
@@ -115,7 +115,7 @@ def test_json_round_trip():
 def test_json_rejects_bad_docs():
     for doc in ("[1, 2]", '{"dim": 1, "terms": 3}', '{"dim": 1, "terms": [[1]]}'):
         with pytest.raises(ValueError):
-            TrigPoly.from_json(doc)
+            TrigPoly.from_json_dict(json.loads(doc))
     term = '{"alpha": %s, "re": %s, "im": %s}'
     for dim, alpha, re, im in [
         ("null", "[1]", "1", "0"),
@@ -128,11 +128,11 @@ def test_json_rejects_bad_docs():
         ("1", "[1]", "1" + "0" * 400, "0"),  # an integer beyond float64
     ]:
         with pytest.raises(ValueError, match="TrigPoly"):
-            TrigPoly.from_json('{"dim": %s, "terms": [%s]}' % (dim, term % (alpha, re, im)))
+            TrigPoly.from_json_dict(json.loads('{"dim": %s, "terms": [%s]}' % (dim, term % (alpha, re, im))))
     with pytest.raises((ValueError, KeyError)):
-        TrigPoly.from_json('{"terms": []}')
+        TrigPoly.from_json_dict(json.loads('{"terms": []}'))
     with pytest.raises((ValueError, KeyError)):
-        TrigPoly.from_json('{"dim": 2, "terms": [{"alpha": [1], "re": 1, "im": 0}]}')
+        TrigPoly.from_json_dict({"dim": 2, "terms": [{"alpha": [1], "re": 1, "im": 0}]})
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,17 @@ def test_threshold_vanishes_at_minimal_q():
     assert scan.extrapolated is None
 
 
+def test_threshold_clamped_at_p_hi_is_not_extrapolated():
+    # q = 3: every threshold lies above 4 - q* = 2.5, so a window ending at 2.4 locates no crossing
+    scan = threshold_scan(3.0, p_hi=2.4)
+    assert [row.threshold_p for row in scan.rows] == [2.4, 2.4, 2.4]
+    assert scan.extrapolated is None
+    # a row clamped at p_hi is left out, and the two located rows still extrapolate
+    scan = threshold_scan(3.0, eps_list=(0.2, 0.04, 0.02), p_hi=2.505)
+    assert [row.threshold_p == 2.505 for row in scan.rows] == [True, False, False]
+    assert scan.extrapolated == pytest.approx(2.5, abs=1e-3)
+
+
 def test_geometric_mean_violation_below_minimal_q():
     # q = 1.2 (q* = 6): even p = 0 violates at eps = 0.02
     scan = threshold_scan(1.2, eps_list=(0.02,))

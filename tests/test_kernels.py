@@ -8,13 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rieszlab.cli import _json_text
-from rieszlab.fourier import coefficients
+from rieszlab.fourier import coefficients, sample
 from rieszlab.kernels import (
     coefficient_check,
     extremal_kernel_norm,
     point_extremal_function,
     poisson_kernel,
-    szego_kernel_grid,
     szego_norm,
     truncated_szego_poly,
 )
@@ -23,7 +22,7 @@ from rieszlab.series import NonconvergenceError
 
 
 def quadrature_norm(w, p, n=4096):
-    return lp_norm(szego_kernel_grid(w, n_per_axis=n), p)
+    return lp_norm(point_extremal_function(w, 2.0, n_per_axis=n), p)
 
 
 def test_kernel_point_validation():
@@ -101,9 +100,10 @@ def test_extremal_function_saturates_norm():
 
 
 def test_point_extremal_q2_is_kernel():
+    # at q* = 2 it is k_w = sum conj(w)^n z^n, here summed to degree 100 (|w|^101 < 1e-44)
     w = 0.3 + 0.2j
     f = point_extremal_function(w, 2.0, n_per_axis=256)
-    k = szego_kernel_grid(w, n_per_axis=256)
+    k = sample(truncated_szego_poly(w, 100), 256)
     assert np.allclose(f.samples, k.samples, atol=1e-12)
 
 
@@ -163,7 +163,7 @@ def test_truncated_szego_poly():
 def test_truncation_converges_to_kernel():
     w = 0.5
     poly = truncated_szego_poly(w, 60)
-    grid = szego_kernel_grid(w, n_per_axis=256)
+    grid = point_extremal_function(w, 2.0, n_per_axis=256)
     back = coefficients(grid, 60)
     assert back.distance(poly) <= 1e-12
 
