@@ -2,11 +2,12 @@
 
 Core objects: sparse trigonometric polynomials and periodic sample
 grids (`fourier`), L^p norms for the full range 0 <= p <= inf
-(`norms`), point-evaluation kernel series (`kernels`), minimal-norm
-analytic extensions (`extremal`), the perturbed 2-homogeneous family
-in two variables (`homog2`), spherical Dirichlet kernels
-(`dirichlet`), bound tables (`figures`), and a seeded violation
-search (`search`).  `python -m rieszlab --help` lists the CLI.
+(`norms`), the exponent formulas (`exponents`), point-evaluation
+kernel series (`kernels`), minimal-norm analytic extensions
+(`extremal`), the perturbed 2-homogeneous family in two variables
+(`homog2`), spherical Dirichlet kernels (`dirichlet`), bound tables
+(`figures`), and a seeded violation search (`search`).
+`python -m rieszlab --help` lists the CLI.
 
 ``import rieszlab`` loads no submodule: the first use of an exported
 name imports the module that defines it (PEP 562).
@@ -19,6 +20,7 @@ __version__ = "0.1.0"
 #: Each public name, under the module that defines it.
 _EXPORTS = {
     "dirichlet": ("DirichletSpec", "dirichlet_norm", "growth_fit", "lattice_count", "spherical_dirichlet"),
+    "exponents": ("conjectured_exponent", "conjugate", "interpolation_lower_bound", "riesz_projection_norm"),
     "extremal": ("ExtremalTriple", "blaschke_product", "dual_extremal_solve", "geometric_mean_l1_check",
                  "l1_equality_certificate", "outer_from_modulus"),
     "figures": ("BoundRow", "BoundTable", "figure_tables"),
@@ -27,8 +29,7 @@ _EXPORTS = {
     "homog2": ("PerturbedFamily", "build_family", "threshold_scan"),
     "kernels": ("CoefficientReport", "coefficient_check", "extremal_kernel_norm", "point_extremal_function",
                 "szego_norm", "truncated_szego_poly"),
-    "norms": ("conjectured_exponent", "conjugate", "interpolation_lower_bound", "lp_norm", "nonlinear_map",
-              "riesz_projection_norm"),
+    "norms": ("lp_norm", "nonlinear_map"),
     "search": ("SearchResult", "ViolationCertificate", "projection_ratio", "violation_search"),
     "series": ("NonconvergenceError",),
 }

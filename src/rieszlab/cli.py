@@ -18,32 +18,38 @@ single JSON document.  Fixed seed means byte-identical output.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import re
 import sys
 
 from . import __version__
-from .dirichlet import DirichletSpec, dirichlet_norm, fit_radii, growth_fit, lattice_count
-from .extremal import dual_extremal_solve
-from .figures import figure_tables
-from .fourier import (
-    GRID_MAGIC,
-    TrigPoly,
-    load_grid,
-    partial_project,
-    resolving_grid,
-    riesz_project,
-    riesz_project_minus,
-    sample,
-    save_grid,
+from .exponents import conjugate
+
+
+def _lazy(name: str):
+    """The submodule ``rieszlab.<name>``, registered in ``sys.modules`` and
+    bound on the package as an import binds it, but executed only on its
+    first attribute use (``importlib.util.LazyLoader``), so a command runs
+    only the layers it calls.  Before Python 3.12 that first use takes no
+    lock, so it must not happen in a pool worker: ``search`` and
+    ``dirichlet`` import at module level everything their workers call."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+dirichlet, extremal, figures, fourier, homog2, kernels, norms, search, selftest, series = map(
+    _lazy, "dirichlet extremal figures fourier homog2 kernels norms search selftest series".split()
 )
-from .homog2 import threshold_scan
-from .kernels import coefficient_check, point_extremal_function, szego_norm, truncated_szego_poly
-from .norms import conjugate, lp_norm
-from .search import violation_search
-from .selftest import run_selftest
-from .series import MAX_TERMS, REL_TOL, NonconvergenceError
 
 
 def _float_list(text: str) -> list[float]:
@@ -133,13 +139,13 @@ def _is_grid_file(path: str) -> bool:
         return False
     try:
         with open(path, "rb") as fh:
-            return fh.read(4) == GRID_MAGIC
+            return fh.read(4) == fourier.GRID_MAGIC
     except OSError:
         return False
 
 
-def _load_poly(path: str) -> TrigPoly:
-    return TrigPoly.from_json_dict(json.loads(_read_text(path)))
+def _load_poly(path: str) -> fourier.TrigPoly:
+    return fourier.TrigPoly.from_json_dict(json.loads(_read_text(path)))
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +157,11 @@ def cmd_project(args) -> int:
     if _is_grid_file(args.infile):
         if args.axes:
             raise ValueError("partial projection is only defined for polynomial input")
-        grid = load_grid(args.infile)
-        proj = riesz_project_minus(grid) if args.minus else riesz_project(grid)
+        grid = fourier.load_grid(args.infile)
+        proj = fourier.riesz_project_minus(grid) if args.minus else fourier.riesz_project(grid)
         if not args.out:
             raise ValueError("grid input requires --out for the binary result")
-        save_grid(proj, args.out)
+        fourier.save_grid(proj, args.out)
         if proj.aliasing_bound:
             print(f"aliasing_bound {proj.aliasing_bound!r}", file=sys.stderr)
         return 0
@@ -163,11 +169,11 @@ def cmd_project(args) -> int:
     if args.axes and args.minus:
         raise ValueError("--minus and --axes do not combine: a partial projection keeps P+ on its axes")
     if args.axes:
-        proj = partial_project(poly, _int_list(args.axes))
+        proj = fourier.partial_project(poly, _int_list(args.axes))
     elif args.minus:
-        proj = riesz_project_minus(poly)
+        proj = fourier.riesz_project_minus(poly)
     else:
-        proj = riesz_project(poly)
+        proj = fourier.riesz_project(poly)
     _write_text(_json_text(proj), args.out)
     return 0
 
@@ -177,11 +183,11 @@ def cmd_norm(args) -> int:
     if _is_grid_file(args.infile):
         if args.grid is not None:
             raise ValueError("a grid file keeps its own n_per_axis; --grid applies to polynomial input")
-        grid = load_grid(args.infile)
+        grid = fourier.load_grid(args.infile)
     else:
         poly = _load_poly(args.infile)
-        grid = sample(poly, resolving_grid(poly, args.grid))
-    value = lp_norm(grid, p)
+        grid = fourier.sample(poly, fourier.resolving_grid(poly, args.grid))
+    value = norms.lp_norm(grid, p)
     row = {"p": p, "norm": value}
     _emit(args.fmt, args.out, {**row, "n_per_axis": grid.n_per_axis}, [row])
     return 0
@@ -190,16 +196,16 @@ def cmd_norm(args) -> int:
 def cmd_rpk_check(args) -> int:
     q = float(args.q)
     p = float(args.p) if args.p is not None else 4.0 / conjugate(q)
-    report = coefficient_check(q=q, p=p, n_max=args.n_max)
+    report = kernels.coefficient_check(q=q, p=p, n_max=args.n_max)
     checks = []
     for r in _float_list(args.r) if args.r else []:
         if not 0.0 <= r < 1.0:
             raise ValueError(f"r = {r} must lie in [0, 1)")
         w = math.sqrt(r)
-        series = szego_norm(w, p)
-        grid = point_extremal_function(w, 2.0, n_per_axis=4096)  # the Szego kernel k_w
-        quad = lp_norm(grid, p)
-        checks.append({"r": r, "series": series, "quadrature": quad, "diff": abs(series - quad)})
+        value = kernels.szego_norm(w, p)
+        grid = kernels.point_extremal_function(w, 2.0, n_per_axis=4096)  # the Szego kernel k_w
+        quad = norms.lp_norm(grid, p)
+        checks.append({"r": r, "series": value, "quadrature": quad, "diff": abs(value - quad)})
     doc = {"quadrature_checks": checks} if args.r else {}
     rows = [
         {"n": n + 1, "margin": m, "factor_margin": fm}
@@ -215,10 +221,10 @@ def cmd_dual_extremal(args) -> int:
     if (args.kernel is None) == (args.infile is None):
         raise ValueError("give exactly one of --kernel W or --in FILE")
     if args.kernel is not None:
-        phi = truncated_szego_poly(complex(args.kernel), args.degree)
+        phi = kernels.truncated_szego_poly(complex(args.kernel), args.degree)
     else:
         phi = _load_poly(args.infile)
-    triple = dual_extremal_solve(
+    triple = extremal.dual_extremal_solve(
         phi,
         q=float(args.q),
         trunc_degree=args.trunc_degree,
@@ -242,10 +248,10 @@ def cmd_d2_scan(args) -> int:
         "eps": list(eps_list),
         "p_window": [args.p_lo, args.p_hi],
         "resolution": args.resolution,
-        "series": {"max_terms": MAX_TERMS, "rel_tol": REL_TOL},
+        "series": {"max_terms": series.MAX_TERMS, "rel_tol": series.REL_TOL},
     }
     scans = [
-        threshold_scan(
+        homog2.threshold_scan(
             q,
             eps_list=eps_list,
             p_lo=args.p_lo,
@@ -270,17 +276,17 @@ def cmd_dirichlet(args) -> int:
     ps = _float_list(args.p)
     radii = _float_list(args.radii) if args.radii else _default_radii(dim)
     if args.fit:
-        radii = fit_radii(radii, ps)
-    specs = [DirichletSpec(radius=radius, dim=dim) for radius in radii]
+        radii = dirichlet.fit_radii(radii, ps)
+    specs = [dirichlet.DirichletSpec(radius=radius, dim=dim) for radius in radii]
     rows, fits = [], []
     for p in ps:
-        norms = [dirichlet_norm(spec, p, n_per_axis=args.n_per_axis) for spec in specs]
+        values = [dirichlet.dirichlet_norm(spec, p, n_per_axis=args.n_per_axis) for spec in specs]
         rows += (
-            {"d": dim, "p": p, "R": radius, "norm": norm, "lattice_count": lattice_count(radius, dim)}
-            for radius, norm in zip(radii, norms)
+            {"d": dim, "p": p, "R": radius, "norm": norm, "lattice_count": dirichlet.lattice_count(radius, dim)}
+            for radius, norm in zip(radii, values)
         )
         if args.fit:
-            fits.append(growth_fit(dim, p, radii, norms))
+            fits.append(dirichlet.growth_fit(dim, p, radii, values))
     fit_doc = {"fits": fits, **_FIT_METHOD} if fits else {}
     _emit(args.fmt, args.out, {"rows": rows, **fit_doc}, rows, fit_doc)
     return 0
@@ -291,7 +297,7 @@ def _default_radii(dim: int) -> list[float]:
 
 
 def cmd_search(args) -> int:
-    result = violation_search(
+    result = search.violation_search(
         args.d,
         q=float(args.q),
         p=float(args.p),
@@ -305,7 +311,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    table = figure_tables(args.d)
+    table = figures.figure_tables(args.d)
     # the pinned figure CSVs print each float in 12 significant digits
     rows = [
         {k: format(v, ".12g") if isinstance(v, float) else v for k, v in vars(row).items()}
@@ -316,7 +322,7 @@ def cmd_figures(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    _, failed = run_selftest()
+    _, failed = selftest.run_selftest()
     return 0 if failed == 0 else 1
 
 
@@ -427,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except NonconvergenceError as exc:
+    except series.NonconvergenceError as exc:
         print(f"nonconvergence: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

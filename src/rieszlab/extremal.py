@@ -31,6 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .exponents import conjugate
 from .fourier import (
     GridFunction,
     TrigPoly,
@@ -43,7 +44,7 @@ from .fourier import (
     riesz_project,
     sample,
 )
-from .norms import conjugate, lp_norm, nonlinear_map
+from .norms import lp_norm, nonlinear_map
 from .optimize import minimize
 from .series import NonconvergenceError
 

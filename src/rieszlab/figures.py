@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .norms import conjectured_exponent, interpolation_lower_bound
+from .exponents import conjectured_exponent, interpolation_lower_bound
 
 
 @dataclass(frozen=True)

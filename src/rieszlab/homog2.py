@@ -31,8 +31,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .exponents import conjugate
 from .fourier import GridFunction, TrigPoly, sample
-from .norms import conjugate, nonlinear_map
+from .norms import nonlinear_map
 from .series import hyp2f1, require_converged, sum_series
 
 

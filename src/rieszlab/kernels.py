@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exponents import conjugate
 from .fourier import GridFunction, TrigPoly, grid_from_function
-from .norms import conjugate
 from .series import REL_TOL, hyp2f1, require_converged
 
 

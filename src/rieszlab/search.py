@@ -29,10 +29,11 @@ import numpy as np
 
 from .config import thread_count
 from .dirichlet import lattice_points
+from .exponents import conjugate
 from .fourier import DEFAULT_GRID, TrigPoly, axis_angles, coefficients, resolving_grid, riesz_project, sample
 from .homog2 import PerturbedFamily, build_family, kernel_polynomial
 from .kernels import point_extremal_function
-from .norms import conjugate, lp_norm, nonlinear_map
+from .norms import lp_norm, nonlinear_map
 
 #: A ratio must exceed 1 by this margin to count as a violation.
 RATIO_MARGIN = 1e-8

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from . import dirichlet, figures, homog2, kernels
+from .exponents import conjectured_exponent, conjugate
 from .fourier import (
     coefficients,
     partial_project,
@@ -21,7 +22,7 @@ from .fourier import (
     riesz_project_minus,
     sample,
 )
-from .norms import conjectured_exponent, conjugate, lp_norm, nonlinear_map
+from .norms import lp_norm, nonlinear_map
 from .search import _random_poly
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from rieszlab import cli
 from rieszlab.dirichlet import DirichletSpec, dirichlet_norm, growth_fit
+from rieszlab.exponents import conjectured_exponent, conjugate
 from rieszlab.extremal import dual_extremal_solve, geometric_mean_l1_check, blaschke_product
 from rieszlab.figures import figure_tables
 from rieszlab.fourier import (
@@ -39,7 +40,7 @@ from rieszlab.kernels import (
     szego_norm,
     truncated_szego_poly,
 )
-from rieszlab.norms import conjectured_exponent, conjugate, lp_norm
+from rieszlab.norms import lp_norm
 from rieszlab.selftest import run_selftest
 
 SEED = 20240814

@@ -552,7 +552,6 @@ def test_dirichlet_fit_computes_each_norm_once(capsys, monkeypatch):
         return real(spec, p, n_per_axis)
 
     monkeypatch.setattr("rieszlab.dirichlet.dirichlet_norm", counted)
-    monkeypatch.setattr("rieszlab.cli.dirichlet_norm", counted)
     code, out, _ = run(capsys, ["dirichlet", "--d", "2", "--p", "0.5,1", "--fit"])
     assert code == 0
     assert len(out.strip().split("\n")) == 1 + 8
@@ -587,7 +586,7 @@ def test_dirichlet_fit_needs_enough_radii(capsys):
 @pytest.mark.parametrize("radii", ["5,10,20", "5,10,10,20", "5,10,20,50"])
 def test_dirichlet_fit_checks_radii_before_measuring(capsys, monkeypatch, radii):
     calls = []
-    monkeypatch.setattr("rieszlab.cli.dirichlet_norm", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr("rieszlab.dirichlet.dirichlet_norm", lambda *a, **k: calls.append(a))
     code, out, err = run(capsys, ["dirichlet", "--d", "2", "--radii", radii, "--fit"])
     assert code == 2 and out == "" and err.startswith("error: ")
     assert calls == []
@@ -598,7 +597,7 @@ def test_dirichlet_fit_checks_radii_before_measuring(capsys, monkeypatch, radii)
 def test_dirichlet_fit_refuses_p_0_and_inf_before_measuring(capsys, monkeypatch, p):
     # c_hat = exp(p * intercept) would print inf, or 1 whatever the norms
     calls = []
-    monkeypatch.setattr("rieszlab.cli.dirichlet_norm", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr("rieszlab.dirichlet.dirichlet_norm", lambda *a, **k: calls.append(a))
     code, out, err = run(capsys, ["dirichlet", "--d", "2", "--p", p, "--fit", "--format", "json"])
     assert code == 2 and out == "" and err == "error: no growth fit at p = 0 or p = inf\n"
     assert calls == []
@@ -788,7 +787,7 @@ def test_dual_extremal_tol_defaults(monkeypatch, capsys):
         seen.update(kwargs)
         raise ValueError("stop")
 
-    monkeypatch.setattr(cli, "dual_extremal_solve", fake_solve)
+    monkeypatch.setattr("rieszlab.extremal.dual_extremal_solve", fake_solve)
     argv = ["dual-extremal", "--q", "1.5", "--kernel", "0.5"]
     assert run(capsys, argv)[0] == 2 and seen["tol"] == 1e-6
     assert run(capsys, [*argv, "--tol", "1e-9"])[0] == 2 and seen["tol"] == 1e-9

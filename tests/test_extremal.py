@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import nonzero_polys
 from rieszlab import extremal
 from rieszlab.cli import _json_text
+from rieszlab.exponents import conjugate
 from rieszlab.extremal import (
     _objective,
     _pad_solution,
@@ -23,7 +24,7 @@ from rieszlab.extremal import (
 )
 from rieszlab.fourier import TrigPoly, coefficients, grid_from_function, riesz_project, sample
 from rieszlab.kernels import truncated_szego_poly
-from rieszlab.norms import conjugate, lp_norm
+from rieszlab.norms import lp_norm
 from rieszlab.series import NonconvergenceError
 
 WORKED_EXAMPLE = TrigPoly(1, {(-1,): 1.0, (1,): 2.0, (3,): 1.0})

@@ -4,8 +4,8 @@ from pathlib import Path
 import pytest
 
 from rieszlab import cli
+from rieszlab.exponents import conjectured_exponent
 from rieszlab.figures import BoundRow, BoundTable, figure_tables
-from rieszlab.norms import conjectured_exponent
 
 
 def figure_csv(tmp_path: Path, dim: int) -> bytes:

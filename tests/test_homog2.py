@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rieszlab.cli import _json_text
+from rieszlab.exponents import conjugate
 from rieszlab.fourier import coefficients, riesz_project, sample
 from rieszlab.homog2 import (
     PerturbedFamily,
@@ -22,7 +23,7 @@ from rieszlab.homog2 import (
     projection_polynomial,
     threshold_scan,
 )
-from rieszlab.norms import conjugate, lp_norm
+from rieszlab.norms import lp_norm
 
 Q_GRID = [1.5, 2.0, 3.0, 4.0]
 EPS_GRID = [0.05, 0.1, 0.2]

@@ -5,7 +5,9 @@ An ``ast`` scan stands in for a linter: a name bound by a module-level
 in the library and in the tests alike.  ``__init__`` binds no export by
 import; it names each one once in its table.
 No module imports scipy anywhere, at module level or in a function body:
-the library runs on numpy alone.  Every norm series goes through
+the library runs on numpy alone.  The exponent formulas, the series and
+the bound tables run without numpy: at module level they import neither
+numpy nor a rieszlab module outside that set.  Every norm series goes through
 ``series.hyp2f1``; only the p = 0 series of homog2 calls ``sum_series``.
 Every FFT goes through ``fourier``, and one function there computes the
 grid-offset phase e^{2 pi i offset k / N}.  A public module-level function,
@@ -91,6 +93,72 @@ def test_scanner_flags_eager_scipy():
 def test_no_module_level_scipy_import(path):
     # stricter than its name: a scipy import inside a function fails too
     assert scipy_imports(path.read_text()) == []
+
+
+#: Modules that run without numpy, so that ``figures`` and ``--version`` start without it.
+NUMPY_FREE = {"exponents", "figures", "series"}
+
+
+def numpy_free_violations(source: str, allowed: set[str]) -> list[str]:
+    """Imports that run when the module executes (function bodies excluded)
+    and load numpy or a rieszlab module outside ``allowed``."""
+    found = []
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level and node.module is None:  # from . import a, b
+                found.extend((node.lineno, f"rieszlab.{alias.name}") for alias in node.names)
+            else:
+                found.append((node.lineno, f"rieszlab.{node.module}" if node.level else node.module))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+
+    def reaches(name: str) -> bool:
+        top, _, rest = name.partition(".")
+        return top == "numpy" or (top == "rieszlab" and rest.split(".")[0] not in allowed)
+
+    return [f"line {line}: {name}" for line, name in found if reaches(name)]
+
+
+def test_scanner_flags_numpy_reaching_imports():
+    source = (
+        "import math\n"
+        "import numpy as np\n"
+        "from numpy.fft import ifft\n"
+        "from . import series, fourier\n"
+        "from .norms import lp_norm\n"
+        "from .exponents import conjugate\n"
+        "from rieszlab.kernels import szego_norm\n"
+        "try:\n"
+        "    import numpy.linalg\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "class C:\n"
+        "    from .homog2 import build_family\n"
+        "def f():\n"
+        "    import numpy\n"
+        "    from .fourier import sample\n"
+    )
+    assert numpy_free_violations(source, {"exponents", "series"}) == [
+        "line 2: numpy",
+        "line 3: numpy.fft",
+        "line 4: rieszlab.fourier",
+        "line 5: rieszlab.norms",
+        "line 7: rieszlab.kernels",
+        "line 9: numpy.linalg",
+        "line 13: rieszlab.homog2",
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(NUMPY_FREE))
+def test_numpy_free_modules_stay_numpy_free(name):
+    assert numpy_free_violations((PACKAGE / f"{name}.py").read_text(), NUMPY_FREE) == []
 
 
 def sum_series_sites(source: str, module: str) -> list[str]:
@@ -210,7 +278,7 @@ KEPT = {
     "homog2.projection_geometric_mean_closed": "an independent route to ||phi||_0 (ROADMAP item 5)",
     "homog2.projection_polynomial": "a cross-check of the coefficients (a, b) of P+ psi",
     "kernels.poisson_kernel": "its mean 1 cross-checks ||k_w||_2^2 = 1/(1 - |w|^2) (ROADMAP item 5)",
-    "norms.riesz_projection_norm": "the classical constant (1/sin(pi/q))^d",
+    "exponents.riesz_projection_norm": "the classical constant (1/sin(pi/q))^d",
 }
 
 

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rieszlab.cli import _json_text
+from rieszlab.exponents import conjugate
 from rieszlab.fourier import coefficients, sample
 from rieszlab.kernels import (
     coefficient_check,
@@ -17,7 +18,7 @@ from rieszlab.kernels import (
     szego_norm,
     truncated_szego_poly,
 )
-from rieszlab.norms import conjugate, lp_norm
+from rieszlab.norms import lp_norm
 from rieszlab.series import NonconvergenceError
 
 

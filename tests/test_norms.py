@@ -7,15 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import nonzero_polys
+from rieszlab.exponents import conjectured_exponent, conjugate, interpolation_lower_bound, riesz_projection_norm
 from rieszlab.fourier import GridFunction, TrigPoly, sample
-from rieszlab.norms import (
-    conjectured_exponent,
-    conjugate,
-    interpolation_lower_bound,
-    lp_norm,
-    nonlinear_map,
-    riesz_projection_norm,
-)
+from rieszlab.norms import lp_norm, nonlinear_map
 
 P_GRID = [0.0, 0.3, 0.5, 1.0, 4.0 / 3.0, 2.0, 3.0, 4.0, 7.5, math.inf]
 

@@ -1,9 +1,13 @@
-"""No command loads scipy, and ``import rieszlab`` loads no submodule.
+"""No command loads scipy, ``import rieszlab`` loads no submodule, and a
+command executes only the layers it calls.
 
 ``import rieszlab`` and every subcommand need numpy and the standard
 library alone; the dual solver runs on the numpy L-BFGS of
 ``rieszlab.optimize``.  The package exports its public names lazily
-from one table, so a bare import does not even load numpy.  Each check
+from one table, so a bare import does not even load numpy.  ``cli``
+registers every layer in ``sys.modules`` unexecuted, so ``--version``,
+``--help`` and ``figures`` start without numpy, while the layer tracer
+of ``bench/tracer.py`` still finds each module it wraps.  Each check
 runs in a fresh interpreter, because this test process may already hold
 scipy and every rieszlab module.
 """
@@ -19,7 +23,8 @@ import pytest
 
 import rieszlab
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def fresh(code: str, result: str):
@@ -95,3 +100,20 @@ def test_export_table_names_each_export_once():
     names = [name for names in rieszlab._EXPORTS.values() for name in names]
     assert len(names) == len(set(names))
     assert rieszlab.__all__ == sorted(names)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--version"], ["--help"], ["figures", "--d", "1"], ["figures", "--d", "2"]],
+    ids=["version", "help", "figures-d1", "figures-d2"],
+)
+def test_command_starts_without_numpy(argv):
+    code = f"from rieszlab.cli import main\ntry:\n    rc = main({argv!r})\nexcept SystemExit as exc:\n    rc = exc.code"
+    assert fresh(code, "[rc, 'numpy' in sys.modules]") == [0, False]
+
+
+def test_cli_import_registers_every_traced_layer_without_numpy():
+    # bench/tracer.py wraps each layer it finds in sys.modules right after this import
+    code = f"sys.path.insert(0, {str(ROOT / 'bench')!r})\nfrom tracer import LAYERS\nfrom rieszlab import cli"
+    missing = "[m for m in LAYERS if 'rieszlab.' + m not in sys.modules]"
+    assert fresh(code, f"[{missing}, 'numpy' in sys.modules]") == [[], False]
