@@ -311,28 +311,40 @@ def dual_extremal_solve(
 
 def _objective(phi_grid: GridFunction, q: float, K: int):
     """The cap-K problem on phi's grid as two maps of x = [Re c, Im c]:
-    the samples of psi = phi + conj(phi0), and (mean |psi|^q, its gradient)."""
+    the samples of psi = phi + conj(phi0), and (mean |psi|^q, its gradient).
+
+    The gradient takes one power per sample: w = |psi|^(q-2), 0 where psi
+    vanishes, so |psi|^q = w |psi|^2 and conj(N_q psi) = w conj(psi), a
+    real scaling of conj(psi) = phi0 + conj(phi) made in place."""
     n = phi_grid.n_per_axis
     phi_s = phi_grid.samples
+    conj_phi_s = np.conj(phi_s)
     ks = np.arange(1, K + 1)
     fwd_phase = offset_phase(ks, n, phi_grid.offset)  # coefficients -> bins
     rev_phase = offset_phase(-ks, n, phi_grid.offset)  # bins -> coefficients
+    spec = np.zeros(n, dtype=np.complex128)  # bins 1..K are rewritten for each x
+    coeffs = spec[1 : K + 1]
+
+    def phi0_samples(x: np.ndarray) -> np.ndarray:
+        coeffs.real, coeffs.imag = x[:K], x[K:]
+        np.multiply(coeffs, fwd_phase, out=coeffs)
+        return grid_from_spectrum(spec, phi_grid.offset).samples
 
     def psi_samples(x: np.ndarray) -> np.ndarray:
-        spec = np.zeros(n, dtype=np.complex128)
-        spec[1 : K + 1] = (x[:K] + 1j * x[K:]) * fwd_phase
-        phi0 = grid_from_spectrum(spec, phi_grid.offset).samples
-        return phi_s + np.conj(phi0)
+        return phi_s + np.conj(phi0_samples(x))
 
     def fun_and_grad(x: np.ndarray):
         # a trial step far from the minimum can overflow |psi|^q; the line
         # search sees the inf or nan and shrinks the step
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            psi = psi_samples(x)
-            a = np.abs(psi)
-            F = float(np.mean(a**q))
-            nq = np.where(a > 0, a ** (q - 2.0) * psi, 0.0)
-            h_hat = grid_spectrum(phi_grid.with_samples(np.conj(nq)))[1 : K + 1] * rev_phase
+            conj_psi = phi0_samples(x)
+            conj_psi += conj_phi_s
+            a = np.abs(conj_psi)
+            w = a ** (q - 2.0)
+            w[a == 0.0] = 0.0
+            F = float(np.mean(w * a * a))
+            conj_psi *= w
+            h_hat = grid_spectrum(phi_grid.with_samples(conj_psi))[1 : K + 1] * rev_phase
         grad = q * np.concatenate([h_hat.real, h_hat.imag])
         return F, grad
 

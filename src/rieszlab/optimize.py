@@ -1,13 +1,24 @@
 """Limited-memory BFGS for the dual solver, in numpy.
 
-L-BFGS (Liu & Nocedal 1989): the two-loop recursion applies the inverse
-Hessian approximation built from the last ``MAXCOR`` steps s and gradient
+L-BFGS (Liu & Nocedal 1989) keeps the last ``MAXCOR`` steps s and gradient
 changes y, and a line search (Nocedal & Wright, *Numerical Optimization*,
 Alg. 3.5 and 3.6) finds a step meeting the strong Wolfe conditions with
 L-BFGS-B's constants ``C1`` and ``C2``.  The first step has length 1/||g||;
 later ones try the quasi-Newton step 1 first.  A trial point whose value or
 gradient is not finite counts as too long a step, so an objective that
 overflows far from its minimum shrinks the step instead of failing.
+
+The inverse Hessian approximation is applied in the compact form of Byrd,
+Nocedal & Schnabel (Math. Programming 63, 1994), which equals the two-loop
+recursion of Liu & Nocedal; ``tests/test_optimize.py`` keeps the two-loop
+recursion as its reference.  The memory keeps the pairs as ring rows of
+one array, the m x m matrices of the compact form (the inverse of the
+upper triangle of S'Y, and Y'Y), each updated by one row and column per
+pair, and the products of the pairs with the current gradient.  So an
+iteration reads the pairs twice: for their products with the new
+gradient, and to combine them into the direction.  A pair is kept when
+s.y > -eps g.s, and a failed line search clears the memory and retries
+along -g.
 
 ``extremal`` binds ``minimize`` at module level, where a profiler can
 rebind it.
@@ -16,7 +27,6 @@ rebind it.
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -74,7 +84,7 @@ def minimize(
         raise ValueError("objective or gradient not finite at the starting point")
     nit, nfev = 0, 1
     reduction = math.inf  # relative decrease of f in the last iteration
-    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=MAXCOR)
+    memory = _Memory(x.size)
     stop = None
     while stop is None:
         if np.max(np.abs(g), initial=0.0) <= GTOL:
@@ -84,39 +94,108 @@ def minimize(
         elif nit >= maxiter:
             stop = "max_iter"
         else:
-            d = _direction(g, pairs)
-            step, evals = _line_search(fun, x, f, g, d, 1.0 if pairs else 1.0 / float(np.linalg.norm(g)))
+            d = memory.direction(g)
+            step, evals = _line_search(fun, x, f, g, d, 1.0 if memory.size else 1.0 / float(np.linalg.norm(g)))
             nfev += evals
             if step is None:
-                if not pairs:
+                if not memory.size:
                     stop = "line_search"
-                pairs.clear()
+                memory.clear()
                 continue
             s, y = step.alpha * d, step.g - g
             sy = s.dot(y)
             if sy > -EPS * g.dot(s):
-                pairs.append((s, y, 1.0 / sy))
+                memory.push(s, y, sy, g, step.g)
             reduction = (f - step.f) / max(abs(f), abs(step.f), 1.0)
             x, f, g = x + s, step.f, step.g
             nit += 1
     return OptimizeResult(x, f, nit, nfev, stop)
 
 
-def _direction(g: np.ndarray, pairs) -> np.ndarray:
-    """-H g for the L-BFGS inverse Hessian H of ``pairs`` (oldest first),
-    scaled by s.y / y.y of the newest pair."""
-    r = -g
-    coef = []
-    for s, y, rho in reversed(pairs):
-        a = rho * s.dot(r)
-        r -= a * y
-        coef.append(a)
-    if pairs:
-        s, y, rho = pairs[-1]
-        r /= rho * y.dot(y)
-    for (s, y, rho), a in zip(pairs, reversed(coef)):
-        r += (a - rho * y.dot(r)) * s
-    return r
+class _Memory:
+    """The last ``MAXCOR`` correction pairs (s_i, y_i), and -H g for the
+    L-BFGS inverse Hessian H they define, in compact form.
+
+    The pairs are ring slots: slot j is rows 2j and 2j + 1 of ``rows``,
+    s_j and y_j.  The m x m matrices are in age order, oldest first:
+    ``rinv`` is R^-1 for the upper triangle R of s_i.y_j, ``yy`` holds
+    y_i.y_j and ``sy`` the diagonal s_i.y_i.  Each pair adds one row and
+    column, and a full memory drops its first.  The products ``rows @ g``
+    of a direction are kept, so the next ``push`` reads rows @ y off
+    ``rows @ g_new - rows @ g`` and keeps ``rows @ g_new`` for the next
+    direction.
+    """
+
+    def __init__(self, n: int):
+        self.rows = np.empty((2 * MAXCOR, n))
+        self.rinv = np.zeros((MAXCOR, MAXCOR))  # its lower triangle stays 0
+        self.yy = np.empty((MAXCOR, MAXCOR))
+        self.sy = np.empty(MAXCOR)
+        self.size = 0  # pairs held
+        self.newest = -1  # slot of the newest pair
+        self._kept: tuple[np.ndarray, np.ndarray] | None = None  # g and _products(g)
+
+    def clear(self) -> None:
+        self.size, self.newest, self._kept = 0, -1, None
+
+    def _slots(self) -> np.ndarray:
+        """The held slots, oldest first."""
+        return (self.newest + 1 + np.arange(self.size)) % self.size
+
+    def _products(self, g: np.ndarray) -> np.ndarray:
+        """[s_j.g, y_j.g] for each held slot j."""
+        if self._kept is None or self._kept[0] is not g:
+            self._kept = g, (self.rows[: 2 * self.size] @ g).reshape(self.size, 2)
+        return self._kept[1]
+
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        """-H g, where H starts from gamma I with gamma = s.y / y.y of the
+        newest pair (Byrd, Nocedal & Schnabel 1994, Theorem 2.2):
+
+            H g = gamma g + S R^-T ((D + gamma Y'Y) t - gamma Y'g) - gamma Y t,
+
+        where t = R^-1 S'g, S and Y stack the pairs oldest first, R is the
+        upper triangle of S'Y and D its diagonal."""
+        m = self.size
+        if not m:
+            return -g
+        slots = self._slots()
+        sg, yg = self._products(g)[slots].T
+        rinv, yy, sy = self.rinv[:m, :m], self.yy[:m, :m], self.sy[:m]
+        gamma = sy[-1] / yy[-1, -1]
+        t = rinv @ sg
+        coef = np.empty((m, 2))
+        coef[slots, 0] = (sy * t + gamma * (yy @ t - yg)) @ rinv
+        coef[slots, 1] = -gamma * t
+        d = coef.ravel() @ self.rows[: 2 * m]
+        d += gamma * g
+        return np.negative(d, out=d)
+
+    def push(self, s: np.ndarray, y: np.ndarray, sy: float, g: np.ndarray, g_new: np.ndarray) -> None:
+        """Add the pair s = x_new - x, y = g_new - g with s.y = ``sy``, in
+        place of the oldest when ``MAXCOR`` are held."""
+        m = self.size
+        products = np.empty((min(m + 1, MAXCOR), 2))
+        products[:m] = (self.rows[: 2 * m] @ g_new).reshape(m, 2)
+        s_y, y_y = (products[:m] - self._products(g))[self._slots()].T  # S'y and Y'y, oldest first
+        if m == MAXCOR:  # drop the oldest pair: R's trailing block has R^-1's trailing block as inverse
+            m -= 1
+            s_y, y_y = s_y[1:], y_y[1:]
+            for a in (self.rinv, self.yy):
+                a[:m, :m] = a[1:, 1:]
+            self.sy[:m] = self.sy[1:]
+        # R gains the column (s_y, sy): R^-1 gains (-R^-1 s_y / sy, 1 / sy)
+        self.rinv[:m, m] = -(self.rinv[:m, :m] @ s_y) / sy
+        self.rinv[m, m] = 1.0 / sy
+        self.yy[:m, m] = self.yy[m, :m] = y_y
+        self.yy[m, m] = y.dot(y)
+        self.sy[m] = sy
+        slot = (self.newest + 1) % MAXCOR
+        self.rows[2 * slot] = s
+        self.rows[2 * slot + 1] = y
+        products[slot] = s.dot(g_new), y.dot(g_new)
+        self.size, self.newest = m + 1, slot
+        self._kept = g_new, products
 
 
 def _line_search(fun, x, f0, g0, d, alpha):

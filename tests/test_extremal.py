@@ -22,9 +22,17 @@ from rieszlab.extremal import (
     l1_equality_certificate,
     outer_from_modulus,
 )
-from rieszlab.fourier import TrigPoly, coefficients, grid_from_function, riesz_project, sample
+from rieszlab.fourier import (
+    TrigPoly,
+    coefficients,
+    grid_from_function,
+    grid_spectrum,
+    offset_phase,
+    riesz_project,
+    sample,
+)
 from rieszlab.kernels import truncated_szego_poly
-from rieszlab.norms import lp_norm
+from rieszlab.norms import lp_norm, nonlinear_map
 from rieszlab.series import NonconvergenceError
 
 WORKED_EXAMPLE = TrigPoly(1, {(-1,): 1.0, (1,): 2.0, (3,): 1.0})
@@ -211,6 +219,51 @@ def test_solve_matches_pinned_values(w, degree, q, value):
     triple = dual_extremal_solve(truncated_szego_poly(w, degree), q=q)
     assert abs(triple.value - value) <= 1e-9
     assert triple.duality_gap <= 1e-6
+
+
+def direct_objective(grid, q, K, x):
+    """mean |psi|^q and its gradient from their formulas: q [Re, Im] of
+    bins 1..K of the spectrum of conj(N_q psi), with the offset removed."""
+    psi_samples, _ = _objective(grid, q, K)
+    psi = grid.with_samples(psi_samples(x))
+    F = float(np.mean(np.abs(psi.samples) ** q))
+    ks = np.arange(1, K + 1)
+    h = grid_spectrum(psi.with_samples(np.conj(nonlinear_map(psi, q).samples)))[1 : K + 1]
+    h *= offset_phase(-ks, grid.n_per_axis, grid.offset)
+    return F, q * np.concatenate([h.real, h.imag])
+
+
+@pytest.mark.parametrize("q", [1.05, 1.5, 4.0])
+def test_objective_matches_its_formulas(q):
+    grid, K = sample(truncated_szego_poly(0.8, 20), 512), 80
+    x = np.random.default_rng(1).standard_normal(2 * K) * 0.1
+    F, grad = _objective(grid, q, K)[1](x)
+    F_ref, grad_ref = direct_objective(grid, q, K, x)
+    assert abs(F - F_ref) <= 1e-12 * F_ref
+    assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
+    # and the gradient is the derivative of F, by central differences
+    fun = _objective(grid, q, K)[1]
+    h = 1e-6
+    for i in (0, 7, K, 2 * K - 1):
+        e = np.zeros(2 * K)
+        e[i] = h
+        slope = (fun(x + e)[0] - fun(x - e)[0]) / (2.0 * h)
+        assert slope == pytest.approx(grad[i], rel=1e-6, abs=1e-9)
+
+
+def test_objective_at_a_zero_of_psi():
+    # on the offset-0 grid, psi = 1 - z at x = 0 vanishes at theta = 0, where
+    # |psi|^(q-2) is infinite for q < 2 and N_q psi is 0
+    q, K = 1.5, 8
+    grid = sample(TrigPoly(1, {(0,): 1.0, (1,): -1.0}), 64, offset=0.0)
+    assert grid.samples[0] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        F, grad = _objective(grid, q, K)[1](np.zeros(2 * K))
+    assert math.isfinite(F) and np.all(np.isfinite(grad))
+    F_ref, grad_ref = direct_objective(grid, q, K, np.zeros(2 * K))
+    assert abs(F - F_ref) <= 1e-12 * F_ref
+    assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
 
 
 def test_objective_overflow_is_silent():

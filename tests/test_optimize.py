@@ -1,9 +1,10 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
-from rieszlab.optimize import C1, C2, OptimizeResult, minimize
+from rieszlab.optimize import C1, C2, EPS, MAXCOR, OptimizeResult, _Memory, minimize
 
 
 def quadratic(n=50, seed=0):
@@ -122,3 +123,51 @@ def test_search_stops_when_f_cannot_resolve_a_decrease():
 def test_nonfinite_start_raises():
     with pytest.raises(ValueError, match="starting point"):
         minimize(lambda x: (math.inf, x), np.zeros(2), maxiter=10)
+
+
+def two_loop_direction(g, pairs):
+    """-H g for the L-BFGS inverse Hessian H of ``pairs`` (s, y, 1/s.y),
+    oldest first, scaled by s.y / y.y of the newest pair: the two-loop
+    recursion (Liu & Nocedal 1989) that the compact memory replaced."""
+    r = -g
+    coef = []
+    for s, y, rho in reversed(pairs):
+        a = rho * s.dot(r)
+        r -= a * y
+        coef.append(a)
+    if pairs:
+        s, y, rho = pairs[-1]
+        r /= rho * y.dot(y)
+    for (s, y, rho), a in zip(pairs, reversed(coef)):
+        r += (a - rho * y.dot(r)) * s
+    return r
+
+
+def test_compact_memory_matches_the_two_loop_recursion():
+    # steps of many lengths on a diagonal quadratic, in minimize's call order:
+    # one direction at g, then the pair of the step from g when the sy rule
+    # keeps it; the ring wraps before and after a clear
+    rng = np.random.default_rng(0)
+    n = 40
+    curvature = rng.uniform(1.0, 100.0, n)
+    memory, pairs = _Memory(n), deque(maxlen=MAXCOR)
+    g = rng.standard_normal(n)
+    skipped = 0
+    for k in range(3 * MAXCOR):
+        if k == MAXCOR + 7:
+            memory.clear()
+            pairs.clear()
+        d, ref = memory.direction(g), two_loop_direction(g, pairs)
+        assert np.linalg.norm(d - ref) <= 1e-10 * np.linalg.norm(ref)
+        s = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        y = (-1.0 if k == 12 else 1.0) * curvature * s  # negative curvature once
+        g_new = g + y
+        sy = s.dot(y)
+        if sy > -EPS * g.dot(s):
+            memory.push(s, y, sy, g, g_new)
+            pairs.append((s, y, 1.0 / sy))
+        else:
+            skipped += 1
+        g = g_new
+    assert skipped == 1
+    assert memory.size == len(pairs) == MAXCOR
