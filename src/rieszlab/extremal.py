@@ -26,7 +26,7 @@ through the module-level name ``minimize``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -156,7 +156,9 @@ def holder_equality_residual(f: GridFunction, q_star: float) -> float:
 class CapAttempt(NamedTuple):
     """One truncation cap tried by the dual solver: its grid, the L-BFGS
     iteration and objective evaluation counts, why L-BFGS stopped
-    (``optimize.OptimizeResult.stop``), and the duality gap, which
+    (``optimize.OptimizeResult.stop``: ``"gtol"``, ``"max_iter"``, or
+    ``"line_search"``, where the first line search that found no
+    strong-Wolfe step ended the run), and the duality gap, which
     certified or did not."""
 
     trunc_degree: int
@@ -219,13 +221,6 @@ class ExtremalTriple:
                 ),
             ).prune(1e-14),
         }
-
-
-def _next_pow2(n: int) -> int:
-    out = 1
-    while out < n:
-        out *= 2
-    return out
 
 
 def _pad_solution(x: np.ndarray, K: int) -> np.ndarray:
@@ -293,20 +288,17 @@ def dual_extremal_solve(
     attempts: list[CapAttempt] = []
     x = np.zeros(0)
     for cap in caps:
-        x, triple = _solve_at_degree(phi, q, cap, tol, n_per_axis, max_iter, x)
-        attempts += triple.attempts
-        if triple.attempts[-1].certified:
-            break
-    else:
-        raise NonconvergenceError(
-            f"duality gap above tol={tol:.1e} at every cap: "
-            + "; ".join(
-                f"K={r.trunc_degree} gap {r.duality_gap:.3e} after {r.iterations} iterations "
-                f"({r.stop})"
-                for r in attempts
-            )
+        x, attempt, psi_grid, value = _solve_at_degree(phi, q, cap, tol, n_per_axis, max_iter, x)
+        attempts.append(attempt)
+        if attempt.certified:
+            return ExtremalTriple(phi, psi_grid, value, q, conjugate(q), tuple(attempts))
+    raise NonconvergenceError(
+        f"duality gap above tol={tol:.1e} at every cap: "
+        + "; ".join(
+            f"K={r.trunc_degree} gap {r.duality_gap:.3e} after {r.iterations} iterations ({r.stop})"
+            for r in attempts
         )
-    return replace(triple, attempts=tuple(attempts))
+    )
 
 
 def _objective(phi_grid: GridFunction, q: float, K: int):
@@ -359,16 +351,15 @@ def _solve_at_degree(
     n_per_axis: int | None,
     max_iter: int,
     x0: np.ndarray,
-) -> tuple[np.ndarray, ExtremalTriple]:
+) -> tuple[np.ndarray, CapAttempt, GridFunction, float]:
     """One L-BFGS solve at cap K, started from x0 (a solution at a cap
     <= K, zero-padded here; empty for a cold start).  Returns the solution
-    x = [Re c_1..c_K, Im c_1..c_K] of phi0 = sum_k c_k e^{ik theta}, and
-    the triple at cap K, whose one attempt says whether the gap certified
-    tol."""
-    q_star = conjugate(q)
+    x = [Re c_1..c_K, Im c_1..c_K] of phi0 = sum_k c_k e^{ik theta}, the
+    cap's attempt, which says whether the gap certified tol, and the grid
+    and q-norm of psi = phi + conj(phi0)."""
     deg = phi.bandwidth()
     K = int(trunc_degree)
-    n = int(n_per_axis) if n_per_axis is not None else max(256, _next_pow2(4 * (deg + K)))
+    n = int(n_per_axis) if n_per_axis is not None else max(256, 1 << (4 * (deg + K) - 1).bit_length())
     if n < 2 * (deg + K + 1):
         raise ValueError("grid too small for phi plus the truncated phi0")
 
@@ -379,9 +370,9 @@ def _solve_at_degree(
     psi_grid = phi_grid.with_samples(psi_samples(result.x))
     primal = lp_norm(psi_grid, q)
     f_analytic = riesz_project(nonlinear_map(psi_grid, q))  # P+ of the dual witness N_q(psi)
-    denom = lp_norm(f_analytic, q_star)
+    denom = lp_norm(f_analytic, conjugate(q))
     dual = abs(grid_inner(f_analytic, phi_grid)) / denom if denom > 0 else 0.0
     gap = float(primal - dual)
     certified = math.isfinite(gap) and gap <= tol
     attempt = CapAttempt(K, n, result.nit, result.nfev, result.stop, gap, certified)
-    return result.x, ExtremalTriple(phi, psi_grid, primal, q, q_star, (attempt,))
+    return result.x, attempt, psi_grid, primal

@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .exponents import conjugate
 from .fourier import GridFunction, TrigPoly, sample
 from .norms import nonlinear_map
@@ -70,9 +72,14 @@ class PerturbedFamily:
 
 
 def build_family(eps: float, q_star: float, n_per_axis: int = 128) -> GridFunction:
-    """psi = N_{q*} f sampled on the N^2 grid."""
+    """psi = N_{q*} f sampled on the N^2 grid; ValueError when |f|^{q*-2}
+    overflows float64, as it does for q near 1."""
     fam = PerturbedFamily(eps=float(eps), q_star=float(q_star))
-    return nonlinear_map(sample(family_polynomial(fam.eps), n_per_axis), fam.q_star)
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = nonlinear_map(sample(family_polynomial(fam.eps), n_per_axis), fam.q_star)
+    if not np.all(np.isfinite(psi.samples)):
+        raise ValueError(f"N_q* f overflows float64 at q* = {fam.q_star:g}")
+    return psi
 
 
 def kernel_polynomial(fam: PerturbedFamily) -> TrigPoly:

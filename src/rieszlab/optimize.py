@@ -17,8 +17,8 @@ upper triangle of S'Y, and Y'Y), each updated by one row and column per
 pair, and the products of the pairs with the current gradient.  So an
 iteration reads the pairs twice: for their products with the new
 gradient, and to combine them into the direction.  A pair is kept when
-s.y > -eps g.s, and a failed line search clears the memory and retries
-along -g.
+s.y > -eps g.s, and the first line search that finds no strong-Wolfe step
+ends the run.
 
 ``extremal`` binds ``minimize`` at module level, where a profiler can
 rebind it.
@@ -37,8 +37,6 @@ MAXCOR = 30
 C1, C2 = 1e-3, 0.9
 #: Stop when max |g| is at most this.
 GTOL = 1e-14
-#: Stop when an iteration lowers f by at most this times max(|f_old|, |f|, 1).
-FTOL = 1e-18
 #: Objective evaluations allowed in one line search.
 MAX_LINE_EVALS = 20
 
@@ -47,9 +45,9 @@ EPS = float(np.finfo(float).eps)
 
 class OptimizeResult(NamedTuple):
     """The last accepted iterate x, f(x), the iteration and objective
-    evaluation counts, and why the run stopped: ``"gtol"``, ``"ftol"``,
-    ``"max_iter"``, or ``"line_search"`` (no strong-Wolfe step, even
-    along -g)."""
+    evaluation counts, and why the run stopped: ``"gtol"``, ``"max_iter"``,
+    or ``"line_search"`` (no strong-Wolfe step along the L-BFGS
+    direction)."""
 
     x: np.ndarray
     fun: float
@@ -73,9 +71,8 @@ def minimize(
 ) -> OptimizeResult:
     """Minimize a smooth f from x0, where ``fun(x)`` returns (f(x), grad f(x)).
 
-    Runs at most ``maxiter`` iterations.  When the line search finds no
-    strong-Wolfe step along the L-BFGS direction, the correction pairs are
-    dropped and it tries -g once more before stopping.
+    Runs at most ``maxiter`` iterations, and stops at the first line search
+    that finds no strong-Wolfe step along the L-BFGS direction.
     """
     x = np.array(x0, dtype=float)
     f, g = fun(x)
@@ -83,33 +80,23 @@ def minimize(
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
         raise ValueError("objective or gradient not finite at the starting point")
     nit, nfev = 0, 1
-    reduction = math.inf  # relative decrease of f in the last iteration
     memory = _Memory(x.size)
-    stop = None
-    while stop is None:
+    while True:
         if np.max(np.abs(g), initial=0.0) <= GTOL:
-            stop = "gtol"
-        elif reduction <= FTOL:
-            stop = "ftol"
-        elif nit >= maxiter:
-            stop = "max_iter"
-        else:
-            d = memory.direction(g)
-            step, evals = _line_search(fun, x, f, g, d, 1.0 if memory.size else 1.0 / float(np.linalg.norm(g)))
-            nfev += evals
-            if step is None:
-                if not memory.size:
-                    stop = "line_search"
-                memory.clear()
-                continue
-            s, y = step.alpha * d, step.g - g
-            sy = s.dot(y)
-            if sy > -EPS * g.dot(s):
-                memory.push(s, y, sy, g, step.g)
-            reduction = (f - step.f) / max(abs(f), abs(step.f), 1.0)
-            x, f, g = x + s, step.f, step.g
-            nit += 1
-    return OptimizeResult(x, f, nit, nfev, stop)
+            return OptimizeResult(x, f, nit, nfev, "gtol")
+        if nit >= maxiter:
+            return OptimizeResult(x, f, nit, nfev, "max_iter")
+        d = memory.direction(g)
+        step, evals = _line_search(fun, x, f, g, d, 1.0 if memory.size else 1.0 / float(np.linalg.norm(g)))
+        nfev += evals
+        if step is None:
+            return OptimizeResult(x, f, nit, nfev, "line_search")
+        s, y = step.alpha * d, step.g - g
+        sy = s.dot(y)
+        if sy > -EPS * g.dot(s):
+            memory.push(s, y, sy, g, step.g)
+        x, f, g = x + s, step.f, step.g
+        nit += 1
 
 
 class _Memory:
@@ -134,9 +121,6 @@ class _Memory:
         self.size = 0  # pairs held
         self.newest = -1  # slot of the newest pair
         self._kept: tuple[np.ndarray, np.ndarray] | None = None  # g and _products(g)
-
-    def clear(self) -> None:
-        self.size, self.newest, self._kept = 0, -1, None
 
     def _slots(self) -> np.ndarray:
         """The held slots, oldest first."""

@@ -641,6 +641,14 @@ def test_search_reports_no_violation(capsys):
     assert doc["found"] is False and doc["certificate"] is None
 
 
+def test_search_refuses_homog2_family_that_overflows(capsys, recwarn):
+    # q = 1.0000001 gives q* = 1e7, and |f|^(q* - 2) overflows float64
+    code, out, err = run(capsys, ["search", "--d", "2", "--q", "1.0000001", "--p", "3"])
+    assert code == 2 and out == ""
+    assert err == "error: N_q* f overflows float64 at q* = 1e+07\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_selftest_green(capsys):
     code, out, _ = run(capsys, ["selftest"])
     assert code == 0

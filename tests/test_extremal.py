@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import nonzero_polys
-from rieszlab import extremal
+from rieszlab import extremal, optimize
 from rieszlab.cli import _json_text
 from rieszlab.exponents import conjugate
 from rieszlab.extremal import (
@@ -297,7 +297,7 @@ def test_padded_solution_keeps_psi_samples():
     # x is [Re c_1..c_K, Im c_1..c_K]: padding each half keeps phi0, so psi
     # is unchanged on one grid; padding x as a whole moves Im parts into Re slots
     phi, q, K, n = truncated_szego_poly(0.9j, 10), 1.05, 40, 512
-    x, _ = _solve_at_degree(phi, q, K, 1e-6, n, 4000, np.zeros(0))
+    x = _solve_at_degree(phi, q, K, 1e-6, n, 4000, np.zeros(0))[0]
     assert np.abs(x[K:]).max() > 0.1  # complex w: the Im half carries weight
     grid = sample(phi, n)
     psi_k, _ = _objective(grid, q, K)
@@ -343,6 +343,38 @@ def test_each_solve_starts_from_the_previous_solution(monkeypatch):
     assert not starts[0].any()
     for x0, prev in zip(starts[1:], ends):
         np.testing.assert_array_equal(x0, _pad_solution(prev, x0.size // 2))
+
+
+def test_first_failed_line_search_ends_each_cap(monkeypatch):
+    # whether each line search found no step, one list per cap's run
+    failed = []
+
+    def spy_search(*args):
+        step, evals = line_search(*args)
+        failed[-1].append(step is None)
+        return step, evals
+
+    def spy_minimize(*args, **kwargs):
+        failed.append([])
+        return minimize(*args, **kwargs)
+
+    line_search, minimize = optimize._line_search, extremal.minimize
+    monkeypatch.setattr(optimize, "_line_search", spy_search)
+    monkeypatch.setattr(extremal, "minimize", spy_minimize)
+    triple = dual_extremal_solve(truncated_szego_poly(0.95, 20), q=1.1)
+    assert [a.stop for a in triple.attempts] == ["line_search"] * 2
+    assert len(failed) == 2
+    for run in failed:
+        assert run.count(True) == 1 and run[-1]
+
+
+def test_small_phi_is_solved_as_accurately_as_unit_scale():
+    # the problem is 1-homogeneous in phi; no stopping rule on the absolute
+    # decrease of f may end the small solve early
+    phi = truncated_szego_poly(0.9, 40)
+    unit = dual_extremal_solve(phi, q=1.5).value
+    small = dual_extremal_solve(phi.scale(1e-6), q=1.5).value / 1e-6
+    assert abs(small - unit) <= 1e-13 * unit
 
 
 def test_nonconvergence_names_every_cap():
