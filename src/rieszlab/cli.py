@@ -236,7 +236,7 @@ def cmd_dual_extremal(args) -> int:
     if args.kernel is not None:
         # reported, not checked: (1-r)^{-1/q*} is the norm for the untruncated kernel
         closed = (1.0 - abs(complex(args.kernel)) ** 2) ** (-1.0 / triple.q_star)
-        doc.update(closed_form=closed, closed_form_diff=triple.value - closed)
+        doc.update(closed_form=closed)
     _write_text(_json_text(doc), args.out)
     return 0
 

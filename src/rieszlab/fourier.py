@@ -106,8 +106,8 @@ class TrigPoly:
         return max(max(abs(a) for a in alpha) for alpha in self.coeffs)
 
     def l2_norm(self) -> float:
-        """Parseval norm sqrt(sum |c_alpha|^2)."""
-        return float(np.sqrt(sum(abs(c) ** 2 for c in self.coeffs.values())))
+        """Parseval norm sqrt(sum |c_alpha|^2), free of overflow and underflow."""
+        return math.hypot(*map(abs, self.coeffs.values()))
 
     def is_analytic(self) -> bool:
         return all(min(alpha) >= 0 for alpha in self.coeffs) if self.coeffs else True

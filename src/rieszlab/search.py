@@ -4,7 +4,11 @@ Candidates come from four families -- seeded random polynomials, the
 point-kernel family over w (d=1), the perturbed 2-homogeneous family
 over eps (d=2), and frequency-shifted spherical Dirichlet kernels --
 followed by coordinate-wise ascent on the coefficients of the best
-candidates.  Ascent trials are scored incrementally on running sample
+candidate.  The scan is a branch and bound: every candidate first gets
+the exact bound :func:`_ratio_bound` from a small grid, and only those
+whose bound can still beat the best ratio scored so far are scored on
+the full grid, so the best candidate is the one an exhaustive scan
+picks.  Ascent trials are scored incrementally on running sample
 arrays (one coefficient changes, so the samples change by one
 separable wave; no FFT), but the ratio the search reports for the
 ascended polynomial is recomputed from scratch by
@@ -14,8 +18,8 @@ on a grid of twice the resolution; merely grazing 1 proves nothing at
 grid accuracy.
 
 Everything is deterministic for a fixed seed: candidates are generated
-up front, scored on a thread pool whose ``map`` keeps their order
-(``threads`` caps its workers), and ties are broken by candidate index.
+up front, scored in batches of ``threads`` on a thread pool whose
+``map`` keeps their order, and ties are broken by candidate index.
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ from .norms import lp_norm, nonlinear_map
 
 #: A ratio must exceed 1 by this margin to count as a violation.
 RATIO_MARGIN = 1e-8
+#: A candidate is skipped only when its bound, widened by this factor, is
+#: below the best ratio scored; at p = 4, q = 2 the bound is attained.
+BOUND_MARGIN = 1e-9
 #: Each kernel candidate keeps its coefficients with |alpha| <= this cutoff.
 KERNEL_CUTOFF = 24
 
@@ -52,6 +59,28 @@ def projection_ratio(psi: TrigPoly, p: float, q: float, n_per_axis: int, offset:
         return 0.0
     num = lp_norm(sample(projected, n_per_axis, offset), p)
     return num / denom
+
+
+def _ratio_bound(psi: TrigPoly, p: float, q: float) -> float:
+    """||P+ psi||_4 / ||psi||_2, an upper bound on every
+    :func:`projection_ratio` of psi when 0 <= p <= 4 and q >= 2 (inf
+    otherwise).
+
+    Each grid that ratio accepts has more than 2 * bandwidth points per
+    axis, so its means of |P+ psi|^4 and |psi|^2 are exact, and the
+    power-mean inequality on the grid gives ||P+ psi||_p <= ||P+ psi||_4
+    and ||psi||_q >= ||psi||_2.  The numerator is sampled on the
+    smallest grid that is exact for it; the denominator is Parseval's.
+    """
+    l2 = psi.l2_norm()
+    if l2 == 0.0:
+        raise ValueError("psi vanishes identically")
+    if not (p <= 4.0 and q >= 2.0):
+        return math.inf
+    projected = riesz_project(psi)
+    if not projected.coeffs:
+        return 0.0
+    return lp_norm(sample(projected, resolving_grid(projected, 2)), 4.0) / l2
 
 
 @dataclass(frozen=True)
@@ -259,10 +288,17 @@ def violation_search(
     """Maximize the projection ratio over the candidate families.
 
     ``budget`` caps the total number of ratio evaluations (roughly);
-    40% goes to scanning the families, the rest to local ascent from
-    the best candidate.  ``n_per_axis`` is the grid floor (default
-    ``DEFAULT_GRID[dim]``) and ``threads`` caps the scan's workers.
-    Deterministic for fixed seed.
+    about 30% goes to scanning the families (a quarter to random
+    polynomials, a twentieth to shifted Dirichlet kernels, plus the
+    d = 1 or d = 2 family), the rest to local ascent from the best
+    candidate.  The scan bounds every candidate by
+    :func:`_ratio_bound`, visits them in descending bound (ties by
+    index) and scores on the grid only those whose bound, widened by
+    ``BOUND_MARGIN``, reaches the best ratio scored so far; every
+    candidate, bounded or scored, counts as one evaluation.
+    ``n_per_axis`` is the grid floor (default ``DEFAULT_GRID[dim]``)
+    and ``threads`` caps the scan's workers and its batch size.
+    Deterministic for fixed seed, whatever ``threads``.
     """
     seed = int(seed)
     if budget < 1:
@@ -290,18 +326,25 @@ def violation_search(
         candidates.extend(_homog2_candidates(q, n))
     candidates.extend(_shifted_dirichlet_candidates(rng, dim, count=max(4, budget // 20)))
 
-    def score(item: tuple[str, TrigPoly]) -> float:
-        _, poly = item
+    def score(i: int) -> float:
+        poly = candidates[i][1]
         return projection_ratio(poly, p, q, resolving_grid(poly, n), offset)
 
+    bounds = [_ratio_bound(poly, p, q) for _, poly in candidates]
+    order = sorted(range(len(candidates)), key=lambda i: (-bounds[i], i))
+    ratios: dict[int, float] = {}
+    best_ratio = 0.0
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        ratios = list(pool.map(score, candidates))  # map keeps the candidate order
-    evaluations = len(candidates)
+        for start in range(0, len(order), workers):
+            batch = [i for i in order[start : start + workers] if bounds[i] * (1.0 + BOUND_MARGIN) >= best_ratio]
+            if not batch:  # the bounds descend, so no later candidate can win either
+                break
+            ratios.update(zip(batch, pool.map(score, batch)))
+            best_ratio = max(ratios.values())
+    evaluations = len(candidates)  # bounded and scored alike
 
-    order = sorted(range(len(candidates)), key=lambda i: (-ratios[i], i))
-    best_idx = order[0]
+    best_idx = min(ratios, key=lambda i: (-ratios[i], i))
     best_family, best_poly = candidates[best_idx]
-    best_ratio = ratios[best_idx]
 
     ascent_budget = max(0, budget - evaluations)
     if ascent_budget > 10:

@@ -403,7 +403,7 @@ def test_dual_extremal_kernel(capsys):
     assert doc["value"] == pytest.approx(0.75 ** (-0.25), abs=1e-4)
     assert abs(float(doc["duality_gap"])) < 1e-6
     assert doc["closed_form"] == pytest.approx(0.75 ** (-0.25), rel=1e-15)
-    assert doc["closed_form_diff"] == doc["value"] - doc["closed_form"]
+    assert "closed_form_diff" not in doc  # value minus closed_form has no bound to check it against
 
 
 def test_dual_extremal_reports_every_cap(capsys):

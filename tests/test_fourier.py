@@ -98,6 +98,12 @@ def test_l2_norm_is_parseval(f):
     assert f.l2_norm() == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_l2_norm_neither_underflows_nor_overflows(scale):
+    # |c|^2 leaves the float range at both scales; the norm itself does not
+    assert TrigPoly(2, {(0, 0): 3.0 * scale, (1, -1): 4j * scale}).l2_norm() == pytest.approx(5.0 * scale, rel=1e-15)
+
+
 def test_prune():
     f = TrigPoly(1, {(0,): 1.0, (1,): 1e-15})
     g = f.prune(1e-12)

@@ -3,14 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from conftest import nonzero_polys
+from hypothesis import given
+from hypothesis import strategies as st
 
+from rieszlab import search
 from rieszlab.cli import _json_text
-from rieszlab.fourier import TrigPoly
+from rieszlab.fourier import TrigPoly, resolving_grid
 from rieszlab.search import (
     RATIO_MARGIN,
     ViolationCertificate,
     _ascend,
     _random_poly,
+    _ratio_bound,
     projection_ratio,
     violation_search,
 )
@@ -32,6 +37,48 @@ def test_projection_ratio_analytic_input_q2_p2():
 def test_projection_ratio_zero_denominator():
     with pytest.raises(ValueError):
         projection_ratio(TrigPoly(1, {}), 2.0, 2.0, 32)
+
+
+@given(
+    st.integers(1, 3).flatmap(lambda dim: nonzero_polys(dim, max_degree=3, max_terms=5)),
+    st.one_of(st.sampled_from([0.0, 1.0, 4.0]), st.floats(0.0, 4.0)),
+    st.one_of(st.sampled_from([2.0, 3.0, math.inf]), st.floats(2.0, 64.0)),
+    st.sampled_from([0.0, 0.5]),
+    st.sampled_from([2, 16]),
+)
+def test_ratio_bound_bounds_the_projection_ratio(psi, p, q, offset, floor):
+    # sparse supports, so P+ psi often vanishes at grid points and sometimes identically
+    bound = _ratio_bound(psi, p, q)
+    ratio = projection_ratio(psi, p, q, resolving_grid(psi, floor), offset)
+    assert ratio <= bound * (1.0 + 1e-12)
+    if p == 4.0 and q == 2.0:  # both grid norms are the exact ones: the bound is attained
+        assert ratio == pytest.approx(bound, rel=1e-12)
+
+
+def test_ratio_bound_outside_its_range():
+    psi = TrigPoly(2, {(1, 0): 1.0, (-1, 2): 0.5j})
+    for p, q in [(4.5, 3.0), (math.inf, 3.0), (2.6, 1.99), (1.2, 4.0 / 3.0), (math.inf, 1.0)]:
+        assert _ratio_bound(psi, p, q) == math.inf
+    # P+ psi = 0: the bound is the ratio itself
+    assert _ratio_bound(TrigPoly(2, {(-1, 0): 1.0, (1, -2): 0.5j}), 2.6, 3.0) == 0.0
+    for p, q in [(2.6, 3.0), (4.5, 3.0)]:
+        with pytest.raises(ValueError, match="psi vanishes identically"):
+            _ratio_bound(TrigPoly(2, {}), p, q)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 11])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_pruned_scan_matches_the_exhaustive_one(monkeypatch, dim, seed, threads):
+    # at d = 2 and 3 the winner has the largest bound; at d = 1 it ranks 5th to 10th
+    calls = []
+    real = search.projection_ratio
+    monkeypatch.setattr(search, "projection_ratio", lambda *args: calls.append(args) or real(*args))
+    pruned = violation_search(dim, 3.0, 2.6, budget=60, seed=seed, threads=threads)
+    pruned_calls = len(calls)
+    monkeypatch.setattr(search, "_ratio_bound", lambda psi, p, q: math.inf)
+    assert violation_search(dim, 3.0, 2.6, budget=60, seed=seed, threads=threads) == pruned
+    assert pruned_calls < len(calls) - pruned_calls  # the bound did skip candidates
 
 
 def reference_ascend(psi, p, q, n_per_axis, offset, steps):
