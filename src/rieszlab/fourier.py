@@ -40,7 +40,7 @@ _HEADER = struct.Struct("<4sIII")  # magic, dim, n_per_axis, offset in half-cell
 
 
 def _as_multi_index(alpha: Iterable[int], dim: int) -> MultiIndex:
-    idx = tuple(int(a) for a in alpha)
+    idx = tuple(map(int, alpha))
     if len(idx) != dim:
         raise ValueError(f"index {idx} has length {len(idx)}, expected {dim}")
     return idx
@@ -91,13 +91,13 @@ class TrigPoly:
 
     @classmethod
     def monomial(cls, alpha: Iterable[int]) -> "TrigPoly":
-        idx = tuple(int(a) for a in alpha)
+        idx = tuple(map(int, alpha))
         return cls(dim=len(idx), coeffs={idx: 1.0})
 
     # -- basic queries -------------------------------------------------
 
     def coeff(self, alpha: Iterable[int]) -> complex:
-        return self.coeffs.get(tuple(int(a) for a in alpha), 0.0 + 0.0j)
+        return self.coeffs.get(tuple(map(int, alpha)), 0.0 + 0.0j)
 
     def bandwidth(self) -> int:
         """Largest |alpha_i| over the support (0 for a constant)."""

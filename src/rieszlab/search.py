@@ -5,14 +5,15 @@ point-kernel family over w (d=1), the perturbed 2-homogeneous family
 over eps (d=2), and frequency-shifted spherical Dirichlet kernels --
 followed by coordinate-wise ascent on the coefficients of the best
 candidate.  The scan is a branch and bound: every candidate first gets
-the exact bound :func:`_ratio_bound` from a small grid, and only those
-whose bound can still beat the best ratio scored so far are scored on
-the full grid, so the best candidate is the one an exhaustive scan
-picks.  Ascent trials are scored incrementally on running sample
-arrays (one coefficient changes, so the samples change by one
-separable wave; no FFT), but the ratio the search reports for the
-ascended polynomial is recomputed from scratch by
-:func:`projection_ratio`.  A certificate is emitted only when the
+the exact bound :func:`_ratio_bound` from Parseval's identity (and, for
+p > 2, a small grid), and only those whose bound can still beat the
+best ratio scored so far are scored on the full grid, so the best
+candidate is the one an exhaustive scan picks.  Ascent trials are
+scored incrementally on running sample arrays (one coefficient
+changes, so the samples change by one separable wave; no FFT), and a
+trial that would undo the move just accepted is skipped, since it
+always loses; the ratio the search reports for the ascended polynomial
+is recomputed from scratch by :func:`projection_ratio`.  A certificate is emitted only when the
 measured ratio clears 1 + RATIO_MARGIN *and* survives re-verification
 on a grid of twice the resolution; merely grazing 1 proves nothing at
 grid accuracy.
@@ -62,15 +63,19 @@ def projection_ratio(psi: TrigPoly, p: float, q: float, n_per_axis: int, offset:
 
 
 def _ratio_bound(psi: TrigPoly, p: float, q: float) -> float:
-    """||P+ psi||_4 / ||psi||_2, an upper bound on every
-    :func:`projection_ratio` of psi when 0 <= p <= 4 and q >= 2 (inf
-    otherwise).
+    """An upper bound on every :func:`projection_ratio` of psi when
+    0 <= p <= 4 and q >= 2 (inf otherwise): ||P+ psi||_2 / ||psi||_2
+    for p <= 2, and ||P+ psi||_2^(1-t) ||P+ psi||_4^t / ||psi||_2 with
+    t = 2 - 4/p above.
 
     Each grid that ratio accepts has more than 2 * bandwidth points per
-    axis, so its means of |P+ psi|^4 and |psi|^2 are exact, and the
-    power-mean inequality on the grid gives ||P+ psi||_p <= ||P+ psi||_4
-    and ||psi||_q >= ||psi||_2.  The numerator is sampled on the
-    smallest grid that is exact for it; the denominator is Parseval's.
+    axis, so its means of |P+ psi|^2, |P+ psi|^4 and |psi|^2 are exact.
+    On the grid's probability measure the power-mean inequality gives
+    ||psi||_q >= ||psi||_2 and, for p <= 2, ||P+ psi||_p <= ||P+ psi||_2;
+    for 2 < p <= 4, L^p norms are log-convex in 1/p, and
+    1/p = (1-t)/2 + t/4.  Both L^2 norms are Parseval's; the L^4 norm is
+    sampled on the smallest grid that is exact for it.  When q = 2 the
+    bound is attained at p = 2 and at p = 4.
     """
     l2 = psi.l2_norm()
     if l2 == 0.0:
@@ -80,7 +85,11 @@ def _ratio_bound(psi: TrigPoly, p: float, q: float) -> float:
     projected = riesz_project(psi)
     if not projected.coeffs:
         return 0.0
-    return lp_norm(sample(projected, resolving_grid(projected, 2)), 4.0) / l2
+    l2_plus = projected.l2_norm()
+    if p <= 2.0:
+        return l2_plus / l2
+    l4_plus = lp_norm(sample(projected, resolving_grid(projected, 2)), 4.0)
+    return l4_plus * (l2_plus / l4_plus) ** (4.0 / p - 1.0) / l2  # 1 - t = 4/p - 1
 
 
 @dataclass(frozen=True)
@@ -210,6 +219,13 @@ def _ascend(
     trial is scored in O(N^d) on running sample arrays, with no FFT.
     The returned ratio is recomputed from scratch by
     :func:`projection_ratio`.
+
+    A visit to c_alpha tries +delta, -delta, +i delta and -i delta with
+    one step size, so after +delta or +i delta is accepted the next
+    trial would undo it: it returns to the ratio just beaten by more
+    than the acceptance factor, up to one rounding per sample, and is
+    always rejected.  It is skipped and counted as one evaluation, so
+    the budget and every later decision are those of trying it.
     """
     dim = psi.dim
     coeffs = dict(psi.coeffs)
@@ -235,12 +251,16 @@ def _ascend(
                     waves[a] = np.exp(1j * a * angles)
             head = waves[alpha[0]].reshape((-1,) + (1,) * (dim - 1))
             tail = reduce(np.multiply.outer, [waves[a] for a in alpha[1:]], np.ones(()))
+            undo = None  # the trial that would undo the move just accepted
             for delta in (step * scale, -step * scale, 1j * step * scale, -1j * step * scale):
                 if evals >= steps:
                     break
                 value = base + delta
                 held = alpha in coeffs
                 if value == 0 and len(coeffs) == held:
+                    continue
+                if delta == undo:
+                    evals += 1
                     continue
                 shift = head * delta  # trial.samples below becomes delta e^{i alpha.theta}
                 trial_num = num
@@ -266,6 +286,7 @@ def _ascend(
                     else:
                         del coeffs[alpha]
                     base = coeffs.get(alpha, 0.0 + 0.0j)
+                    undo = -delta
                     improved = True
         if not improved:
             step *= 0.5

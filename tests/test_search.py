@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from rieszlab import search
 from rieszlab.cli import _json_text
-from rieszlab.fourier import TrigPoly, resolving_grid
+from rieszlab.fourier import TrigPoly, resolving_grid, riesz_project, sample
+from rieszlab.norms import lp_norm
 from rieszlab.search import (
     RATIO_MARGIN,
     ViolationCertificate,
@@ -41,7 +42,7 @@ def test_projection_ratio_zero_denominator():
 
 @given(
     st.integers(1, 3).flatmap(lambda dim: nonzero_polys(dim, max_degree=3, max_terms=5)),
-    st.one_of(st.sampled_from([0.0, 1.0, 4.0]), st.floats(0.0, 4.0)),
+    st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0]), st.floats(0.0, 4.0)),
     st.one_of(st.sampled_from([2.0, 3.0, math.inf]), st.floats(2.0, 64.0)),
     st.sampled_from([0.0, 0.5]),
     st.sampled_from([2, 16]),
@@ -51,8 +52,22 @@ def test_ratio_bound_bounds_the_projection_ratio(psi, p, q, offset, floor):
     bound = _ratio_bound(psi, p, q)
     ratio = projection_ratio(psi, p, q, resolving_grid(psi, floor), offset)
     assert ratio <= bound * (1.0 + 1e-12)
-    if p == 4.0 and q == 2.0:  # both grid norms are the exact ones: the bound is attained
+    if p in (2.0, 4.0) and q == 2.0:  # both grid norms are the exact ones: the bound is attained
         assert ratio == pytest.approx(bound, rel=1e-12)
+    projected = riesz_project(psi)
+    if projected.coeffs:  # never looser than ||P+ psi||_4 / ||psi||_2
+        l4_bound = lp_norm(sample(projected, resolving_grid(projected, 2)), 4.0) / psi.l2_norm()
+        assert bound <= l4_bound * (1.0 + 1e-12)
+
+
+def test_ratio_bound_at_p_up_to_2_samples_no_grid(monkeypatch):
+    def no_sample(*args):
+        raise AssertionError("sampled a grid")
+
+    monkeypatch.setattr(search, "sample", no_sample)
+    psi = TrigPoly(3, {(1, 0, 2): 1.0, (0, 0, 0): -0.5j, (-1, 2, 0): 2.0, (2, 1, 1): 0.25})
+    for p in (0.0, 1.2, 2.0):
+        assert _ratio_bound(psi, p, 3.0) == pytest.approx(math.hypot(1.0, 0.5, 0.25) / psi.l2_norm(), rel=1e-15)
 
 
 def test_ratio_bound_outside_its_range():
@@ -81,8 +96,12 @@ def test_pruned_scan_matches_the_exhaustive_one(monkeypatch, dim, seed, threads)
     assert pruned_calls < len(calls) - pruned_calls  # the bound did skip candidates
 
 
-def reference_ascend(psi, p, q, n_per_axis, offset, steps):
-    """The ascent scored from scratch: every trial re-samples psi and P+ psi."""
+def reference_ascend(psi, p, q, n_per_axis, offset, steps, undos=None):
+    """The ascent scored from scratch: every trial re-samples psi and P+ psi.
+
+    ``undos``, if given, gets one entry per trial that undoes the move
+    just accepted: whether that trial was accepted too.
+    """
     best = psi
     best_ratio = projection_ratio(psi, p, q, n_per_axis, offset)
     evals = 1
@@ -93,6 +112,7 @@ def reference_ascend(psi, p, q, n_per_axis, offset, steps):
         for alpha in keys:
             base = best.coeffs.get(alpha, 0.0 + 0.0j)
             scale = max(abs(base), 0.1)
+            undo = None
             for delta in (step * scale, -step * scale, 1j * step * scale, -1j * step * scale):
                 if evals >= steps:
                     break
@@ -103,9 +123,13 @@ def reference_ascend(psi, p, q, n_per_axis, offset, steps):
                     continue
                 ratio = projection_ratio(trial, p, q, n_per_axis, offset)
                 evals += 1
-                if ratio > best_ratio * (1.0 + 1e-12):
+                accepted = ratio > best_ratio * (1.0 + 1e-12)
+                if undos is not None and delta == undo:
+                    undos.append(accepted)
+                if accepted:
                     best, best_ratio = trial, ratio
                     base = trial.coeffs.get(alpha, 0.0 + 0.0j)
+                    undo = -delta
                     improved = True
         if not improved:
             step *= 0.5
@@ -133,6 +157,35 @@ def test_incremental_ascent_matches_reference(dim, q, p, n, offset, steps):
         assert got[0].coeffs != psi.coeffs  # the ascent moved
         assert abs(got[1] - want[1]) <= 1e-12
         assert got[2] == want[2]
+
+
+@pytest.mark.parametrize(
+    "dim,q,p,n,steps",
+    [
+        (3, 3.0, 2.6, 64, 60),  # the search-grid shape
+        (1, 3.0, 0.0, 32, 80),
+        (2, 3.0, 0.0, 16, 80),
+    ],
+)
+def test_ascent_skips_exactly_the_undo_trials(monkeypatch, dim, q, p, n, steps):
+    psi = _random_poly(np.random.default_rng(dim), dim, 1 if dim == 3 else 2)
+    undos = []
+    want = reference_ascend(psi, p, q, n, 0.5, steps, undos)
+    assert undos and not any(undos)  # undo trials occur, and scored from scratch each one loses
+    denominators = []
+    real = search.lp_norm
+
+    def counting_lp_norm(g, e):
+        if e == q:
+            denominators.append(g)
+        return real(g, e)
+
+    monkeypatch.setattr(search, "lp_norm", counting_lp_norm)
+    got = _ascend(psi, p, q, n, 0.5, steps)
+    assert got[0].coeffs == want[0].coeffs != psi.coeffs
+    assert got[2] == want[2]  # every trial counts, scored or skipped
+    # the start, every trial but the undo ones, and the from-scratch recompute
+    assert len(denominators) == 1 + (want[2] - 1 - len(undos)) + 1
 
 
 def test_incremental_ascent_without_analytic_part():
