@@ -32,9 +32,7 @@ def _lazy(name: str):
     """The submodule ``rieszlab.<name>``, registered in ``sys.modules`` and
     bound on the package as an import binds it, but executed only on its
     first attribute use (``importlib.util.LazyLoader``), so a command runs
-    only the layers it calls.  Before Python 3.12 that first use takes no
-    lock, so it must not happen in a pool worker: ``search`` and
-    ``dirichlet`` import at module level everything their workers call."""
+    only the layers it calls."""
     fullname = f"{__package__}.{name}"
     module = sys.modules.get(fullname)
     if module is None:
@@ -52,15 +50,12 @@ dirichlet, extremal, figures, fourier, homog2, kernels, norms, search, selftest,
 )
 
 
-def _float_list(text: str) -> list[float]:
-    vals = [float(tok) for tok in text.split(",") if tok.strip()]
+def _list(text: str, kind: type) -> list:
+    """The comma-separated values of ``text`` as ``kind``; empty is refused."""
+    vals = [kind(tok) for tok in text.split(",") if tok.strip()]
     if not vals:
         raise ValueError(f"empty list: {text!r}")
     return vals
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _read_text(path: str) -> str:
@@ -155,7 +150,7 @@ def _load_poly(path: str) -> fourier.TrigPoly:
 
 def cmd_project(args) -> int:
     if _is_grid_file(args.infile):
-        if args.axes:
+        if args.axes is not None:
             raise ValueError("partial projection is only defined for polynomial input")
         grid = fourier.load_grid(args.infile)
         proj = fourier.riesz_project_minus(grid) if args.minus else fourier.riesz_project(grid)
@@ -166,10 +161,10 @@ def cmd_project(args) -> int:
             print(f"aliasing_bound {proj.aliasing_bound!r}", file=sys.stderr)
         return 0
     poly = _load_poly(args.infile)
-    if args.axes and args.minus:
+    if args.axes is not None and args.minus:
         raise ValueError("--minus and --axes do not combine: a partial projection keeps P+ on its axes")
-    if args.axes:
-        proj = fourier.partial_project(poly, _int_list(args.axes))
+    if args.axes is not None:
+        proj = fourier.partial_project(poly, _list(args.axes, int))
     elif args.minus:
         proj = fourier.riesz_project_minus(poly)
     else:
@@ -198,7 +193,7 @@ def cmd_rpk_check(args) -> int:
     p = float(args.p) if args.p is not None else 4.0 / conjugate(q)
     report = kernels.coefficient_check(q=q, p=p, n_max=args.n_max)
     checks = []
-    for r in _float_list(args.r) if args.r else []:
+    for r in _list(args.r, float) if args.r is not None else []:
         if not 0.0 <= r < 1.0:
             raise ValueError(f"r = {r} must lie in [0, 1)")
         w = math.sqrt(r)
@@ -242,8 +237,8 @@ def cmd_dual_extremal(args) -> int:
 
 
 def cmd_d2_scan(args) -> int:
-    qs = _float_list(args.q)
-    eps_list = tuple(_float_list(args.eps))
+    qs = _list(args.q, float)
+    eps_list = tuple(_list(args.eps, float))
     run = {
         "eps": list(eps_list),
         "p_window": [args.p_lo, args.p_hi],
@@ -273,8 +268,8 @@ _FIT_METHOD = {"method": "log-log least squares, smallest radius dropped",
 
 def cmd_dirichlet(args) -> int:
     dim = args.d
-    ps = _float_list(args.p)
-    radii = _float_list(args.radii) if args.radii else _default_radii(dim)
+    ps = _list(args.p, float)
+    radii = _list(args.radii, float) if args.radii is not None else _default_radii(dim)
     if args.fit:
         radii = dirichlet.fit_radii(radii, ps)
     specs = [dirichlet.DirichletSpec(radius=radius, dim=dim) for radius in radii]
@@ -304,7 +299,6 @@ def cmd_search(args) -> int:
         budget=args.budget,
         seed=args.seed,
         n_per_axis=args.grid,
-        threads=args.threads,
     )
     _write_text(_json_text(result), args.out)
     return 0
@@ -343,7 +337,6 @@ _SHARED_FLAGS = {
     "--grid": {"type": _even_grid, "metavar": "N", "help": "points per axis, rounded up to resolve the input"},
     "--seed": {"type": int, "default": 0, "help": "RNG seed"},
     "--budget": {"type": int, "default": 200, "help": "evaluation budget"},
-    "--threads": {"type": int, "help": "worker-thread cap for the candidate scan"},
     "--out": {"metavar": "FILE", "help": "write output here instead of stdout"},
     "--format": {"dest": "fmt", "choices": ("csv", "json"), "default": "csv", "help": "output format"},
 }
@@ -416,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", dest="n_per_axis", metavar="N", type=_even_grid, help="exact points per axis")
 
     sp = add("search", cmd_search, "search for norm-inflation certificates",
-             "--grid", "--seed", "--budget", "--threads", "--out")
+             "--grid", "--seed", "--budget", "--out")
     sp.add_argument("--d", type=int, required=True, choices=(1, 2, 3))
     sp.add_argument("--q", required=True)
     sp.add_argument("--p", required=True)

@@ -1,6 +1,7 @@
-"""Worker-thread count of the search candidate scan, the one parallel loop.
+"""Worker-thread count that ``bench/run.py``'s ``environment()`` records,
+its one reader: the library runs on one thread.
 
-Every other setting of a run is a flag of its subcommand (see ``cli``).
+Every setting of a run is a flag of its subcommand (see ``cli``).
 """
 
 from __future__ import annotations

@@ -19,20 +19,18 @@ on a grid of twice the resolution; merely grazing 1 proves nothing at
 grid accuracy.
 
 Everything is deterministic for a fixed seed: candidates are generated
-up front, scored in batches of ``threads`` on a thread pool whose
-``map`` keeps their order, and ties are broken by candidate index.
+up front, scored one at a time in descending bound, and ties are broken
+by candidate index.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .config import thread_count
 from .dirichlet import lattice_points
 from .exponents import conjugate
 from .fourier import DEFAULT_GRID, TrigPoly, axis_angles, coefficients, resolving_grid, riesz_project, sample
@@ -304,7 +302,6 @@ def violation_search(
     budget: int = 200,
     seed: int = 0,
     n_per_axis: int | None = None,
-    threads: int | None = None,
 ) -> SearchResult:
     """Maximize the projection ratio over the candidate families.
 
@@ -317,9 +314,9 @@ def violation_search(
     index) and scores on the grid only those whose bound, widened by
     ``BOUND_MARGIN``, reaches the best ratio scored so far; every
     candidate, bounded or scored, counts as one evaluation.
-    ``n_per_axis`` is the grid floor (default ``DEFAULT_GRID[dim]``)
-    and ``threads`` caps the scan's workers and its batch size.
-    Deterministic for fixed seed, whatever ``threads``.
+    Every candidate it skips has a ratio below the best, so the winner
+    is the one an exhaustive scan picks.  ``n_per_axis`` is the grid
+    floor (default ``DEFAULT_GRID[dim]``).  Deterministic for fixed seed.
     """
     seed = int(seed)
     if budget < 1:
@@ -330,7 +327,6 @@ def violation_search(
         raise ValueError("q must be >= 1")
     if not p >= 0:
         raise ValueError("p must be >= 0")
-    workers = thread_count(threads)
     n = DEFAULT_GRID[dim] if n_per_axis is None else int(n_per_axis)
     offset = 0.5  # every ratio below samples at sample's default offset
     rng = np.random.default_rng(seed)
@@ -347,21 +343,15 @@ def violation_search(
         candidates.extend(_homog2_candidates(q, n))
     candidates.extend(_shifted_dirichlet_candidates(rng, dim, count=max(4, budget // 20)))
 
-    def score(i: int) -> float:
-        poly = candidates[i][1]
-        return projection_ratio(poly, p, q, resolving_grid(poly, n), offset)
-
     bounds = [_ratio_bound(poly, p, q) for _, poly in candidates]
-    order = sorted(range(len(candidates)), key=lambda i: (-bounds[i], i))
     ratios: dict[int, float] = {}
     best_ratio = 0.0
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for start in range(0, len(order), workers):
-            batch = [i for i in order[start : start + workers] if bounds[i] * (1.0 + BOUND_MARGIN) >= best_ratio]
-            if not batch:  # the bounds descend, so no later candidate can win either
-                break
-            ratios.update(zip(batch, pool.map(score, batch)))
-            best_ratio = max(ratios.values())
+    for i in sorted(range(len(candidates)), key=lambda i: (-bounds[i], i)):
+        if bounds[i] * (1.0 + BOUND_MARGIN) < best_ratio:
+            break  # the bounds descend, so no later candidate can win either
+        poly = candidates[i][1]
+        ratios[i] = projection_ratio(poly, p, q, resolving_grid(poly, n), offset)
+        best_ratio = max(best_ratio, ratios[i])
     evaluations = len(candidates)  # bounded and scored alike
 
     best_idx = min(ratios, key=lambda i: (-ratios[i], i))

@@ -216,6 +216,17 @@ def test_project_axes_2d(capsys, monkeypatch):
     assert set(proj.coeffs) == {(1, -2), (1, 2)}
 
 
+@pytest.mark.parametrize(
+    "axes,message",
+    [(",", "empty list: ','"), ("", "empty list: ''"), ("1.5", "invalid literal for int() with base 10: '1.5'")],
+    ids=["comma", "empty", "non-integer"],
+)
+def test_project_axes_must_be_a_list_of_integers(capsys, monkeypatch, axes, message):
+    # an empty list used to print psi unchanged (",") or run the full P+ ("")
+    monkeypatch.setattr("sys.stdin", io.StringIO(poly_json(TrigPoly(2, {(-1, 2): 1.0, (1, 2): 1.0}))))
+    assert run(capsys, ["project", f"--axes={axes}"]) == (2, "", f"error: {message}\n")
+
+
 def test_project_grid_route(capsys, tmp_path):
     grid = sample(PSI_L1, 32)
     src = tmp_path / "in.rlgf"
@@ -258,6 +269,8 @@ def test_project_grid_reports_aliasing_bound(capsys, tmp_path):
     "argv,message",
     [
         (["d2-scan", "--q", ","], "empty list: ','"),
+        (["rpk-check", "--q", "4", "--r="], "empty list: ''"),
+        (["dirichlet", "--d", "1", "--radii="], "empty list: ''"),
         (["rpk-check", "--q", "4", "--r=-0.1"], "r = -0.1 must lie in [0, 1)"),
         (
             ["dual-extremal", "--kernel", "0.5", "--q", "2", "--degree", "40", "--grid", "64"],
@@ -265,7 +278,14 @@ def test_project_grid_reports_aliasing_bound(capsys, tmp_path):
         ),
         (["dual-extremal", "--kernel", "0.5", "--q", "2", "--trunc-degree", "0"], "trunc_degree must be >= 1"),
     ],
-    ids=["d2-scan-empty-q", "rpk-check-r-negative", "dual-grid-small", "dual-trunc-0"],
+    ids=[
+        "d2-scan-empty-q",
+        "rpk-check-empty-r",
+        "dirichlet-empty-radii",
+        "rpk-check-r-negative",
+        "dual-grid-small",
+        "dual-trunc-0",
+    ],
 )
 def test_refused_input_exits_2_with_one_line(capsys, argv, message):
     assert run(capsys, argv) == (2, "", f"error: {message}\n")
@@ -668,7 +688,7 @@ ACCEPTED = {
     "dual-extremal": {"--grid", "--tol", "--out"},
     "d2-scan": {"--out", "--format"},
     "dirichlet": {"--grid", "--out", "--format"},
-    "search": {"--grid", "--seed", "--budget", "--threads", "--out"},
+    "search": {"--grid", "--seed", "--budget", "--out"},
     "figures": {"--out", "--format"},
     "selftest": set(),
 }
@@ -698,7 +718,7 @@ def test_each_subcommand_accepts_only_the_shared_flags_it_reads():
         for name, sp in sub.choices.items()
     }
     assert accepted == ACCEPTED
-    assert sum(map(len, accepted.values())) == 21 and len(UNREAD) == 72 - 21
+    assert sum(map(len, accepted.values())) == 20 and len(UNREAD) == 72 - 20
     for cmd, argv in REQUIRED.items():
         parser.parse_args([cmd, *argv])
 
@@ -728,13 +748,6 @@ def test_exact_grid_must_be_even(capsys, argv):
     assert "grid must be even and >= 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("threads", ["0", "-1"])
-def test_threads_below_one_exit_2(capsys, threads):
-    code, out, err = run(capsys, ["search", "--d", "3", "--q", "3", "--p", "2.6", "--threads", threads])
-    assert (code, out) == (2, "")
-    assert err == f"error: threads must be >= 1, got {threads}\n"
-
-
 # ---------------------------------------------------------------------------
 # the settings of the removed config file: a subcommand that never read one
 # has no home for it, neither as a config-file key nor as a flag of its name
@@ -750,7 +763,7 @@ CONFIG_READS = {
     "dual-extremal": {"out"},
     "d2-scan": {"max_terms", "rel_tol", "out", "fmt"},
     "dirichlet": {"out", "fmt"},
-    "search": GRIDS | {"offset", "seed", "budget", "max_degree", "threads", "out"},
+    "search": GRIDS | {"offset", "seed", "budget", "max_degree", "out"},
     "figures": {"out", "fmt"},
     "selftest": set(),
 }

@@ -5,9 +5,13 @@ An ``ast`` scan stands in for a linter: a name bound by a module-level
 in the library and in the tests alike.  ``__init__`` binds no export by
 import; it names each one once in its table.
 No module imports scipy anywhere, at module level or in a function body:
-the library runs on numpy alone.  The exponent formulas, the series and
-the bound tables run without numpy: at module level they import neither
-numpy nor a rieszlab module outside that set.  Every norm series goes through
+the library runs on numpy alone.  Nor does any import ``concurrent``,
+``threading`` or ``multiprocessing``: the library runs on the calling
+thread, so ``cli._lazy``'s ``LazyLoader``, which takes no lock before
+Python 3.12, never runs a module's first use on a second thread.  The
+exponent formulas, the series and the bound tables run without numpy: at
+module level they import neither numpy nor a rieszlab module outside
+that set.  Every norm series goes through
 ``series.hyp2f1``; only the p = 0 series of homog2 calls ``sum_series``.
 Every FFT goes through ``fourier``, and one function there computes the
 grid-offset phase e^{2 pi i offset k / N}.  A public module-level function,
@@ -52,8 +56,9 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def scipy_imports(source: str) -> list[str]:
-    """Imports of scipy anywhere in the source, function bodies included."""
+def imports_of(source: str, packages: set[str]) -> list[str]:
+    """Absolute imports of ``packages`` or their submodules anywhere in the
+    source, function bodies included."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -62,7 +67,7 @@ def scipy_imports(source: str) -> list[str]:
             modules = [node.module or ""] if not node.level else []
         else:
             continue
-        found += [(node.lineno, m) for m in modules if m.split(".")[0] == "scipy"]
+        found += [(node.lineno, m) for m in modules if m.split(".")[0] in packages]
     return [f"line {line}: {m}" for line, m in sorted(found)]
 
 
@@ -80,7 +85,7 @@ def test_scanner_flags_eager_scipy():
         "    from scipy.optimize import minimize\n"
         "    return minimize\n"
     )
-    assert scipy_imports(source) == [
+    assert imports_of(source, {"scipy"}) == [
         "line 1: scipy.fft",
         "line 2: scipy.optimize",
         "line 4: scipy",
@@ -92,7 +97,35 @@ def test_scanner_flags_eager_scipy():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_no_module_level_scipy_import(path):
     # stricter than its name: a scipy import inside a function fails too
-    assert scipy_imports(path.read_text()) == []
+    assert imports_of(path.read_text(), {"scipy"}) == []
+
+
+#: Packages that run code on a second thread or process.
+CONCURRENCY = {"concurrent", "multiprocessing", "threading"}
+
+
+def test_scanner_flags_thread_and_process_imports():
+    source = (
+        "import os, threading\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "from concurrent import futures\n"
+        "from . import config\n"
+        "def scan():\n"
+        "    import multiprocessing.pool\n"
+        "    from .threading_notes import x\n"
+        "    return multiprocessing.pool\n"
+    )
+    assert imports_of(source, CONCURRENCY) == [
+        "line 1: threading",
+        "line 2: concurrent.futures",
+        "line 3: concurrent",
+        "line 6: multiprocessing.pool",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_thread_or_process_import(path):
+    assert imports_of(path.read_text(), CONCURRENCY) == []
 
 
 #: Modules that run without numpy, so that ``figures`` and ``--version`` start without it.
@@ -279,6 +312,7 @@ KEPT = {
     "homog2.projection_polynomial": "a cross-check of the coefficients (a, b) of P+ psi",
     "kernels.poisson_kernel": "its mean 1 cross-checks ||k_w||_2^2 = 1/(1 - |w|^2) (ROADMAP item 5)",
     "exponents.riesz_projection_norm": "the classical constant (1/sin(pi/q))^d",
+    "config.thread_count": "bench/run.py's environment() records it and refuses to run above nproc",
 }
 
 

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from rieszlab import search
 from rieszlab.cli import _json_text
-from rieszlab.fourier import TrigPoly, resolving_grid, riesz_project, sample
+from rieszlab.fourier import DEFAULT_GRID, TrigPoly, resolving_grid, riesz_project, sample
 from rieszlab.norms import lp_norm
 from rieszlab.search import (
+    BOUND_MARGIN,
     RATIO_MARGIN,
     ViolationCertificate,
     _ascend,
@@ -81,19 +82,49 @@ def test_ratio_bound_outside_its_range():
             _ratio_bound(TrigPoly(2, {}), p, q)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("seed", [0, 1, 11])
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_pruned_scan_matches_the_exhaustive_one(monkeypatch, dim, seed, threads):
+def test_pruned_scan_matches_the_exhaustive_one(monkeypatch, dim, seed):
     # at d = 2 and 3 the winner has the largest bound; at d = 1 it ranks 5th to 10th
     calls = []
     real = search.projection_ratio
     monkeypatch.setattr(search, "projection_ratio", lambda *args: calls.append(args) or real(*args))
-    pruned = violation_search(dim, 3.0, 2.6, budget=60, seed=seed, threads=threads)
+    pruned = violation_search(dim, 3.0, 2.6, budget=60, seed=seed)
     pruned_calls = len(calls)
     monkeypatch.setattr(search, "_ratio_bound", lambda psi, p, q: math.inf)
-    assert violation_search(dim, 3.0, 2.6, budget=60, seed=seed, threads=threads) == pruned
+    assert violation_search(dim, 3.0, 2.6, budget=60, seed=seed) == pruned
     assert pruned_calls < len(calls) - pruned_calls  # the bound did skip candidates
+
+
+@pytest.mark.parametrize("seed", [0, 1, 11])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_scan_scores_the_bound_order_up_to_the_first_losing_bound(monkeypatch, dim, seed):
+    # the scored candidates are a prefix of the descending-bound order (ties by
+    # index), ending before the first bound that, widened, is below the best ratio
+    bounded, scored = [], []
+    real_bound, real_ratio = search._ratio_bound, search.projection_ratio
+
+    def bound(psi, p, q):
+        bounded.append((psi, real_bound(psi, p, q)))
+        return bounded[-1][1]
+
+    monkeypatch.setattr(search, "_ratio_bound", bound)
+    monkeypatch.setattr(search, "projection_ratio", lambda *args: scored.append(args) or real_ratio(*args))
+    violation_search(dim, 3.0, 2.6, budget=60, seed=seed)
+
+    floor = DEFAULT_GRID[dim]
+    prefix, best = [], 0.0
+    for i in sorted(range(len(bounded)), key=lambda i: (-bounded[i][1], i)):
+        psi, b = bounded[i]
+        if b * (1.0 + BOUND_MARGIN) < best:
+            break
+        prefix.append(i)
+        best = max(best, real_ratio(psi, 2.6, 3.0, resolving_grid(psi, floor), 0.5))
+    # the ascent re-scores a new polynomial and the re-check a doubled grid, so
+    # a call on a candidate at its scan grid comes from the scan
+    index = {id(psi): i for i, (psi, _) in enumerate(bounded)}
+    scan = [index[id(args[0])] for args in scored if id(args[0]) in index and args[3] == resolving_grid(args[0], floor)]
+    assert scan == prefix
 
 
 def reference_ascend(psi, p, q, n_per_axis, offset, steps, undos=None):
@@ -290,8 +321,7 @@ def test_budget_must_be_positive(budget):
         violation_search(1, 2.0, 2.0, budget=budget)
 
 
-def test_search_grid_floor_and_threads():
-    base = violation_search(1, 4.0 / 3.0, 1.2, budget=40, seed=0, threads=1)
-    assert violation_search(1, 4.0 / 3.0, 1.2, budget=40, seed=0, threads=2) == base
+def test_search_grid_floor():
+    base = violation_search(1, 4.0 / 3.0, 1.2, budget=40, seed=0)
     cert = violation_search(1, 4.0 / 3.0, 1.2, budget=40, seed=0, n_per_axis=512).certificate
     assert cert.n_per_axis >= 512 and base.certificate.n_per_axis < 512

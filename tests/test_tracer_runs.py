@@ -29,7 +29,7 @@ def run_python(*argv):
         ),
         (
             ["search", "--d", "1", "--q", "1.3333333333333333", "--p", "1.2", "--budget", "40"],
-            "search.pool_task",
+            "search.projection_ratio",
             {"search.evaluations": lambda n: n == 40},
         ),
     ],
