@@ -82,18 +82,20 @@ def test_ratio_bound_outside_its_range():
             _ratio_bound(TrigPoly(2, {}), p, q)
 
 
+@pytest.mark.parametrize("runs", [1, 2])
 @pytest.mark.parametrize("seed", [0, 1, 11])
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_pruned_scan_matches_the_exhaustive_one(monkeypatch, dim, seed):
-    # at d = 2 and 3 the winner has the largest bound; at d = 1 it ranks 5th to 10th
+def test_pruned_scan_matches_the_exhaustive_one(monkeypatch, dim, seed, runs):
+    # at d = 2 and 3 the winner has the largest bound; at d = 1 it ranks 5th to 10th.
+    # A second run in the same process repeats the first: the scan keeps no state.
     calls = []
     real = search.projection_ratio
     monkeypatch.setattr(search, "projection_ratio", lambda *args: calls.append(args) or real(*args))
-    pruned = violation_search(dim, 3.0, 2.6, budget=60, seed=seed)
+    pruned = [violation_search(dim, 3.0, 2.6, budget=60, seed=seed) for _ in range(runs)]
     pruned_calls = len(calls)
     monkeypatch.setattr(search, "_ratio_bound", lambda psi, p, q: math.inf)
-    assert violation_search(dim, 3.0, 2.6, budget=60, seed=seed) == pruned
-    assert pruned_calls < len(calls) - pruned_calls  # the bound did skip candidates
+    assert pruned == [violation_search(dim, 3.0, 2.6, budget=60, seed=seed)] * runs
+    assert pruned_calls < runs * (len(calls) - pruned_calls)  # the bound did skip candidates
 
 
 @pytest.mark.parametrize("seed", [0, 1, 11])
