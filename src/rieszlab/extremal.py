@@ -153,13 +153,23 @@ def holder_equality_residual(f: GridFunction, q_star: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+#: Objective evaluations between two duality-gap checks during a cap's solve.
+GAP_CHECK_EVALS = 20
+#: Checks over which a cap's gap must halve, or count as stalled.
+GAP_STALL_WINDOW = 5
+
+
 class CapAttempt(NamedTuple):
     """One truncation cap tried by the dual solver: its grid, the L-BFGS
     iteration and objective evaluation counts, why L-BFGS stopped
-    (``optimize.OptimizeResult.stop``: ``"gtol"``, ``"max_iter"``, or
+    (``optimize.OptimizeResult.stop``: ``"gtol"``, ``"max_iter"``,
     ``"line_search"``, where the first line search that found no
-    strong-Wolfe step ended the run), and the duality gap, which
-    certified or did not."""
+    strong-Wolfe step ended the run, or ``"gap_stall"``, where the gap
+    checks made during the solve found the gap stalled above tol with the
+    truncation holding it there), the duality gap at the end, which
+    certified or did not, the number of gap checks made during the solve,
+    and the smallest gap seen by those checks and the final one, with the
+    evaluation count at which it was seen."""
 
     trunc_degree: int
     n_per_axis: int
@@ -168,6 +178,9 @@ class CapAttempt(NamedTuple):
     stop: str
     duality_gap: float
     certified: bool
+    gap_checks: int
+    best_gap: float
+    best_gap_nfev: int
 
 
 @dataclass
@@ -202,8 +215,9 @@ class ExtremalTriple:
         return self.attempts[-1].trunc_degree
 
     def to_json_dict(self) -> dict:
-        """The certifying cap's summary, every attempt, phi and the
-        coefficient table of psi; ``cli`` encodes the nested records."""
+        """The certifying cap's summary, every attempt, phi, and the
+        coefficient table of psi with its radius (``_coeff_radius``);
+        ``cli`` encodes the nested records."""
         return {
             "q": self.q,
             "q_star": self.q_star,
@@ -213,6 +227,7 @@ class ExtremalTriple:
             "trunc_degree": self.trunc_degree,
             "attempts": self.attempts,
             "natural_kernel": self.natural_kernel,
+            "coeff_radius": _coeff_radius(self.q, self.value, self.duality_gap),
             "extremal_kernel_coeffs": coefficients(
                 self.extremal_kernel,
                 min(
@@ -221,6 +236,25 @@ class ExtremalTriple:
                 ),
             ).prune(1e-14),
         }
+
+
+def _coeff_radius(q: float, value: float, gap: float) -> float:
+    """A bound on ||psi - psi*||_q, where psi* minimizes the grid problem
+    and psi, of q-norm ``value``, has duality gap ``gap``; it bounds each
+    coefficient's distance from psi*'s too, as |c_k| <= ||.||_1 <= ||.||_q.
+
+    The gap bounds value - ||psi*||_q, and the midpoint of psi and psi* is
+    feasible, so its norm is at least ||psi*||_q.  For 1 < q <= 2, 2-uniform
+    convexity (Ball, Carlen & Lieb 1994) then gives
+    (q - 1) ||(psi - psi*)/2||^2 <= (value^2 - ||psi*||^2)/2 <= value gap;
+    for q >= 2, Clarkson's inequality gives
+    ||(psi - psi*)/2||^q <= (value^q - ||psi*||^q)/2 <= q value^(q-1) gap/2.
+    The two agree at q = 2.  A gap below 0 is rounding, and counts by its
+    size."""
+    gap = abs(gap)
+    if q <= 2.0:
+        return math.sqrt(4.0 * value * gap / (q - 1.0))
+    return 2.0 * (0.5 * q * gap) ** (1.0 / q) * value ** (1.0 - 1.0 / q)
 
 
 def _pad_solution(x: np.ndarray, K: int) -> np.ndarray:
@@ -356,7 +390,20 @@ def _solve_at_degree(
     <= K, zero-padded here; empty for a cold start).  Returns the solution
     x = [Re c_1..c_K, Im c_1..c_K] of phi0 = sum_k c_k e^{ik theta}, the
     cap's attempt, which says whether the gap certified tol, and the grid
-    and q-norm of psi = phi + conj(phi0)."""
+    and q-norm of psi = phi + conj(phi0).
+
+    Every ``GAP_CHECK_EVALS`` objective evaluations the solve checks the
+    duality gap at its current iterate, until a check certifies tol.  It
+    stops with ``"gap_stall"`` when the gap has stalled above tol, the
+    smallest of the last ``GAP_STALL_WINDOW`` checks being more than half
+    the smallest before them, and the truncation holds it there.  The
+    cap-K problem has its own witness, N_q(psi) less its frequencies
+    -1..-K, whose dual bound is at most the cap's minimum.  The gap less
+    the cap's own gap, primal minus that bound, estimates the part of the
+    gap that solving this cap exactly would leave; at the cap's minimizer
+    the cap's own gap is 0 and the estimate is exact.  While it is at most
+    tol, the optimization holds the gap up, and the solve goes on.
+    """
     deg = phi.bandwidth()
     K = int(trunc_degree)
     n = int(n_per_axis) if n_per_axis is not None else max(256, 1 << (4 * (deg + K) - 1).bit_length())
@@ -365,14 +412,41 @@ def _solve_at_degree(
 
     phi_grid = sample(phi, n)
     psi_samples, fun_and_grad = _objective(phi_grid, q, K)
-    result = minimize(fun_and_grad, _pad_solution(x0, K), maxiter=max_iter)
 
-    psi_grid = phi_grid.with_samples(psi_samples(result.x))
-    primal = lp_norm(psi_grid, q)
-    f_analytic = riesz_project(nonlinear_map(psi_grid, q))  # P+ of the dual witness N_q(psi)
-    denom = lp_norm(f_analytic, conjugate(q))
-    dual = abs(grid_inner(f_analytic, phi_grid)) / denom if denom > 0 else 0.0
-    gap = float(primal - dual)
+    def dual(f: GridFunction) -> float:
+        """The weak-duality bound |<f, phi>| / ||f||_{q*} of a witness f."""
+        denom = lp_norm(f, conjugate(q))
+        return abs(grid_inner(f, phi_grid)) / denom if denom > 0 else 0.0
+
+    def certificate(x: np.ndarray) -> tuple[GridFunction, float, float, GridFunction]:
+        """psi's grid, its q-norm (the primal), the duality gap at x and
+        the dual witness N_q(psi)."""
+        psi_grid = phi_grid.with_samples(psi_samples(x))
+        primal = lp_norm(psi_grid, q)
+        witness = nonlinear_map(psi_grid, q)
+        return psi_grid, primal, float(primal - dual(riesz_project(witness))), witness
+
+    checks: list[tuple[float, int]] = []  # (gap, nfev) of each check
+
+    def monitor(x: np.ndarray, nfev: int) -> str:
+        if nfev < (checks[-1][1] if checks else 0) + GAP_CHECK_EVALS or (checks and min(checks)[0] <= tol):
+            return ""
+        _, primal, gap, witness = certificate(x)
+        checks.append((gap, nfev))
+        gaps = [g for g, _ in checks]
+        recent, before = gaps[-GAP_STALL_WINDOW:], gaps[:-GAP_STALL_WINDOW]
+        if not (min(gaps) > tol and before and min(recent) > 0.5 * min(before)):
+            return ""
+        spec = grid_spectrum(witness)
+        spec[n - K :] = 0.0  # frequencies -K..-1
+        cap_gap = primal - dual(grid_from_spectrum(spec, phi_grid.offset))
+        return "gap_stall" if gap - cap_gap > tol else ""
+
+    result = minimize(fun_and_grad, _pad_solution(x0, K), maxiter=max_iter, monitor=monitor)
+    psi_grid, primal, gap, _ = certificate(result.x)
     certified = math.isfinite(gap) and gap <= tol
-    attempt = CapAttempt(K, n, result.nit, result.nfev, result.stop, gap, certified)
+    best_gap, best_nfev = min([*checks, (gap, result.nfev)])
+    attempt = CapAttempt(
+        K, n, result.nit, result.nfev, result.stop, gap, certified, len(checks), best_gap, best_nfev
+    )
     return result.x, attempt, psi_grid, primal

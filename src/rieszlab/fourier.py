@@ -90,6 +90,16 @@ class TrigPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _from_canonical(cls, dim: int, coeffs: dict[MultiIndex, complex]) -> "TrigPoly":
+        """A TrigPoly from coeffs its caller built in canonical form (keys
+        tuples of dim ints, values finite nonzero complex), without the
+        checks of ``__post_init__``."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "dim", dim)
+        object.__setattr__(poly, "coeffs", coeffs)
+        return poly
+
+    @classmethod
     def monomial(cls, alpha: Iterable[int]) -> "TrigPoly":
         idx = tuple(map(int, alpha))
         return cls(dim=len(idx), coeffs={idx: 1.0})

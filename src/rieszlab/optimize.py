@@ -18,7 +18,10 @@ pair, and the products of the pairs with the current gradient.  So an
 iteration reads the pairs twice: for their products with the new
 gradient, and to combine them into the direction.  A pair is kept when
 s.y > -eps g.s, and the first line search that finds no strong-Wolfe step
-ends the run.
+ends the run.  A ``monitor`` hook sees each accepted iterate and its
+evaluation count, and ends the run by returning a reason, which the result
+carries as its ``stop``: the dual solver stops a cap whose duality gap has
+stalled this way.
 
 ``extremal`` binds ``minimize`` at module level, where a profiler can
 rebind it.
@@ -46,8 +49,9 @@ EPS = float(np.finfo(float).eps)
 class OptimizeResult(NamedTuple):
     """The last accepted iterate x, f(x), the iteration and objective
     evaluation counts, and why the run stopped: ``"gtol"``, ``"max_iter"``,
-    or ``"line_search"`` (no strong-Wolfe step along the L-BFGS
-    direction)."""
+    ``"line_search"`` (no strong-Wolfe step along the L-BFGS direction), or
+    the reason the ``monitor`` returned (the dual solver's
+    ``"gap_stall"``)."""
 
     x: np.ndarray
     fun: float
@@ -67,12 +71,19 @@ class _Point(NamedTuple):
 
 
 def minimize(
-    fun: Callable[[np.ndarray], tuple[float, np.ndarray]], x0: np.ndarray, *, maxiter: int
+    fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    x0: np.ndarray,
+    *,
+    maxiter: int,
+    monitor: Callable[[np.ndarray, int], str] | None = None,
 ) -> OptimizeResult:
     """Minimize a smooth f from x0, where ``fun(x)`` returns (f(x), grad f(x)).
 
     Runs at most ``maxiter`` iterations, and stops at the first line search
-    that finds no strong-Wolfe step along the L-BFGS direction.
+    that finds no strong-Wolfe step along the L-BFGS direction.  After each
+    accepted iteration ``monitor(x, nfev)``, when given, sees the new
+    iterate and the evaluations so far; a non-empty string it returns ends
+    the run with that string as the result's ``stop``.
     """
     x = np.array(x0, dtype=float)
     f, g = fun(x)
@@ -97,6 +108,8 @@ def minimize(
             memory.push(s, y, sy, g, step.g)
         x, f, g = x + s, step.f, step.g
         nit += 1
+        if monitor is not None and (stop := monitor(x, nfev)):
+            return OptimizeResult(x, f, nit, nfev, stop)
 
 
 class _Memory:

@@ -154,7 +154,8 @@ def _random_poly(rng: np.random.Generator, dim: int, degree: int) -> TrigPoly:
     m = 2 * degree + 1
     values = rng.standard_normal((m**dim, 2)).view(np.complex128).ravel()
     alphas = np.indices((m,) * dim).reshape(dim, -1).T - degree
-    return TrigPoly(dim, dict(zip(map(tuple, alphas.tolist()), values.tolist())))
+    coeffs = {alpha: c for alpha, c in zip(map(tuple, alphas.tolist()), values.tolist()) if c}
+    return TrigPoly._from_canonical(dim, coeffs)
 
 
 def _kernel_family_candidates(q: float, n_per_axis: int) -> list[tuple[str, TrigPoly]]:

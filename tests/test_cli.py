@@ -440,6 +440,9 @@ def test_dual_extremal_reports_every_cap(capsys):
         "stop",
         "duality_gap",
         "certified",
+        "gap_checks",
+        "best_gap",
+        "best_gap_nfev",
     }
     last = doc["attempts"][-1]
     assert [last[k] for k in ("trunc_degree", "iterations", "duality_gap")] == [
@@ -835,7 +838,7 @@ CERT = ViolationCertificate(1, 1.5, 1.2, TrigPoly.monomial((1,)), 1.01, 0, 256, 
         (lambda: threshold_scan(2.0, eps_list=(0.08,)), set(), {}),
         (lambda: threshold_scan(2.0, eps_list=(0.08,)).rows[0], set(), {}),
         (lambda: CERT, set(), {}),
-        (lambda: CapAttempt(8, 256, 3, 4, "gtol", 1e-9, True), set(), {}),
+        (lambda: CapAttempt(8, 256, 3, 4, "gtol", 1e-9, True, 0, 1e-9, 4), set(), {}),
         (lambda: SearchResult(CERT, 1.01, "kernel", 7, 1, 1.5, 1.2, 0), {"found", "method"}, {"found": True}),
         (lambda: threshold_scan(math.inf, eps_list=(0.08,)), set(), {"q": "inf"}),
     ],

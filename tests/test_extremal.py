@@ -12,6 +12,9 @@ from rieszlab import extremal, optimize
 from rieszlab.cli import _json_text
 from rieszlab.exponents import conjugate
 from rieszlab.extremal import (
+    GAP_CHECK_EVALS,
+    GAP_STALL_WINDOW,
+    _coeff_radius,
     _objective,
     _pad_solution,
     _solve_at_degree,
@@ -26,6 +29,7 @@ from rieszlab.fourier import (
     TrigPoly,
     coefficients,
     grid_from_function,
+    grid_inner,
     grid_spectrum,
     offset_phase,
     riesz_project,
@@ -343,6 +347,162 @@ def test_each_solve_starts_from_the_previous_solution(monkeypatch):
     assert not starts[0].any()
     for x0, prev in zip(starts[1:], ends):
         np.testing.assert_array_equal(x0, _pad_solution(prev, x0.size // 2))
+
+
+class Run:
+    """One cap's L-BFGS run: its start, its end, the evaluation count at
+    each monitor call, and the iterate and evaluation count of each gap
+    check the monitor made."""
+
+    def __init__(self, x0):
+        self.x0, self.x, self.calls, self.checks = np.array(x0), None, [], []
+
+
+def record_runs(monkeypatch) -> list[Run]:
+    """Spy on every cap's run; a monitor call made a gap check when it
+    projected a dual witness."""
+    runs, projections = [], []
+
+    def spy_project(g):
+        projections.append(g)
+        return riesz_project(g)
+
+    def spy_minimize(fun, x0, *, monitor, **kwargs):
+        run = Run(x0)
+        runs.append(run)
+
+        def watched(x, nfev):
+            before = len(projections)
+            stop = monitor(x, nfev)
+            run.calls.append(nfev)
+            if len(projections) > before:
+                run.checks.append((np.array(x), nfev))
+            return stop
+
+        out = minimize(fun, x0, monitor=watched, **kwargs)
+        run.x = np.array(out.x)
+        return out
+
+    minimize = extremal.minimize
+    monkeypatch.setattr(extremal, "riesz_project", spy_project)
+    monkeypatch.setattr(extremal, "minimize", spy_minimize)
+    return runs
+
+
+def reference_gaps(phi, q, attempt, x):
+    """The duality gap at x on the attempt's cap and grid, and the part of
+    it that the truncation holds up: the gap less the cap-K problem's own
+    gap, whose witness is N_q(psi) without the frequencies -1..-K."""
+    n, K = attempt.n_per_axis, attempt.trunc_degree
+    grid = sample(phi, n)
+    psi = grid.with_samples(_objective(grid, q, K)[0](x))
+    witness = nonlinear_map(psi, q)
+    cap_witness = witness.with_samples(np.fft.ifft(np.fft.fft(witness.samples) * (np.arange(n) < n - K)))
+
+    def dual(f):
+        return abs(grid_inner(f, grid)) / lp_norm(f, conjugate(q))
+
+    gap = lp_norm(psi, q) - dual(riesz_project(witness))
+    return gap, dual(cap_witness) - dual(riesz_project(witness))
+
+
+def stalled(gaps, truncation, tol):
+    recent, before = gaps[-GAP_STALL_WINDOW:], gaps[:-GAP_STALL_WINDOW]
+    return min(gaps) > tol and bool(before) and min(recent) > 0.5 * min(before) and truncation > tol
+
+
+def test_a_stalled_cap_hands_its_solution_to_the_next(monkeypatch):
+    runs = record_runs(monkeypatch)
+    triple = dual_extremal_solve(truncated_szego_poly(0.9, 20), q=1.05)
+    assert [a.stop for a in triple.attempts] == ["gap_stall", "gap_stall", "line_search"]
+    assert [a.trunc_degree for a in triple.attempts] == [80, 160, 320]
+    assert [a.certified for a in triple.attempts] == [False, False, True]
+    assert not runs[0].x0.any()
+    for run, prev in zip(runs[1:], runs):
+        np.testing.assert_array_equal(run.x0, _pad_solution(prev.x, run.x0.size // 2))
+
+
+@pytest.mark.parametrize(
+    "w,degree,q",
+    [(0.9, 20, 1.05), (0.95, 20, 1.1), (0.9, 40, 1.05), (0.8, 20, 64.0)],
+    ids=["stalls-twice", "escalates-on-line-search", "certifies-at-a-check", "certifies-after-7-checks"],
+)
+def test_gap_checks_follow_the_stall_rule(monkeypatch, w, degree, q):
+    phi, tol = truncated_szego_poly(w, degree), 1e-6
+    runs = record_runs(monkeypatch)
+    triple = dual_extremal_solve(phi, q=q, tol=tol)
+    assert len(runs) == len(triple.attempts)
+    for run, attempt in zip(runs, triple.attempts):
+        gaps, truncation = zip(*(reference_gaps(phi, q, attempt, x) for x, _ in run.checks))
+        gaps, nfevs = list(gaps), [nfev for _, nfev in run.checks]
+        assert len(gaps) == attempt.gap_checks > 0
+        assert all(b - a >= GAP_CHECK_EVALS for a, b in zip([0, *nfevs], nfevs))
+        # no check after the first certified one, though the run goes on
+        assert all(gap > tol for gap in gaps[:-1])
+        if gaps[-1] <= tol:
+            assert attempt.stop == "line_search" and run.calls[-1] >= nfevs[-1] + GAP_CHECK_EVALS
+        # the run stops at the first check after which the gaps have stalled
+        # with the truncation holding them up
+        assert not any(stalled(gaps[:i], truncation[i - 1], tol) for i in range(1, len(gaps)))
+        assert stalled(gaps, truncation[-1], tol) == (attempt.stop == "gap_stall")
+        assert (attempt.best_gap, attempt.best_gap_nfev) == min(
+            [*zip(gaps, nfevs), (attempt.duality_gap, attempt.nfev)]
+        )
+
+
+@pytest.mark.parametrize(
+    "w,degree,q,summary",
+    [
+        (0.9, 80, 4.0 / 3.0, (320, 2048, 39, 43, "line_search", True)),  # the benchmark's dual_direct
+        (0.9, 40, 1.05, (160, 1024, 137, 145, "line_search", True)),
+        (0.95, 50, 8.0, (200, 1024, 129, 137, "line_search", True)),
+        (0.8, 20, 64.0, (80, 512, 172, 187, "line_search", True)),
+    ],
+)
+def test_gap_checks_leave_a_certifying_first_cap_alone(w, degree, q, summary):
+    # cap, grid, iterations, evaluations, stop and certified, as before the checks
+    triple = dual_extremal_solve(truncated_szego_poly(w, degree), q=q)
+    assert [(*a[:5], a.certified) for a in triple.attempts] == [summary]
+
+
+def test_fixed_cap_whose_gap_stalls_raises():
+    with pytest.raises(NonconvergenceError, match=r"K=80 gap \S+ after \d+ iterations \(gap_stall\)"):
+        dual_extremal_solve(truncated_szego_poly(0.9, 20), q=1.05, trunc_degree=80)
+
+
+def test_a_gap_the_optimization_holds_up_does_not_stall():
+    # cold at K = 1280 the gap falls too slowly to halve over 5 checks after
+    # some 460 evaluations, but the truncation holds up less than tol of it,
+    # so the solve runs on to max_iter
+    with pytest.raises(NonconvergenceError, match=r"K=1280 gap \S+ after 600 iterations \(max_iter\)"):
+        dual_extremal_solve(truncated_szego_poly(0.93, 40), q=1.05, trunc_degree=1280, max_iter=600)
+
+
+@pytest.mark.parametrize("w,degree,q", [(0.9, 20, 1.05), (0.99, 30, 3.0)])
+def test_coeff_radius_bounds_warm_against_cold(w, degree, q):
+    # both solutions of the final cap's grid problem lie within their
+    # radius of its minimizer, so within the sum of the radii of each other
+    phi = truncated_szego_poly(w, degree)
+    warm = dual_extremal_solve(phi, q=q)
+    cold = dual_extremal_solve(phi, q=q, trunc_degree=warm.trunc_degree)
+    assert len(warm.attempts) > 1 and warm.extremal_kernel.n_per_axis == cold.extremal_kernel.n_per_axis
+    warm_doc, cold_doc = warm.to_json_dict(), cold.to_json_dict()
+    radii = warm_doc["coeff_radius"] + cold_doc["coeff_radius"]
+    assert 0.0 < radii < 0.1
+    diff = warm_doc["extremal_kernel_coeffs"] - cold_doc["extremal_kernel_coeffs"]
+    assert max(map(abs, diff.coeffs.values())) <= radii
+    psi_diff = warm.extremal_kernel.with_samples(warm.extremal_kernel.samples - cold.extremal_kernel.samples)
+    assert lp_norm(psi_diff, q) <= radii
+
+
+@pytest.mark.parametrize("q", [1.05, 1.5, 2.0, 3.0, 64.0])
+def test_coeff_radius_formulas(q):
+    # 2-uniform convexity below q = 2, Clarkson above, equal at q = 2
+    v, gap = 1.3, 1e-8
+    want = math.sqrt(4 * v * gap / (q - 1)) if q <= 2 else 2 * (q * v ** (q - 1) * gap / 2) ** (1 / q)
+    assert _coeff_radius(q, v, gap) == pytest.approx(want, rel=1e-14)
+    assert _coeff_radius(q, v, -gap) == _coeff_radius(q, v, gap)
+    assert _coeff_radius(2.0, v, gap) == pytest.approx(2 * (2 * v * gap / 2) ** 0.5, rel=1e-15)
 
 
 def test_first_failed_line_search_ends_each_cap(monkeypatch):

@@ -70,6 +70,23 @@ def test_stationary_start_takes_no_step():
     assert len(calls) == 1
 
 
+def test_monitor_sees_each_accepted_iterate_and_can_end_the_run():
+    x0 = np.array([-1.2, 1.0])
+    counts = []
+    full = minimize(rosenbrock, x0, maxiter=100, monitor=lambda x, nfev: counts.append(nfev) or "")
+    assert len(counts) == full.nit and counts == sorted(counts) and counts[-1] <= full.nfev
+    seen = []
+
+    def monitor(x, nfev):
+        seen.append((x.copy(), nfev))
+        return "enough" if len(seen) == 3 else ""
+
+    out = minimize(rosenbrock, x0, maxiter=100, monitor=monitor)
+    assert (out.nit, out.nfev, out.stop) == (3, counts[2], "enough")
+    np.testing.assert_array_equal(seen[-1][0], out.x)
+    assert out.fun == rosenbrock(out.x)[0]
+
+
 def test_every_step_meets_the_strong_wolfe_conditions():
     # the run capped at k iterations ends at the k-th iterate; the spy holds
     # f and grad f at every point the solver evaluated

@@ -31,6 +31,16 @@ def test_projection_ratio_oracle():
     assert got == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("dim,degree", [(1, 5), (2, 3), (3, 2)])
+def test_random_poly_is_the_checked_construction(dim, degree):
+    # built without TrigPoly's checks, it is in the form they would give
+    poly = _random_poly(np.random.default_rng(dim), dim, degree)
+    assert poly == TrigPoly(dim, dict(poly.coeffs))
+    assert len(poly.coeffs) == (2 * degree + 1) ** dim
+    assert {type(a) for alpha in poly.coeffs for a in alpha} == {int}
+    assert {type(c) for c in poly.coeffs.values()} == {complex}
+
+
 def test_projection_ratio_analytic_input_q2_p2():
     psi = TrigPoly(1, {(0,): 1.0, (1,): 0.5, (2,): 0.25})
     assert projection_ratio(psi, 2.0, 2.0, 64) == pytest.approx(1.0, rel=1e-12)
