@@ -162,14 +162,14 @@ GAP_STALL_WINDOW = 5
 class CapAttempt(NamedTuple):
     """One truncation cap tried by the dual solver: its grid, the L-BFGS
     iteration and objective evaluation counts, why L-BFGS stopped
-    (``optimize.OptimizeResult.stop``: ``"gtol"``, ``"max_iter"``,
-    ``"line_search"``, where the first line search that found no
-    strong-Wolfe step ended the run, or ``"gap_stall"``, where the gap
-    checks made during the solve found the gap stalled above tol with the
-    truncation holding it there), the duality gap at the end, which
-    certified or did not, the number of gap checks made during the solve,
-    and the smallest gap seen by those checks and the final one, with the
-    evaluation count at which it was seen."""
+    (``optimize.OptimizeResult.stop``: ``"max_iter"``, ``"line_search"``,
+    where the first line search that found no strong-Wolfe step ended the
+    run, or ``"gap_stall"``, where the gap checks made during the solve
+    found the gap stalled above tol with the truncation holding it there),
+    the duality gap at the end, which certified or did not, the number of
+    gap checks made during the solve, and the smallest gap seen by those
+    checks and the final one, with the evaluation count at which it was
+    seen."""
 
     trunc_degree: int
     n_per_axis: int
@@ -413,37 +413,38 @@ def _solve_at_degree(
     phi_grid = sample(phi, n)
     psi_samples, fun_and_grad = _objective(phi_grid, q, K)
 
-    def dual(f: GridFunction) -> float:
-        """The weak-duality bound |<f, phi>| / ||f||_{q*} of a witness f."""
+    def dual(spec: np.ndarray, keep: int) -> float:
+        """The weak-duality bound |<f, phi>| / ||f||_{q*} of the witness f with spectrum spec[:keep]."""
+        f = grid_from_spectrum(np.where(np.arange(n) < keep, spec, 0.0), phi_grid.offset)
         denom = lp_norm(f, conjugate(q))
         return abs(grid_inner(f, phi_grid)) / denom if denom > 0 else 0.0
 
-    def certificate(x: np.ndarray) -> tuple[GridFunction, float, float, GridFunction]:
-        """psi's grid, its q-norm (the primal), the duality gap at x and
-        the dual witness N_q(psi)."""
+    def certificate(x: np.ndarray) -> tuple[GridFunction, float, float, np.ndarray]:
+        """psi's grid, its q-norm (the primal), the duality gap at x, and
+        the spectrum of N_q(psi), whose bins 0..n/2-1 are the gap's witness
+        P+ N_q(psi) and bins 0..n-K-1 the cap-K witness."""
         psi_grid = phi_grid.with_samples(psi_samples(x))
         primal = lp_norm(psi_grid, q)
-        witness = nonlinear_map(psi_grid, q)
-        return psi_grid, primal, float(primal - dual(riesz_project(witness))), witness
+        spec = grid_spectrum(nonlinear_map(psi_grid, q))
+        return psi_grid, primal, float(primal - dual(spec, n // 2)), spec
 
     checks: list[tuple[float, int]] = []  # (gap, nfev) of each check
+    last = None  # the latest check's certificate, which a gap_stall stop keeps
 
     def monitor(x: np.ndarray, nfev: int) -> str:
+        nonlocal last
         if nfev < (checks[-1][1] if checks else 0) + GAP_CHECK_EVALS or (checks and min(checks)[0] <= tol):
             return ""
-        _, primal, gap, witness = certificate(x)
+        _, primal, gap, spec = last = certificate(x)
         checks.append((gap, nfev))
         gaps = [g for g, _ in checks]
         recent, before = gaps[-GAP_STALL_WINDOW:], gaps[:-GAP_STALL_WINDOW]
         if not (min(gaps) > tol and before and min(recent) > 0.5 * min(before)):
             return ""
-        spec = grid_spectrum(witness)
-        spec[n - K :] = 0.0  # frequencies -K..-1
-        cap_gap = primal - dual(grid_from_spectrum(spec, phi_grid.offset))
-        return "gap_stall" if gap - cap_gap > tol else ""
+        return "gap_stall" if gap - (primal - dual(spec, n - K)) > tol else ""  # the gap less the cap's own
 
     result = minimize(fun_and_grad, _pad_solution(x0, K), maxiter=max_iter, monitor=monitor)
-    psi_grid, primal, gap, _ = certificate(result.x)
+    psi_grid, primal, gap, _ = last if result.stop == "gap_stall" else certificate(result.x)
     certified = math.isfinite(gap) and gap <= tol
     best_gap, best_nfev = min([*checks, (gap, result.nfev)])
     attempt = CapAttempt(

@@ -18,10 +18,10 @@ pair, and the products of the pairs with the current gradient.  So an
 iteration reads the pairs twice: for their products with the new
 gradient, and to combine them into the direction.  A pair is kept when
 s.y > -eps g.s, and the first line search that finds no strong-Wolfe step
-ends the run.  A ``monitor`` hook sees each accepted iterate and its
-evaluation count, and ends the run by returning a reason, which the result
-carries as its ``stop``: the dual solver stops a cap whose duality gap has
-stalled this way.
+ends the run, also where g vanishes (there is no gradient floor).  A
+``monitor`` hook sees each accepted iterate and its evaluation count, and
+ends the run by returning a reason, which the result carries as its
+``stop``: the dual solver stops a cap whose duality gap stalls this way.
 
 ``extremal`` binds ``minimize`` at module level, where a profiler can
 rebind it.
@@ -38,8 +38,6 @@ import numpy as np
 MAXCOR = 30
 #: Sufficient decrease and curvature constants of the strong Wolfe conditions.
 C1, C2 = 1e-3, 0.9
-#: Stop when max |g| is at most this.
-GTOL = 1e-14
 #: Objective evaluations allowed in one line search.
 MAX_LINE_EVALS = 20
 
@@ -48,10 +46,10 @@ EPS = float(np.finfo(float).eps)
 
 class OptimizeResult(NamedTuple):
     """The last accepted iterate x, f(x), the iteration and objective
-    evaluation counts, and why the run stopped: ``"gtol"``, ``"max_iter"``,
-    ``"line_search"`` (no strong-Wolfe step along the L-BFGS direction), or
-    the reason the ``monitor`` returned (the dual solver's
-    ``"gap_stall"``)."""
+    evaluation counts, and why the run stopped: ``"max_iter"``,
+    ``"line_search"`` (no strong-Wolfe step along the L-BFGS direction, as
+    where g vanishes), or the reason the ``monitor`` returned (the dual
+    solver's ``"gap_stall"``)."""
 
     x: np.ndarray
     fun: float
@@ -93,12 +91,10 @@ def minimize(
     nit, nfev = 0, 1
     memory = _Memory(x.size)
     while True:
-        if np.max(np.abs(g), initial=0.0) <= GTOL:
-            return OptimizeResult(x, f, nit, nfev, "gtol")
         if nit >= maxiter:
             return OptimizeResult(x, f, nit, nfev, "max_iter")
         d = memory.direction(g)
-        step, evals = _line_search(fun, x, f, g, d, 1.0 if memory.size else 1.0 / float(np.linalg.norm(g)))
+        step, evals = _line_search(fun, x, f, g, d, 1.0 if memory.size else None)
         nfev += evals
         if step is None:
             return OptimizeResult(x, f, nit, nfev, "line_search")
@@ -200,8 +196,9 @@ def _line_search(fun, x, f0, g0, d, alpha):
 
         f(x + alpha d) <= f0 + C1 alpha g0.d,   |g(x + alpha d).d| <= C2 |g0.d|,
 
-    as a ``_Point`` (None when none is found in ``MAX_LINE_EVALS``
-    evaluations), and the number of evaluations made.
+    as a ``_Point`` (None when d is no descent direction or none is found
+    in ``MAX_LINE_EVALS`` evaluations), and the number of evaluations
+    made.  The first trial is ``alpha``, or 1/||d|| when that is None.
 
     ``lo`` is the lowest point found that satisfies sufficient decrease,
     and its slope points into the bracket [lo, hi] once ``hi`` is set:
@@ -214,6 +211,7 @@ def _line_search(fun, x, f0, g0, d, alpha):
     slope0 = float(g0 @ d)
     if not slope0 < 0.0:
         return None, 0
+    alpha = 1.0 / float(np.linalg.norm(d)) if alpha is None else alpha  # d != 0, as slope0 < 0
     lo = prev = _Point(0.0, f0, slope0, g0)
     hi = None
     for evals in range(1, MAX_LINE_EVALS + 1):

@@ -11,7 +11,7 @@ def test_thread_count_explicit_wins():
 
 
 def test_thread_count_env(monkeypatch):
-    # --threads is the only home for the worker cap: the environment is not read
+    # nothing reads RIESZ_LAB_THREADS: setting it leaves the count unchanged
     monkeypatch.delenv("RIESZ_LAB_THREADS", raising=False)
     default = thread_count()
     assert default >= 1

@@ -351,40 +351,47 @@ def test_each_solve_starts_from_the_previous_solution(monkeypatch):
 
 class Run:
     """One cap's L-BFGS run: its start, its end, the evaluation count at
-    each monitor call, and the iterate and evaluation count of each gap
-    check the monitor made."""
+    each monitor call, the iterate and evaluation count of each gap check
+    the monitor made, and the dual witnesses N_q(psi) computed for the cap:
+    how many each check computed, and how many after the run ended."""
 
     def __init__(self, x0):
         self.x0, self.x, self.calls, self.checks = np.array(x0), None, [], []
+        self.witnesses, self.check_witnesses, self.end_witnesses = 0, [], 0
+
+    @property
+    def final_witnesses(self) -> int:
+        return self.witnesses - self.end_witnesses
 
 
 def record_runs(monkeypatch) -> list[Run]:
     """Spy on every cap's run; a monitor call made a gap check when it
-    projected a dual witness."""
-    runs, projections = [], []
+    computed a dual witness."""
+    runs = []
 
-    def spy_project(g):
-        projections.append(g)
-        return riesz_project(g)
+    def spy_witness(g, p):
+        runs[-1].witnesses += 1
+        return nonlinear_map(g, p)
 
     def spy_minimize(fun, x0, *, monitor, **kwargs):
         run = Run(x0)
         runs.append(run)
 
         def watched(x, nfev):
-            before = len(projections)
+            before = run.witnesses
             stop = monitor(x, nfev)
             run.calls.append(nfev)
-            if len(projections) > before:
+            if run.witnesses > before:
                 run.checks.append((np.array(x), nfev))
+                run.check_witnesses.append(run.witnesses - before)
             return stop
 
         out = minimize(fun, x0, monitor=watched, **kwargs)
-        run.x = np.array(out.x)
+        run.x, run.end_witnesses = np.array(out.x), run.witnesses
         return out
 
     minimize = extremal.minimize
-    monkeypatch.setattr(extremal, "riesz_project", spy_project)
+    monkeypatch.setattr(extremal, "nonlinear_map", spy_witness)
     monkeypatch.setattr(extremal, "minimize", spy_minimize)
     return runs
 
@@ -420,6 +427,23 @@ def test_a_stalled_cap_hands_its_solution_to_the_next(monkeypatch):
     assert not runs[0].x0.any()
     for run, prev in zip(runs[1:], runs):
         np.testing.assert_array_equal(run.x0, _pad_solution(prev.x, run.x0.size // 2))
+
+
+def test_a_stalled_cap_keeps_the_certificate_of_its_last_check(monkeypatch):
+    phi, q = truncated_szego_poly(0.9, 20), 1.05
+    runs = record_runs(monkeypatch)
+    triple = dual_extremal_solve(phi, q=q)
+    assert [a.stop for a in triple.attempts] == ["gap_stall", "gap_stall", "line_search"]
+    for run, attempt in zip(runs, triple.attempts):
+        # one witness per check gives both of its dual bounds
+        assert run.check_witnesses == [1] * attempt.gap_checks
+        # the check that stalled the cap measured its last iterate, and no
+        # witness is computed again there; the certifying cap computes one
+        stalled_cap = attempt.stop == "gap_stall"
+        assert run.final_witnesses == (0 if stalled_cap else 1)
+        if stalled_cap:
+            np.testing.assert_array_equal(run.checks[-1][0], run.x)
+        assert attempt.duality_gap == reference_gaps(phi, q, attempt, run.x)[0]
 
 
 @pytest.mark.parametrize(
@@ -528,13 +552,38 @@ def test_first_failed_line_search_ends_each_cap(monkeypatch):
         assert run.count(True) == 1 and run[-1]
 
 
-def test_small_phi_is_solved_as_accurately_as_unit_scale():
+@pytest.mark.parametrize(
+    "scale,q", [(1e-6, 1.5), (1e-6, 4.0), (0.01, 16.0)], ids=["1e-6-q1.5", "1e-6-q4", "0.01-q16"]
+)
+def test_small_phi_is_solved_as_accurately_as_unit_scale(scale, q):
     # the problem is 1-homogeneous in phi; no stopping rule on the absolute
-    # decrease of f may end the small solve early
+    # size of f or its gradient may end the small solve early
     phi = truncated_szego_poly(0.9, 40)
-    unit = dual_extremal_solve(phi, q=1.5).value
-    small = dual_extremal_solve(phi.scale(1e-6), q=1.5).value / 1e-6
+    unit = dual_extremal_solve(phi, q=q).value
+    small = dual_extremal_solve(phi.scale(scale), q=q).value / scale
     assert abs(small - unit) <= 1e-13 * unit
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        truncated_szego_poly(0.6, 5),
+        truncated_szego_poly(0.9, 20),
+        truncated_szego_poly(0.9j, 60),
+        TrigPoly(1, {(0,): 2.5}),
+    ],
+    ids=["w0.6-deg5", "w0.9-deg20", "w0.9i-deg60", "constant"],
+)
+def test_q2_minimum_is_the_l2_norm_at_the_start(phi):
+    # by Parseval ||phi + conj(phi0)||_2^2 = ||phi||_2^2 + ||phi0||_2^2, so
+    # phi0 = 0, the cold start, is the minimizer; its gradient is rounding
+    # (exactly 0 for a constant phi), along which no step decreases f
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        triple = dual_extremal_solve(phi, q=2.0)
+    (attempt,) = triple.attempts
+    assert attempt.certified and attempt.stop == "line_search" and attempt.nfev <= 2
+    assert abs(triple.value - phi.l2_norm()) <= 1e-15 * phi.l2_norm()
 
 
 def test_nonconvergence_names_every_cap():

@@ -39,7 +39,7 @@ def test_quadratic_reaches_its_minimizer():
     assert isinstance(out, OptimizeResult)
     assert np.abs(out.x - x_star).max() <= 1e-10
     assert out.fun == fun(out.x)[0]
-    assert out.stop in ("gtol", "line_search")
+    assert out.stop == "line_search"
     assert 0 < out.nit < out.nfev
 
 
@@ -65,7 +65,9 @@ def test_stationary_start_takes_no_step():
 
     x0 = np.arange(5.0)
     out = minimize(counted, x0, maxiter=100)
-    assert (out.nit, out.nfev, out.stop, out.fun) == (0, 1, "gtol", 3.0)
+    # g = 0 is no descent direction: the first line search ends the run
+    # without evaluating f, and nothing divides by |g|
+    assert (out.nit, out.nfev, out.stop, out.fun) == (0, 1, "line_search", 3.0)
     np.testing.assert_array_equal(out.x, x0)
     assert len(calls) == 1
 
