@@ -35,7 +35,6 @@ from .exponents import conjugate
 from .fourier import (
     GridFunction,
     TrigPoly,
-    coefficients,
     grid_from_function,
     grid_from_spectrum,
     grid_inner,
@@ -188,7 +187,8 @@ class ExtremalTriple:
     """Solution bundle of the dual extremal problem.
 
     natural_kernel:    the analytic datum phi
-    extremal_kernel:   psi = phi + conj(phi0) attaining the minimum
+    extremal_kernel:   psi = phi + conj(phi0) attaining the minimum, exact:
+                       phi's coefficients, and the certifying conj(c_k) at -k
     value:             ||psi||_q = sup |<f, phi>| / ||f||_{q*}
     attempts:          every escalation cap tried, in order; the last
                        one certified, and ``iterations``,
@@ -196,11 +196,14 @@ class ExtremalTriple:
     """
 
     natural_kernel: TrigPoly
-    extremal_kernel: GridFunction
+    extremal_kernel: TrigPoly
     value: float
     q: float
-    q_star: float
     attempts: tuple[CapAttempt, ...]
+
+    @property
+    def q_star(self) -> float:
+        return conjugate(self.q)
 
     @property
     def iterations(self) -> int:
@@ -228,13 +231,7 @@ class ExtremalTriple:
             "attempts": self.attempts,
             "natural_kernel": self.natural_kernel,
             "coeff_radius": _coeff_radius(self.q, self.value, self.duality_gap),
-            "extremal_kernel_coeffs": coefficients(
-                self.extremal_kernel,
-                min(
-                    max(self.trunc_degree, self.natural_kernel.bandwidth()),
-                    self.extremal_kernel.n_per_axis // 2 - 1,
-                ),
-            ).prune(1e-14),
+            "extremal_kernel_coeffs": self.extremal_kernel.prune(1e-14),
         }
 
 
@@ -322,10 +319,11 @@ def dual_extremal_solve(
     attempts: list[CapAttempt] = []
     x = np.zeros(0)
     for cap in caps:
-        x, attempt, psi_grid, value = _solve_at_degree(phi, q, cap, tol, n_per_axis, max_iter, x)
+        x, attempt, value = _solve_at_degree(phi, q, cap, tol, n_per_axis, max_iter, x)
         attempts.append(attempt)
         if attempt.certified:
-            return ExtremalTriple(phi, psi_grid, value, q, conjugate(q), tuple(attempts))
+            conj_phi0 = {(-k,): c for k, c in enumerate((x[:cap] - 1j * x[cap:]).tolist(), 1)}
+            return ExtremalTriple(phi, TrigPoly(1, {**phi.coeffs, **conj_phi0}), value, q, tuple(attempts))
     raise NonconvergenceError(
         f"duality gap above tol={tol:.1e} at every cap: "
         + "; ".join(
@@ -337,44 +335,42 @@ def dual_extremal_solve(
 
 def _objective(phi_grid: GridFunction, q: float, K: int):
     """The cap-K problem on phi's grid as two maps of x = [Re c, Im c]:
-    the samples of psi = phi + conj(phi0), and (mean |psi|^q, its gradient).
+    (F, h), F = mean |psi|^q for psi = phi + conj(phi0) and h the spectrum
+    of conj(N_q psi), the only code that computes psi; and (F, grad F),
+    whose gradient is q [Re, Im] of h's bins 1..K less their offset.
 
-    The gradient takes one power per sample: w = |psi|^(q-2), 0 where psi
-    vanishes, so |psi|^q = w |psi|^2 and conj(N_q psi) = w conj(psi), a
-    real scaling of conj(psi) = phi0 + conj(phi) made in place."""
+    One power per sample: w = |psi|^(q-2), 0 where psi vanishes, so
+    |psi|^q = w |psi|^2 and conj(N_q psi) = w conj(psi), a real scaling of
+    conj(psi) = phi0 + conj(phi) made in place."""
     n = phi_grid.n_per_axis
-    phi_s = phi_grid.samples
-    conj_phi_s = np.conj(phi_s)
+    conj_phi_s = np.conj(phi_grid.samples)
     ks = np.arange(1, K + 1)
     fwd_phase = offset_phase(ks, n, phi_grid.offset)  # coefficients -> bins
     rev_phase = offset_phase(-ks, n, phi_grid.offset)  # bins -> coefficients
     spec = np.zeros(n, dtype=np.complex128)  # bins 1..K are rewritten for each x
     coeffs = spec[1 : K + 1]
+    # a trial step far from the minimum can overflow |psi|^q; the line search shrinks it
+    quiet = np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
-    def phi0_samples(x: np.ndarray) -> np.ndarray:
+    @quiet
+    def power_and_spectrum(x: np.ndarray) -> tuple[float, np.ndarray]:
         coeffs.real, coeffs.imag = x[:K], x[K:]
         np.multiply(coeffs, fwd_phase, out=coeffs)
-        return grid_from_spectrum(spec, phi_grid.offset).samples
+        conj_psi = grid_from_spectrum(spec, phi_grid.offset).samples
+        conj_psi += conj_phi_s
+        a = np.abs(conj_psi)
+        w = a ** (q - 2.0)
+        w[a == 0.0] = 0.0
+        conj_psi *= w
+        return float(np.mean(w * a * a)), grid_spectrum(phi_grid.with_samples(conj_psi))
 
-    def psi_samples(x: np.ndarray) -> np.ndarray:
-        return phi_s + np.conj(phi0_samples(x))
+    @quiet
+    def fun_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+        F, h = power_and_spectrum(x)
+        h_hat = h[1 : K + 1] * rev_phase
+        return F, q * np.concatenate([h_hat.real, h_hat.imag])
 
-    def fun_and_grad(x: np.ndarray):
-        # a trial step far from the minimum can overflow |psi|^q; the line
-        # search sees the inf or nan and shrinks the step
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            conj_psi = phi0_samples(x)
-            conj_psi += conj_phi_s
-            a = np.abs(conj_psi)
-            w = a ** (q - 2.0)
-            w[a == 0.0] = 0.0
-            F = float(np.mean(w * a * a))
-            conj_psi *= w
-            h_hat = grid_spectrum(phi_grid.with_samples(conj_psi))[1 : K + 1] * rev_phase
-        grad = q * np.concatenate([h_hat.real, h_hat.imag])
-        return F, grad
-
-    return psi_samples, fun_and_grad
+    return power_and_spectrum, fun_and_grad
 
 
 def _solve_at_degree(
@@ -385,24 +381,26 @@ def _solve_at_degree(
     n_per_axis: int | None,
     max_iter: int,
     x0: np.ndarray,
-) -> tuple[np.ndarray, CapAttempt, GridFunction, float]:
+) -> tuple[np.ndarray, CapAttempt, float]:
     """One L-BFGS solve at cap K, started from x0 (a solution at a cap
     <= K, zero-padded here; empty for a cold start).  Returns the solution
     x = [Re c_1..c_K, Im c_1..c_K] of phi0 = sum_k c_k e^{ik theta}, the
-    cap's attempt, which says whether the gap certified tol, and the grid
-    and q-norm of psi = phi + conj(phi0).
+    cap's attempt, which says whether the gap certified tol, and the
+    q-norm of psi = phi + conj(phi0) at x.
 
-    Every ``GAP_CHECK_EVALS`` objective evaluations the solve checks the
-    duality gap at its current iterate, until a check certifies tol.  It
-    stops with ``"gap_stall"`` when the gap has stalled above tol, the
-    smallest of the last ``GAP_STALL_WINDOW`` checks being more than half
-    the smallest before them, and the truncation holds it there.  The
-    cap-K problem has its own witness, N_q(psi) less its frequencies
-    -1..-K, whose dual bound is at most the cap's minimum.  The gap less
-    the cap's own gap, primal minus that bound, estimates the part of the
-    gap that solving this cap exactly would leave; at the cap's minimizer
-    the cap's own gap is 0 and the estimate is exact.  While it is at most
-    tol, the optimization holds the gap up, and the solve goes on.
+    Every ``GAP_CHECK_EVALS`` objective evaluations, until one certifies
+    tol, the solve checks the duality gap at its current iterate from the
+    objective's own (F, h): the primal is F^(1/q), and N_q(psi) has
+    spectrum conj(h[-k]).  It stops with ``"gap_stall"`` when the gap has
+    stalled above tol, the smallest of the last ``GAP_STALL_WINDOW``
+    checks being more than half the smallest before them, and the
+    truncation holds it there.  The cap-K problem has its own witness,
+    N_q(psi) less its frequencies -1..-K, whose dual bound is at most the
+    cap's minimum.  The gap less the cap's own gap, primal minus that
+    bound, estimates the part of the gap that solving this cap exactly
+    would leave; at the cap's minimizer the cap's own gap is 0 and the
+    estimate is exact.  While it is at most tol, the optimization holds
+    the gap up, and the solve goes on.
     """
     deg = phi.bandwidth()
     K = int(trunc_degree)
@@ -411,22 +409,23 @@ def _solve_at_degree(
         raise ValueError("grid too small for phi plus the truncated phi0")
 
     phi_grid = sample(phi, n)
-    psi_samples, fun_and_grad = _objective(phi_grid, q, K)
+    power_and_spectrum, fun_and_grad = _objective(phi_grid, q, K)
+    ks = np.arange(deg + 1)
+    conj_phi_bins = np.conj([phi.coeff((k,)) for k in ks] * offset_phase(ks, n, phi_grid.offset))
 
-    def dual(spec: np.ndarray, keep: int) -> float:
+    def dual(spec: np.ndarray, inner: float, keep: int) -> float:
         """The weak-duality bound |<f, phi>| / ||f||_{q*} of the witness f with spectrum spec[:keep]."""
-        f = grid_from_spectrum(np.where(np.arange(n) < keep, spec, 0.0), phi_grid.offset)
-        denom = lp_norm(f, conjugate(q))
-        return abs(grid_inner(f, phi_grid)) / denom if denom > 0 else 0.0
+        denom = lp_norm(grid_from_spectrum(np.where(np.arange(n) < keep, spec, 0.0), phi_grid.offset), conjugate(q))
+        return inner / denom if denom > 0 else 0.0
 
-    def certificate(x: np.ndarray) -> tuple[GridFunction, float, float, np.ndarray]:
-        """psi's grid, its q-norm (the primal), the duality gap at x, and
-        the spectrum of N_q(psi), whose bins 0..n/2-1 are the gap's witness
-        P+ N_q(psi) and bins 0..n-K-1 the cap-K witness."""
-        psi_grid = phi_grid.with_samples(psi_samples(x))
-        primal = lp_norm(psi_grid, q)
-        spec = grid_spectrum(nonlinear_map(psi_grid, q))
-        return psi_grid, primal, float(primal - dual(spec, n // 2)), spec
+    def certificate(x: np.ndarray) -> tuple[float, float, np.ndarray, float]:
+        """The primal ||psi||_q, the duality gap at x, the spectrum of N_q(psi)
+        (bins 0..n/2-1 are the gap's witness P+ N_q(psi), bins 0..n-K-1 the
+        cap-K witness) and |<f, phi>| for both, a sum over phi's bins 0..deg."""
+        F, h = power_and_spectrum(x)
+        primal, spec = F ** (1.0 / q), np.conj(h[-np.arange(n)])
+        inner = float(abs(spec[: deg + 1] @ conj_phi_bins))
+        return primal, primal - dual(spec, inner, n // 2), spec, inner
 
     checks: list[tuple[float, int]] = []  # (gap, nfev) of each check
     last = None  # the latest check's certificate, which a gap_stall stop keeps
@@ -435,19 +434,19 @@ def _solve_at_degree(
         nonlocal last
         if nfev < (checks[-1][1] if checks else 0) + GAP_CHECK_EVALS or (checks and min(checks)[0] <= tol):
             return ""
-        _, primal, gap, spec = last = certificate(x)
+        primal, gap, spec, inner = last = certificate(x)
         checks.append((gap, nfev))
         gaps = [g for g, _ in checks]
         recent, before = gaps[-GAP_STALL_WINDOW:], gaps[:-GAP_STALL_WINDOW]
         if not (min(gaps) > tol and before and min(recent) > 0.5 * min(before)):
             return ""
-        return "gap_stall" if gap - (primal - dual(spec, n - K)) > tol else ""  # the gap less the cap's own
+        return "gap_stall" if gap - (primal - dual(spec, inner, n - K)) > tol else ""  # the gap less the cap's own
 
     result = minimize(fun_and_grad, _pad_solution(x0, K), maxiter=max_iter, monitor=monitor)
-    psi_grid, primal, gap, _ = last if result.stop == "gap_stall" else certificate(result.x)
+    primal, gap, _, _ = last if result.stop == "gap_stall" else certificate(result.x)
     certified = math.isfinite(gap) and gap <= tol
     best_gap, best_nfev = min([*checks, (gap, result.nfev)])
     attempt = CapAttempt(
         K, n, result.nit, result.nfev, result.stop, gap, certified, len(checks), best_gap, best_nfev
     )
-    return result.x, attempt, psi_grid, primal
+    return result.x, attempt, primal

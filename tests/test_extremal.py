@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -29,6 +30,7 @@ from rieszlab.fourier import (
     TrigPoly,
     coefficients,
     grid_from_function,
+    grid_from_spectrum,
     grid_inner,
     grid_spectrum,
     offset_phase,
@@ -157,7 +159,7 @@ def test_solve_q2_returns_l2_norm():
     triple = dual_extremal_solve(phi, q=2.0, tol=1e-8)
     assert triple.value == pytest.approx(phi.l2_norm(), rel=1e-8)
     # at q=2 the minimizer is phi itself: the co-analytic correction dies
-    corr = triple.extremal_kernel.samples - sample(phi, triple.extremal_kernel.n_per_axis).samples
+    corr = sample(triple.extremal_kernel - phi, triple.attempts[-1].n_per_axis).samples
     assert np.abs(corr).max() <= 1e-6 * phi.l2_norm()
 
 
@@ -225,11 +227,17 @@ def test_solve_matches_pinned_values(w, degree, q, value):
     assert triple.duality_gap <= 1e-6
 
 
-def direct_objective(grid, q, K, x):
-    """mean |psi|^q and its gradient from their formulas: q [Re, Im] of
-    bins 1..K of the spectrum of conj(N_q psi), with the offset removed."""
-    psi_samples, _ = _objective(grid, q, K)
-    psi = grid.with_samples(psi_samples(x))
+def psi_poly(phi, x):
+    """psi = phi + conj(phi0) for x = [Re c_1..c_K, Im c_1..c_K], exactly."""
+    K = x.size // 2
+    return phi + TrigPoly(1, {(-k,): complex(x[k - 1], -x[K + k - 1]) for k in range(1, K + 1)})
+
+
+def direct_objective(phi, grid, q, K, x):
+    """mean |psi|^q and its gradient from their formulas, on phi's grid:
+    q [Re, Im] of bins 1..K of the spectrum of conj(N_q psi), with the
+    offset removed."""
+    psi = sample(psi_poly(phi, x), grid.n_per_axis, grid.offset)
     F = float(np.mean(np.abs(psi.samples) ** q))
     ks = np.arange(1, K + 1)
     h = grid_spectrum(psi.with_samples(np.conj(nonlinear_map(psi, q).samples)))[1 : K + 1]
@@ -239,10 +247,11 @@ def direct_objective(grid, q, K, x):
 
 @pytest.mark.parametrize("q", [1.05, 1.5, 4.0])
 def test_objective_matches_its_formulas(q):
-    grid, K = sample(truncated_szego_poly(0.8, 20), 512), 80
+    phi, K = truncated_szego_poly(0.8, 20), 80
+    grid = sample(phi, 512)
     x = np.random.default_rng(1).standard_normal(2 * K) * 0.1
     F, grad = _objective(grid, q, K)[1](x)
-    F_ref, grad_ref = direct_objective(grid, q, K, x)
+    F_ref, grad_ref = direct_objective(phi, grid, q, K, x)
     assert abs(F - F_ref) <= 1e-12 * F_ref
     assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
     # and the gradient is the derivative of F, by central differences
@@ -258,14 +267,14 @@ def test_objective_matches_its_formulas(q):
 def test_objective_at_a_zero_of_psi():
     # on the offset-0 grid, psi = 1 - z at x = 0 vanishes at theta = 0, where
     # |psi|^(q-2) is infinite for q < 2 and N_q psi is 0
-    q, K = 1.5, 8
-    grid = sample(TrigPoly(1, {(0,): 1.0, (1,): -1.0}), 64, offset=0.0)
+    q, K, phi = 1.5, 8, TrigPoly(1, {(0,): 1.0, (1,): -1.0})
+    grid = sample(phi, 64, offset=0.0)
     assert grid.samples[0] == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         F, grad = _objective(grid, q, K)[1](np.zeros(2 * K))
     assert math.isfinite(F) and np.all(np.isfinite(grad))
-    F_ref, grad_ref = direct_objective(grid, q, K, np.zeros(2 * K))
+    F_ref, grad_ref = direct_objective(phi, grid, q, K, np.zeros(2 * K))
     assert abs(F - F_ref) <= 1e-12 * F_ref
     assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
 
@@ -295,19 +304,26 @@ def test_triple_json():
     back = TrigPoly.from_json_dict(doc["natural_kernel"])
     assert back.distance(phi) == 0.0
     assert "extremal_kernel_coeffs" in doc
+    # q* is read off q, not stored beside it
+    assert doc["q_star"] == triple.q_star == conjugate(2.5)
+    assert "q_star" not in {field.name for field in dataclasses.fields(triple)}
 
 
 def test_padded_solution_keeps_psi_samples():
-    # x is [Re c_1..c_K, Im c_1..c_K]: padding each half keeps phi0, so psi
-    # is unchanged on one grid; padding x as a whole moves Im parts into Re slots
+    # x is [Re c_1..c_K, Im c_1..c_K]: padding each half keeps phi0, so psi,
+    # and with it mean |psi|^q and the spectrum of conj(N_q psi), is unchanged
+    # on one grid; padding x as a whole moves Im parts into Re slots
     phi, q, K, n = truncated_szego_poly(0.9j, 10), 1.05, 40, 512
     x = _solve_at_degree(phi, q, K, 1e-6, n, 4000, np.zeros(0))[0]
     assert np.abs(x[K:]).max() > 0.1  # complex w: the Im half carries weight
     grid = sample(phi, n)
-    psi_k, _ = _objective(grid, q, K)
-    psi_2k, _ = _objective(grid, q, 2 * K)
-    np.testing.assert_array_equal(psi_2k(_pad_solution(x, 2 * K)), psi_k(x))
-    assert not np.allclose(psi_2k(np.pad(x, (0, x.size))), psi_k(x))
+    at_k, _ = _objective(grid, q, K)
+    at_2k, _ = _objective(grid, q, 2 * K)
+    F, h = at_k(x)
+    F_padded, h_padded = at_2k(_pad_solution(x, 2 * K))
+    assert F_padded == F
+    np.testing.assert_array_equal(h_padded, h)
+    assert not np.allclose(at_2k(np.pad(x, (0, x.size)))[1], h)
 
 
 @pytest.mark.parametrize(
@@ -351,13 +367,18 @@ def test_each_solve_starts_from_the_previous_solution(monkeypatch):
 
 class Run:
     """One cap's L-BFGS run: its start, its end, the evaluation count at
-    each monitor call, the iterate and evaluation count of each gap check
-    the monitor made, and the dual witnesses N_q(psi) computed for the cap:
-    how many each check computed, and how many after the run ended."""
+    each monitor call, the iterate, evaluation count and objective (F, h)
+    of each gap check the monitor made, and the certificates computed for
+    the cap, each one call of the objective's (F, h) map: the (F, h) of
+    each, how many each check made, and how many after the run ended."""
 
     def __init__(self, x0):
         self.x0, self.x, self.calls, self.checks = np.array(x0), None, [], []
-        self.witnesses, self.check_witnesses, self.end_witnesses = 0, [], 0
+        self.spectra, self.check_witnesses, self.end_witnesses = [], [], 0
+
+    @property
+    def witnesses(self) -> int:
+        return len(self.spectra)
 
     @property
     def final_witnesses(self) -> int:
@@ -366,12 +387,19 @@ class Run:
 
 def record_runs(monkeypatch) -> list[Run]:
     """Spy on every cap's run; a monitor call made a gap check when it
-    computed a dual witness."""
+    called the objective's (F, h) map, which the gradient does not reach:
+    it calls the map it closes over, not the spy."""
     runs = []
 
-    def spy_witness(g, p):
-        runs[-1].witnesses += 1
-        return nonlinear_map(g, p)
+    def spy_objective(phi_grid, q, K):
+        power_and_spectrum, fun_and_grad = objective(phi_grid, q, K)
+
+        def spied(x):
+            F, h = power_and_spectrum(x)
+            runs[-1].spectra.append((F, h))
+            return F, h
+
+        return spied, fun_and_grad
 
     def spy_minimize(fun, x0, *, monitor, **kwargs):
         run = Run(x0)
@@ -382,7 +410,7 @@ def record_runs(monkeypatch) -> list[Run]:
             stop = monitor(x, nfev)
             run.calls.append(nfev)
             if run.witnesses > before:
-                run.checks.append((np.array(x), nfev))
+                run.checks.append((np.array(x), nfev, run.spectra[-1]))
                 run.check_witnesses.append(run.witnesses - before)
             return stop
 
@@ -390,27 +418,71 @@ def record_runs(monkeypatch) -> list[Run]:
         run.x, run.end_witnesses = np.array(out.x), run.witnesses
         return out
 
-    minimize = extremal.minimize
-    monkeypatch.setattr(extremal, "nonlinear_map", spy_witness)
+    objective, minimize = extremal._objective, extremal.minimize
+    monkeypatch.setattr(extremal, "_objective", spy_objective)
     monkeypatch.setattr(extremal, "minimize", spy_minimize)
     return runs
 
 
-def reference_gaps(phi, q, attempt, x):
-    """The duality gap at x on the attempt's cap and grid, and the part of
-    it that the truncation holds up: the gap less the cap-K problem's own
-    gap, whose witness is N_q(psi) without the frequencies -1..-K."""
-    n, K = attempt.n_per_axis, attempt.trunc_degree
-    grid = sample(phi, n)
-    psi = grid.with_samples(_objective(grid, q, K)[0](x))
-    witness = nonlinear_map(psi, q)
-    cap_witness = witness.with_samples(np.fft.ifft(np.fft.fft(witness.samples) * (np.arange(n) < n - K)))
+def reference_gaps(phi, q, attempt, F, h):
+    """The duality gap on the attempt's cap and grid, by its formula from
+    the objective's F = mean |psi|^q and spectrum h of conj(N_q psi): the
+    primal F^(1/q) less |<f, phi>| / ||f||_{q*} for the witness f, bins
+    0..n/2-1 of the spectrum conj(h[-k]) of N_q(psi), where <f, phi> is a
+    Parseval sum over phi's bins.  And the part of the gap that the
+    truncation holds up: the gap less the cap-K problem's own gap, whose
+    witness is N_q(psi) without the frequencies -1..-K."""
+    n, K, ks = attempt.n_per_axis, attempt.trunc_degree, np.arange(phi.bandwidth() + 1)
+    spec = np.conj(h[-np.arange(n)])
+    inner = float(abs(spec[: ks.size] @ np.conj([phi.coeff((k,)) for k in ks] * offset_phase(ks, n, 0.5))))
 
-    def dual(f):
-        return abs(grid_inner(f, grid)) / lp_norm(f, conjugate(q))
+    def dual(keep):
+        return inner / lp_norm(grid_from_spectrum(np.where(np.arange(n) < keep, spec, 0.0), 0.5), conjugate(q))
 
-    gap = lp_norm(psi, q) - dual(riesz_project(witness))
-    return gap, dual(cap_witness) - dual(riesz_project(witness))
+    gap = F ** (1.0 / q) - dual(n // 2)
+    return gap, dual(n - K) - dual(n // 2)
+
+
+def independent_gap(phi, q, attempt, x):
+    """The duality gap at x from sampled psi: ||psi||_q less the bound of
+    the witness P+ N_q(psi), through nonlinear_map, riesz_project and
+    grid_inner."""
+    n = attempt.n_per_axis
+    psi = sample(psi_poly(phi, x), n)
+    witness = riesz_project(nonlinear_map(psi, q))
+    return lp_norm(psi, q) - abs(grid_inner(witness, sample(phi, n))) / lp_norm(witness, conjugate(q))
+
+
+#: How far the independent gap may lie from the solver's, in ulps of the
+#: value: both take ||psi||_q and a dual bound of its size, each to a few
+#: roundings (2 ulps at most on the cases below).
+GAP_ULPS = 4
+
+
+@pytest.mark.parametrize(
+    "w,degree,q", [(0.9, 80, 4.0 / 3.0), (0.9j, 20, 1.5)], ids=["dual_direct", "complex-w"]
+)
+def test_printed_psi_is_exact(monkeypatch, w, degree, q):
+    # the printed coefficients of psi = phi + conj(phi0) are phi's at k >= 0
+    # and conj(c_k) of the certifying solution at -k, pruned at 1e-14
+    ends = []
+
+    def spy(fun, x0, **kwargs):
+        out = minimize(fun, x0, **kwargs)
+        ends.append(out.x)
+        return out
+
+    minimize = extremal.minimize
+    monkeypatch.setattr(extremal, "minimize", spy)
+    phi = truncated_szego_poly(w, degree)
+    triple = dual_extremal_solve(phi, q=q)
+    x, K = ends[-1], triple.trunc_degree
+    doc = json.loads(_json_text(triple))["extremal_kernel_coeffs"]
+    printed = {term["alpha"][0]: complex(term["re"], term["im"]) for term in doc["terms"]}
+    want = {k: c for (k,), c in phi.coeffs.items()}
+    want.update({-k: complex(x[k - 1], x[K + k - 1]).conjugate() for k in range(1, K + 1)})
+    assert printed == {k: c for k, c in want.items() if abs(c) > 1e-14}
+    assert all(printed[k] == c for (k,), c in phi.coeffs.items())
 
 
 def stalled(gaps, truncation, tol):
@@ -435,15 +507,16 @@ def test_a_stalled_cap_keeps_the_certificate_of_its_last_check(monkeypatch):
     triple = dual_extremal_solve(phi, q=q)
     assert [a.stop for a in triple.attempts] == ["gap_stall", "gap_stall", "line_search"]
     for run, attempt in zip(runs, triple.attempts):
-        # one witness per check gives both of its dual bounds
+        # one (F, h) per check gives both of its dual bounds
         assert run.check_witnesses == [1] * attempt.gap_checks
         # the check that stalled the cap measured its last iterate, and no
-        # witness is computed again there; the certifying cap computes one
+        # (F, h) is computed again there; the certifying cap computes one
         stalled_cap = attempt.stop == "gap_stall"
         assert run.final_witnesses == (0 if stalled_cap else 1)
         if stalled_cap:
             np.testing.assert_array_equal(run.checks[-1][0], run.x)
-        assert attempt.duality_gap == reference_gaps(phi, q, attempt, run.x)[0]
+        assert attempt.duality_gap == reference_gaps(phi, q, attempt, *run.spectra[-1])[0]
+        assert abs(attempt.duality_gap - independent_gap(phi, q, attempt, run.x)) <= GAP_ULPS * math.ulp(triple.value)
 
 
 @pytest.mark.parametrize(
@@ -457,8 +530,10 @@ def test_gap_checks_follow_the_stall_rule(monkeypatch, w, degree, q):
     triple = dual_extremal_solve(phi, q=q, tol=tol)
     assert len(runs) == len(triple.attempts)
     for run, attempt in zip(runs, triple.attempts):
-        gaps, truncation = zip(*(reference_gaps(phi, q, attempt, x) for x, _ in run.checks))
-        gaps, nfevs = list(gaps), [nfev for _, nfev in run.checks]
+        gaps, truncation = zip(*(reference_gaps(phi, q, attempt, F, h) for _, _, (F, h) in run.checks))
+        gaps, nfevs = list(gaps), [nfev for _, nfev, _ in run.checks]
+        for (x, _, _), gap in zip(run.checks, gaps):
+            assert abs(gap - independent_gap(phi, q, attempt, x)) <= GAP_ULPS * math.ulp(triple.value)
         assert len(gaps) == attempt.gap_checks > 0
         assert all(b - a >= GAP_CHECK_EVALS for a, b in zip([0, *nfevs], nfevs))
         # no check after the first certified one, though the run goes on
@@ -509,14 +584,14 @@ def test_coeff_radius_bounds_warm_against_cold(w, degree, q):
     phi = truncated_szego_poly(w, degree)
     warm = dual_extremal_solve(phi, q=q)
     cold = dual_extremal_solve(phi, q=q, trunc_degree=warm.trunc_degree)
-    assert len(warm.attempts) > 1 and warm.extremal_kernel.n_per_axis == cold.extremal_kernel.n_per_axis
+    n = warm.attempts[-1].n_per_axis
+    assert len(warm.attempts) > 1 and n == cold.attempts[-1].n_per_axis
     warm_doc, cold_doc = warm.to_json_dict(), cold.to_json_dict()
     radii = warm_doc["coeff_radius"] + cold_doc["coeff_radius"]
     assert 0.0 < radii < 0.1
     diff = warm_doc["extremal_kernel_coeffs"] - cold_doc["extremal_kernel_coeffs"]
     assert max(map(abs, diff.coeffs.values())) <= radii
-    psi_diff = warm.extremal_kernel.with_samples(warm.extremal_kernel.samples - cold.extremal_kernel.samples)
-    assert lp_norm(psi_diff, q) <= radii
+    assert lp_norm(sample(warm.extremal_kernel - cold.extremal_kernel, n), q) <= radii
 
 
 @pytest.mark.parametrize("q", [1.05, 1.5, 2.0, 3.0, 64.0])

@@ -306,7 +306,6 @@ KEPT = {
     "extremal.holder_equality_residual": "N_q* saturates Holder, as the dual witness needs (ROADMAP item 5)",
     "extremal.l1_equality_certificate": "the equality case q = 1 of the paper's L^1 bound",
     "extremal.outer_from_modulus": "the outer factor, whose value at 0 is an independent geometric mean",
-    "fourier.TrigPoly.coeff": "acceptance criterion 5 reads the coefficients (a, b) of P+ psi through it",
     "fourier.TrigPoly.evaluate": "test_sample_matches_evaluate and the algebra tests compare against direct evaluation",
     "homog2.projection_geometric_mean_closed": "an independent route to ||phi||_0 (ROADMAP item 5)",
     "homog2.projection_polynomial": "a cross-check of the coefficients (a, b) of P+ psi",
@@ -317,25 +316,29 @@ KEPT = {
 
 
 def unreferenced_functions(sources: dict[str, str]) -> list[str]:
-    """``module.name`` of each public module-level function, and
-    ``module.Class.name`` of each public method of a module-level class,
-    that no source reads by name or as an attribute; a use inside its own
-    module counts."""
-    defs, read = [], set()
+    """``module.name`` of each public module-level function that no source
+    reads as an attribute or loads by name, and ``module.Class.name`` of
+    each public method of a module-level class that no source reads as an
+    attribute; a use inside its own module counts."""
+    defs, attributes, loaded = [], set(), set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                defs.append((f"{module}.{node.name}", node.name))
+                defs.append((f"{module}.{node.name}", node.name, False))
             elif isinstance(node, ast.ClassDef):
                 methods = [n.name for n in node.body if isinstance(n, ast.FunctionDef)]
-                defs += [(f"{module}.{node.name}.{name}", name) for name in methods]
+                defs += [(f"{module}.{node.name}.{name}", name, True) for name in methods]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                read.add(node.id)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-    return sorted(qual for qual, name in defs if name not in read and not name.startswith("_"))
+                attributes.add(node.attr)
+    return sorted(
+        qual
+        for qual, name, method in defs
+        if not name.startswith("_") and name not in attributes and (method or name not in loaded)
+    )
 
 
 def test_scanner_flags_unreferenced_functions():
@@ -353,8 +356,11 @@ def test_scanner_flags_unreferenced_functions():
             "def helper():\n    return a.used(a.C().called)\n"
             "def caller():\n    return helper()\n"
         ),
+        # a local function called by a method's name, and a store to a
+        # function's name, read neither
+        "c": "def shadows():\n    def method():\n        pass\n    method()\n    dead = 1\n",
     }
-    assert unreferenced_functions(sources) == ["a.C.method", "a.dead", "b.caller"]
+    assert unreferenced_functions(sources) == ["a.C.method", "a.dead", "b.caller", "c.shadows"]
 
 
 def test_every_unreferenced_function_is_kept_for_a_reason():
