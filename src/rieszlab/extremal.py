@@ -264,6 +264,13 @@ def _pad_solution(x: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
+def _psi_poly(phi: TrigPoly, x: np.ndarray) -> TrigPoly:
+    """psi = phi + conj(phi0) exactly, for x as in ``_pad_solution``."""
+    k = x.size // 2
+    conj_phi0 = {(-j,): c for j, c in enumerate((x[:k] - 1j * x[k:]).tolist(), 1)}
+    return TrigPoly(1, {**phi.coeffs, **conj_phi0})
+
+
 def dual_extremal_solve(
     phi: TrigPoly,
     q: float,
@@ -322,8 +329,7 @@ def dual_extremal_solve(
         x, attempt, value = _solve_at_degree(phi, q, cap, tol, n_per_axis, max_iter, x)
         attempts.append(attempt)
         if attempt.certified:
-            conj_phi0 = {(-k,): c for k, c in enumerate((x[:cap] - 1j * x[cap:]).tolist(), 1)}
-            return ExtremalTriple(phi, TrigPoly(1, {**phi.coeffs, **conj_phi0}), value, q, tuple(attempts))
+            return ExtremalTriple(phi, _psi_poly(phi, x), value, q, tuple(attempts))
     raise NonconvergenceError(
         f"duality gap above tol={tol:.1e} at every cap: "
         + "; ".join(
@@ -390,17 +396,17 @@ def _solve_at_degree(
 
     Every ``GAP_CHECK_EVALS`` objective evaluations, until one certifies
     tol, the solve checks the duality gap at its current iterate from the
-    objective's own (F, h): the primal is F^(1/q), and N_q(psi) has
-    spectrum conj(h[-k]).  It stops with ``"gap_stall"`` when the gap has
-    stalled above tol, the smallest of the last ``GAP_STALL_WINDOW``
-    checks being more than half the smallest before them, and the
-    truncation holds it there.  The cap-K problem has its own witness,
-    N_q(psi) less its frequencies -1..-K, whose dual bound is at most the
-    cap's minimum.  The gap less the cap's own gap, primal minus that
-    bound, estimates the part of the gap that solving this cap exactly
-    would leave; at the cap's minimizer the cap's own gap is 0 and the
-    estimate is exact.  While it is at most tol, the optimization holds
-    the gap up, and the solve goes on.
+    objective's own (F, h): the primal is F^(1/q), nan where F is not a
+    normal float, and N_q(psi) has spectrum conj(h[-k]).  It stops with
+    ``"gap_stall"`` when the gap has stalled above tol, the smallest of
+    the last ``GAP_STALL_WINDOW`` checks being more than half the
+    smallest before them, and the truncation holds it there.  The cap-K
+    problem has its own witness, N_q(psi) less its frequencies -1..-K,
+    whose dual bound is at most the cap's minimum.  The gap less the
+    cap's own gap, primal minus that bound, estimates the part of the gap
+    that solving this cap exactly would leave; at the cap's minimizer the
+    cap's own gap is 0 and the estimate is exact.  While it is at most
+    tol, the optimization holds the gap up, and the solve goes on.
     """
     deg = phi.bandwidth()
     K = int(trunc_degree)
@@ -415,7 +421,8 @@ def _solve_at_degree(
 
     def dual(spec: np.ndarray, inner: float, keep: int) -> float:
         """The weak-duality bound |<f, phi>| / ||f||_{q*} of the witness f with spectrum spec[:keep]."""
-        denom = lp_norm(grid_from_spectrum(np.where(np.arange(n) < keep, spec, 0.0), phi_grid.offset), conjugate(q))
+        f = grid_from_spectrum(np.where(np.arange(n) < keep, spec, 0.0), phi_grid.offset)
+        denom = lp_norm(f, conjugate(q))
         return inner / denom if denom > 0 else 0.0
 
     def certificate(x: np.ndarray) -> tuple[float, float, np.ndarray, float]:
@@ -423,7 +430,9 @@ def _solve_at_degree(
         (bins 0..n/2-1 are the gap's witness P+ N_q(psi), bins 0..n-K-1 the
         cap-K witness) and |<f, phi>| for both, a sum over phi's bins 0..deg."""
         F, h = power_and_spectrum(x)
-        primal, spec = F ** (1.0 / q), np.conj(h[-np.arange(n)])
+        # where |psi|^q under- or overflows, F^(1/q) is no norm: the gap is nan
+        primal = F ** (1.0 / q) if np.finfo(float).tiny <= F < math.inf else math.nan
+        spec = np.conj(h[-np.arange(n)])
         inner = float(abs(spec[: deg + 1] @ conj_phi_bins))
         return primal, primal - dual(spec, inner, n // 2), spec, inner
 

@@ -18,6 +18,7 @@ from rieszlab.extremal import (
     _coeff_radius,
     _objective,
     _pad_solution,
+    _psi_poly,
     _solve_at_degree,
     blaschke_product,
     dual_extremal_solve,
@@ -227,17 +228,11 @@ def test_solve_matches_pinned_values(w, degree, q, value):
     assert triple.duality_gap <= 1e-6
 
 
-def psi_poly(phi, x):
-    """psi = phi + conj(phi0) for x = [Re c_1..c_K, Im c_1..c_K], exactly."""
-    K = x.size // 2
-    return phi + TrigPoly(1, {(-k,): complex(x[k - 1], -x[K + k - 1]) for k in range(1, K + 1)})
-
-
 def direct_objective(phi, grid, q, K, x):
     """mean |psi|^q and its gradient from their formulas, on phi's grid:
     q [Re, Im] of bins 1..K of the spectrum of conj(N_q psi), with the
     offset removed."""
-    psi = sample(psi_poly(phi, x), grid.n_per_axis, grid.offset)
+    psi = sample(_psi_poly(phi, x), grid.n_per_axis, grid.offset)
     F = float(np.mean(np.abs(psi.samples) ** q))
     ks = np.arange(1, K + 1)
     h = grid_spectrum(psi.with_samples(np.conj(nonlinear_map(psi, q).samples)))[1 : K + 1]
@@ -448,7 +443,7 @@ def independent_gap(phi, q, attempt, x):
     the witness P+ N_q(psi), through nonlinear_map, riesz_project and
     grid_inner."""
     n = attempt.n_per_axis
-    psi = sample(psi_poly(phi, x), n)
+    psi = sample(_psi_poly(phi, x), n)
     witness = riesz_project(nonlinear_map(psi, q))
     return lp_norm(psi, q) - abs(grid_inner(witness, sample(phi, n))) / lp_norm(witness, conjugate(q))
 
@@ -637,6 +632,20 @@ def test_small_phi_is_solved_as_accurately_as_unit_scale(scale, q):
     unit = dual_extremal_solve(phi, q=q).value
     small = dual_extremal_solve(phi.scale(scale), q=q).value / scale
     assert abs(small - unit) <= 1e-13 * unit
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-7])
+def test_underflowing_power_certifies_no_false_value(scale):
+    # at q = 64 mean |psi|^64 is subnormal for 1e-6 phi and 0 for 1e-7 phi,
+    # and so is N_64(psi); neither may pass for a primal and dual of 0.  A
+    # solve that certifies must lie within its gap of the true minimum.
+    phi, q = truncated_szego_poly(0.9, 40), 64.0
+    unit = dual_extremal_solve(phi, q=q).value
+    try:
+        triple = dual_extremal_solve(phi.scale(scale), q=q)
+    except NonconvergenceError:
+        return
+    assert abs(triple.value - scale * unit) <= triple.duality_gap
 
 
 @pytest.mark.parametrize(
