@@ -33,15 +33,14 @@ import numpy as np
 
 from .exponents import conjugate
 from .fourier import (
+    MAX_GRID_POINTS,
     GridFunction,
     TrigPoly,
     grid_from_function,
     grid_from_spectrum,
     grid_inner,
     grid_spectrum,
-    offset_phase,
     riesz_project,
-    sample,
 )
 from .norms import lp_norm, nonlinear_map
 from .optimize import minimize
@@ -254,20 +253,9 @@ def _coeff_radius(q: float, value: float, gap: float) -> float:
     return 2.0 * (0.5 * q * gap) ** (1.0 / q) * value ** (1.0 - 1.0 / q)
 
 
-def _pad_solution(x: np.ndarray, K: int) -> np.ndarray:
-    """Zero-pad x = [Re c_1..c_k, Im c_1..c_k] to cap K >= k, half by half,
-    so that it describes the same phi0 at cap K."""
-    k = x.size // 2
-    out = np.zeros(2 * K)
-    out[:k] = x[:k]
-    out[K : K + k] = x[k:]
-    return out
-
-
 def _psi_poly(phi: TrigPoly, x: np.ndarray) -> TrigPoly:
-    """psi = phi + conj(phi0) exactly, for x as in ``_pad_solution``."""
-    k = x.size // 2
-    conj_phi0 = {(-j,): c for j, c in enumerate((x[:k] - 1j * x[k:]).tolist(), 1)}
+    """psi = phi + conj(phi0) exactly, for x the float64 view of phi0's c_1..c_k."""
+    conj_phi0 = {(-j,): c for j, c in enumerate(np.conj(x.view(np.complex128)).tolist(), 1)}
     return TrigPoly(1, {**phi.coeffs, **conj_phi0})
 
 
@@ -294,11 +282,15 @@ def dual_extremal_solve(
     tol : required duality gap |primal - dual| at the solution; finite
         and > 0.
     n_per_axis : quadrature grid; defaults to a power of two resolving
-        4x the combined bandwidth.
+        4x the combined bandwidth.  A given grid takes only the caps K it
+        resolves, n >= 2 (deg(phi) + K + 1).
     max_iter : L-BFGS iteration cap for each truncation degree; >= 1.
 
-    Every cap tried is recorded in ``attempts``.  Raises
-    ``NonconvergenceError``, naming each cap's gap, when no cap certifies.
+    The problem is 1-homogeneous in phi, so it is solved for phi / s,
+    s = max |phi_k|, to tol / s, and the value, the gaps and conj(phi0)
+    are scaled back by s.  Every cap tried is recorded in ``attempts``.
+    Raises ``NonconvergenceError``, naming each cap's gap, when no cap
+    certifies.
     """
     if phi.dim != 1:
         raise ValueError("dual_extremal_solve expects d=1 input")
@@ -323,58 +315,61 @@ def dual_extremal_solve(
         # escalate the cap until the gap certifies tol
         k0 = max(4 * deg, 8)
         caps = [k0 * (2**i) for i in range(6)]
+    resolved = [K for K in caps if n_per_axis is None or n_per_axis >= 2 * (deg + K + 1)]
+    if not resolved:
+        raise ValueError("grid too small for phi plus the truncated phi0")
+    s = max(map(abs, phi.coeffs.values()))
+    unit = TrigPoly(1, {alpha: c / s for alpha, c in phi.coeffs.items()})
     attempts: list[CapAttempt] = []
     x = np.zeros(0)
-    for cap in caps:
-        x, attempt, value = _solve_at_degree(phi, q, cap, tol, n_per_axis, max_iter, x)
-        attempts.append(attempt)
+    for cap in resolved:
+        x, attempt, value = _solve_at_degree(unit, q, cap, tol / s, n_per_axis, max_iter, x)
+        attempts.append(attempt._replace(duality_gap=s * attempt.duality_gap, best_gap=s * attempt.best_gap))
         if attempt.certified:
-            return ExtremalTriple(phi, _psi_poly(phi, x), value, q, tuple(attempts))
+            return ExtremalTriple(phi, _psi_poly(phi, s * x), s * value, q, tuple(attempts))
     raise NonconvergenceError(
         f"duality gap above tol={tol:.1e} at every cap: "
         + "; ".join(
             f"K={r.trunc_degree} gap {r.duality_gap:.3e} after {r.iterations} iterations ({r.stop})"
             for r in attempts
         )
+        + ("; the grid resolves no larger cap" if len(resolved) < len(caps) else "")
     )
 
 
-def _objective(phi_grid: GridFunction, q: float, K: int):
-    """The cap-K problem on phi's grid as two maps of x = [Re c, Im c]:
+def _objective(phi: TrigPoly, q: float, K: int, n: int):
+    """The cap-K problem on the unshifted n-point grid, nodes 2 pi j / n,
+    as two maps of x, the float64 view of phi0's coefficients c_1..c_K:
     (F, h), F = mean |psi|^q for psi = phi + conj(phi0) and h the spectrum
     of conj(N_q psi), the only code that computes psi; and (F, grad F),
-    whose gradient is q [Re, Im] of h's bins 1..K less their offset.
+    whose gradient is q times the float64 view of h's bins 1..K.
 
-    One power per sample: w = |psi|^(q-2), 0 where psi vanishes, so
-    |psi|^q = w |psi|^2 and conj(N_q psi) = w conj(psi), a real scaling of
-    conj(psi) = phi0 + conj(phi) made in place."""
-    n = phi_grid.n_per_axis
-    conj_phi_s = np.conj(phi_grid.samples)
-    ks = np.arange(1, K + 1)
-    fwd_phase = offset_phase(ks, n, phi_grid.offset)  # coefficients -> bins
-    rev_phase = offset_phase(-ks, n, phi_grid.offset)  # bins -> coefficients
-    spec = np.zeros(n, dtype=np.complex128)  # bins 1..K are rewritten for each x
+    One spectrum holds conj(psi) = phi0 + conj(phi): bin -k holds
+    conj(phi_k), set once, and bins 1..K hold c_k, written from x at each
+    call, so one inverse FFT gives conj(psi).  One power per sample:
+    w = |psi|^(q-2), 0 where psi vanishes, so |psi|^q = w |psi|^2 and
+    conj(N_q psi) = w conj(psi), a real scaling made in place."""
+    spec = np.zeros(n, dtype=np.complex128)
+    for (k,), c in phi.coeffs.items():
+        spec[-k] = c.conjugate()
     coeffs = spec[1 : K + 1]
     # a trial step far from the minimum can overflow |psi|^q; the line search shrinks it
     quiet = np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
     @quiet
     def power_and_spectrum(x: np.ndarray) -> tuple[float, np.ndarray]:
-        coeffs.real, coeffs.imag = x[:K], x[K:]
-        np.multiply(coeffs, fwd_phase, out=coeffs)
-        conj_psi = grid_from_spectrum(spec, phi_grid.offset).samples
-        conj_psi += conj_phi_s
+        coeffs[:] = x.view(np.complex128)
+        conj_psi = grid_from_spectrum(spec, 0.0).samples
         a = np.abs(conj_psi)
         w = a ** (q - 2.0)
         w[a == 0.0] = 0.0
         conj_psi *= w
-        return float(np.mean(w * a * a)), grid_spectrum(phi_grid.with_samples(conj_psi))
+        return float(np.mean(w * a * a)), grid_spectrum(GridFunction(conj_psi, 0.0))
 
     @quiet
     def fun_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
         F, h = power_and_spectrum(x)
-        h_hat = h[1 : K + 1] * rev_phase
-        return F, q * np.concatenate([h_hat.real, h_hat.imag])
+        return F, q * h[1 : K + 1].view(np.float64)
 
     return power_and_spectrum, fun_and_grad
 
@@ -390,7 +385,7 @@ def _solve_at_degree(
 ) -> tuple[np.ndarray, CapAttempt, float]:
     """One L-BFGS solve at cap K, started from x0 (a solution at a cap
     <= K, zero-padded here; empty for a cold start).  Returns the solution
-    x = [Re c_1..c_K, Im c_1..c_K] of phi0 = sum_k c_k e^{ik theta}, the
+    x, the float64 view of c_1..c_K in phi0 = sum_k c_k e^{ik theta}, the
     cap's attempt, which says whether the gap certified tol, and the
     q-norm of psi = phi + conj(phi0) at x.
 
@@ -411,17 +406,15 @@ def _solve_at_degree(
     deg = phi.bandwidth()
     K = int(trunc_degree)
     n = int(n_per_axis) if n_per_axis is not None else max(256, 1 << (4 * (deg + K) - 1).bit_length())
-    if n < 2 * (deg + K + 1):
-        raise ValueError("grid too small for phi plus the truncated phi0")
+    if n > MAX_GRID_POINTS:
+        raise ValueError(f"a grid of {n}^1 points exceeds the limit of {MAX_GRID_POINTS}")
 
-    phi_grid = sample(phi, n)
-    power_and_spectrum, fun_and_grad = _objective(phi_grid, q, K)
-    ks = np.arange(deg + 1)
-    conj_phi_bins = np.conj([phi.coeff((k,)) for k in ks] * offset_phase(ks, n, phi_grid.offset))
+    power_and_spectrum, fun_and_grad = _objective(phi, q, K, n)
+    conj_phi = np.conj([phi.coeff((k,)) for k in range(deg + 1)])
 
     def dual(spec: np.ndarray, inner: float, keep: int) -> float:
         """The weak-duality bound |<f, phi>| / ||f||_{q*} of the witness f with spectrum spec[:keep]."""
-        f = grid_from_spectrum(np.where(np.arange(n) < keep, spec, 0.0), phi_grid.offset)
+        f = grid_from_spectrum(np.where(np.arange(n) < keep, spec, 0.0), 0.0)
         denom = lp_norm(f, conjugate(q))
         return inner / denom if denom > 0 else 0.0
 
@@ -433,7 +426,7 @@ def _solve_at_degree(
         # where |psi|^q under- or overflows, F^(1/q) is no norm: the gap is nan
         primal = F ** (1.0 / q) if np.finfo(float).tiny <= F < math.inf else math.nan
         spec = np.conj(h[-np.arange(n)])
-        inner = float(abs(spec[: deg + 1] @ conj_phi_bins))
+        inner = float(abs(spec[: deg + 1] @ conj_phi))
         return primal, primal - dual(spec, inner, n // 2), spec, inner
 
     checks: list[tuple[float, int]] = []  # (gap, nfev) of each check
@@ -451,7 +444,7 @@ def _solve_at_degree(
             return ""
         return "gap_stall" if gap - (primal - dual(spec, inner, n - K)) > tol else ""  # the gap less the cap's own
 
-    result = minimize(fun_and_grad, _pad_solution(x0, K), maxiter=max_iter, monitor=monitor)
+    result = minimize(fun_and_grad, np.pad(x0, (0, 2 * K - x0.size)), maxiter=max_iter, monitor=monitor)
     primal, gap, _, _ = last if result.stop == "gap_stall" else certificate(result.x)
     certified = math.isfinite(gap) and gap <= tol
     best_gap, best_nfev = min([*checks, (gap, result.nfev)])

@@ -123,8 +123,8 @@ def coefficient_check(q: float, p: float, n_max: int = 50) -> CoefficientReport:
     lhs = 1.0
     rhs = 1.0
     for n in range(1, n_max + 1):
-        lhs *= (s + n - 1.0) / n
-        rhs *= (t + n - 1.0) / n
+        lhs *= (n - 1.0 + s) / n  # at n = 1 exactly s, where (s + 1) - 1 would drop s < 1.1e-16
+        rhs *= (n - 1.0 + t) / n
         m = lhs - rhs * rhs
         margins.append(m)
         if first_violation is None and m < -1e-13 * max(abs(lhs), rhs * rhs, 1e-30):

@@ -430,8 +430,8 @@ def test_dual_extremal_reports_every_cap(capsys):
     code, out, _ = run(capsys, ["dual-extremal", "--kernel", "0.95", "--q", "1.1", "--degree", "20"])
     assert code == 0
     doc = json.loads(out)
-    assert [a["trunc_degree"] for a in doc["attempts"]] == [80, 160]
-    assert [a["certified"] for a in doc["attempts"]] == [False, True]
+    assert [a["trunc_degree"] for a in doc["attempts"]] == [80, 160, 320]
+    assert [a["certified"] for a in doc["attempts"]] == [False, False, True]
     assert set(doc["attempts"][0]) == {
         "trunc_degree",
         "n_per_axis",
@@ -448,6 +448,17 @@ def test_dual_extremal_reports_every_cap(capsys):
     assert [last[k] for k in ("trunc_degree", "iterations", "duality_gap")] == [
         doc[k] for k in ("trunc_degree", "iterations", "duality_gap")
     ]
+
+
+def test_dual_extremal_grid_bounds_the_caps(capsys):
+    # a 4096-point grid resolves caps K with 4096 >= 2 (200 + K + 1): 800 and
+    # 1600 of the escalation, not 3200, so the solve stops after 1600
+    argv = ["dual-extremal", "--kernel", "0.99", "--q", "1.05", "--degree", "200", "--grid", "4096"]
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.startswith("nonconvergence: ") and err.count("\n") == 1
+    assert "K=800 gap " in err and "K=1600 gap " in err and "K=3200" not in err
+    assert err.endswith("; the grid resolves no larger cap\n")
 
 
 def test_dual_extremal_large_q_prints_no_warning(capsys):

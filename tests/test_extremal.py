@@ -17,7 +17,6 @@ from rieszlab.extremal import (
     GAP_STALL_WINDOW,
     _coeff_radius,
     _objective,
-    _pad_solution,
     _psi_poly,
     _solve_at_degree,
     blaschke_product,
@@ -34,7 +33,6 @@ from rieszlab.fourier import (
     grid_from_spectrum,
     grid_inner,
     grid_spectrum,
-    offset_phase,
     riesz_project,
     sample,
 )
@@ -228,29 +226,26 @@ def test_solve_matches_pinned_values(w, degree, q, value):
     assert triple.duality_gap <= 1e-6
 
 
-def direct_objective(phi, grid, q, K, x):
-    """mean |psi|^q and its gradient from their formulas, on phi's grid:
-    q [Re, Im] of bins 1..K of the spectrum of conj(N_q psi), with the
-    offset removed."""
-    psi = sample(_psi_poly(phi, x), grid.n_per_axis, grid.offset)
+def direct_objective(phi, q, K, n, x):
+    """mean |psi|^q and its gradient from their formulas, on the unshifted
+    n-point grid: Re and Im, in turn, of bins 1..K of the spectrum of
+    conj(N_q psi), times q."""
+    psi = sample(_psi_poly(phi, x), n, offset=0.0)
     F = float(np.mean(np.abs(psi.samples) ** q))
-    ks = np.arange(1, K + 1)
     h = grid_spectrum(psi.with_samples(np.conj(nonlinear_map(psi, q).samples)))[1 : K + 1]
-    h *= offset_phase(-ks, grid.n_per_axis, grid.offset)
-    return F, q * np.concatenate([h.real, h.imag])
+    return F, q * np.column_stack([h.real, h.imag]).ravel()
 
 
 @pytest.mark.parametrize("q", [1.05, 1.5, 4.0])
 def test_objective_matches_its_formulas(q):
-    phi, K = truncated_szego_poly(0.8, 20), 80
-    grid = sample(phi, 512)
+    phi, K, n = truncated_szego_poly(0.8, 20), 80, 512
     x = np.random.default_rng(1).standard_normal(2 * K) * 0.1
-    F, grad = _objective(grid, q, K)[1](x)
-    F_ref, grad_ref = direct_objective(phi, grid, q, K, x)
+    F, grad = _objective(phi, q, K, n)[1](x)
+    F_ref, grad_ref = direct_objective(phi, q, K, n, x)
     assert abs(F - F_ref) <= 1e-12 * F_ref
     assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
     # and the gradient is the derivative of F, by central differences
-    fun = _objective(grid, q, K)[1]
+    fun = _objective(phi, q, K, n)[1]
     h = 1e-6
     for i in (0, 7, K, 2 * K - 1):
         e = np.zeros(2 * K)
@@ -260,16 +255,15 @@ def test_objective_matches_its_formulas(q):
 
 
 def test_objective_at_a_zero_of_psi():
-    # on the offset-0 grid, psi = 1 - z at x = 0 vanishes at theta = 0, where
-    # |psi|^(q-2) is infinite for q < 2 and N_q psi is 0
-    q, K, phi = 1.5, 8, TrigPoly(1, {(0,): 1.0, (1,): -1.0})
-    grid = sample(phi, 64, offset=0.0)
-    assert grid.samples[0] == 0.0
+    # on the unshifted grid, psi = 1 - z at x = 0 vanishes at theta = 0,
+    # where |psi|^(q-2) is infinite for q < 2 and N_q psi is 0
+    q, K, n, phi = 1.5, 8, 64, TrigPoly(1, {(0,): 1.0, (1,): -1.0})
+    assert sample(phi, n, offset=0.0).samples[0] == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        F, grad = _objective(grid, q, K)[1](np.zeros(2 * K))
+        F, grad = _objective(phi, q, K, n)[1](np.zeros(2 * K))
     assert math.isfinite(F) and np.all(np.isfinite(grad))
-    F_ref, grad_ref = direct_objective(phi, grid, q, K, np.zeros(2 * K))
+    F_ref, grad_ref = direct_objective(phi, q, K, n, np.zeros(2 * K))
     assert abs(F - F_ref) <= 1e-12 * F_ref
     assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
 
@@ -277,7 +271,7 @@ def test_objective_at_a_zero_of_psi():
 def test_objective_overflow_is_silent():
     # a trial point far from the minimum overflows |psi|^64; the line search
     # reads the inf, and no RuntimeWarning reaches the user
-    _, fun_and_grad = _objective(sample(truncated_szego_poly(0.8, 20), 512), 64.0, 80)
+    _, fun_and_grad = _objective(truncated_szego_poly(0.8, 20), 64.0, 80, 512)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         F, _ = fun_and_grad(np.full(160, 1e6))
@@ -305,25 +299,26 @@ def test_triple_json():
 
 
 def test_padded_solution_keeps_psi_samples():
-    # x is [Re c_1..c_K, Im c_1..c_K]: padding each half keeps phi0, so psi,
-    # and with it mean |psi|^q and the spectrum of conj(N_q psi), is unchanged
-    # on one grid; padding x as a whole moves Im parts into Re slots
+    # x is the float64 view of c_1..c_K, Re and Im in turn: appending zeros
+    # keeps phi0, so psi, and with it mean |psi|^q and the spectrum of
+    # conj(N_q psi), is unchanged on one grid
     phi, q, K, n = truncated_szego_poly(0.9j, 10), 1.05, 40, 512
     x = _solve_at_degree(phi, q, K, 1e-6, n, 4000, np.zeros(0))[0]
-    assert np.abs(x[K:]).max() > 0.1  # complex w: the Im half carries weight
-    grid = sample(phi, n)
-    at_k, _ = _objective(grid, q, K)
-    at_2k, _ = _objective(grid, q, 2 * K)
+    assert np.abs(x.view(np.complex128).imag).max() > 0.1  # complex w: the Im parts carry weight
+    at_k, _ = _objective(phi, q, K, n)
+    at_2k, _ = _objective(phi, q, 2 * K, n)
     F, h = at_k(x)
-    F_padded, h_padded = at_2k(_pad_solution(x, 2 * K))
+    F_padded, h_padded = at_2k(np.pad(x, (0, x.size)))
     assert F_padded == F
     np.testing.assert_array_equal(h_padded, h)
-    assert not np.allclose(at_2k(np.pad(x, (0, x.size)))[1], h)
 
 
 @pytest.mark.parametrize(
     "w,degree,q,caps,grids",
-    [(0.9, 10, 1.05, [40, 80, 160], [256, 512, 1024]), (0.95, 20, 1.1, [80, 160], [512, 1024])],
+    [
+        (0.9, 10, 1.05, [40, 80, 160], [256, 512, 1024]),
+        (0.95, 20, 1.1, [80, 160, 320], [512, 1024, 2048]),
+    ],
 )
 def test_escalation_records_every_cap(w, degree, q, caps, grids):
     phi = truncated_szego_poly(w, degree)
@@ -353,11 +348,11 @@ def test_each_solve_starts_from_the_previous_solution(monkeypatch):
     minimize = extremal.minimize
     monkeypatch.setattr(extremal, "minimize", spy)
     triple = dual_extremal_solve(truncated_szego_poly(0.95, 20), q=1.1)
-    assert [x0.size // 2 for x0 in starts] == [80, 160]
-    assert len(triple.attempts) == 2
+    assert [x0.size // 2 for x0 in starts] == [80, 160, 320]
+    assert len(triple.attempts) == 3
     assert not starts[0].any()
     for x0, prev in zip(starts[1:], ends):
-        np.testing.assert_array_equal(x0, _pad_solution(prev, x0.size // 2))
+        np.testing.assert_array_equal(x0, np.pad(prev, (0, x0.size - prev.size)))
 
 
 class Run:
@@ -386,8 +381,8 @@ def record_runs(monkeypatch) -> list[Run]:
     it calls the map it closes over, not the spy."""
     runs = []
 
-    def spy_objective(phi_grid, q, K):
-        power_and_spectrum, fun_and_grad = objective(phi_grid, q, K)
+    def spy_objective(phi, q, K, n):
+        power_and_spectrum, fun_and_grad = objective(phi, q, K, n)
 
         def spied(x):
             F, h = power_and_spectrum(x)
@@ -429,23 +424,28 @@ def reference_gaps(phi, q, attempt, F, h):
     witness is N_q(psi) without the frequencies -1..-K."""
     n, K, ks = attempt.n_per_axis, attempt.trunc_degree, np.arange(phi.bandwidth() + 1)
     spec = np.conj(h[-np.arange(n)])
-    inner = float(abs(spec[: ks.size] @ np.conj([phi.coeff((k,)) for k in ks] * offset_phase(ks, n, 0.5))))
+    inner = float(abs(spec[: ks.size] @ np.conj([phi.coeff((k,)) for k in ks])))
 
     def dual(keep):
-        return inner / lp_norm(grid_from_spectrum(np.where(np.arange(n) < keep, spec, 0.0), 0.5), conjugate(q))
+        return inner / lp_norm(grid_from_spectrum(np.where(np.arange(n) < keep, spec, 0.0), 0.0), conjugate(q))
 
     gap = F ** (1.0 / q) - dual(n // 2)
     return gap, dual(n - K) - dual(n // 2)
 
 
 def independent_gap(phi, q, attempt, x):
-    """The duality gap at x from sampled psi: ||psi||_q less the bound of
-    the witness P+ N_q(psi), through nonlinear_map, riesz_project and
-    grid_inner."""
+    """The duality gap at x from psi sampled on the unshifted grid:
+    ||psi||_q less the bound of the witness P+ N_q(psi), through
+    nonlinear_map, riesz_project and grid_inner.  psi is sampled as the
+    conjugate of conj(psi)'s samples, which are the solver's bit for bit:
+    where psi nearly vanishes at a node, N_q(psi) amplifies the rounding
+    of that sample, and two roundings of it would part by more than the
+    formula's own few ulps."""
     n = attempt.n_per_axis
-    psi = sample(_psi_poly(phi, x), n)
+    conj_psi = sample(_psi_poly(phi, x).conjugate(), n, offset=0.0)
+    psi = conj_psi.with_samples(np.conj(conj_psi.samples))
     witness = riesz_project(nonlinear_map(psi, q))
-    return lp_norm(psi, q) - abs(grid_inner(witness, sample(phi, n))) / lp_norm(witness, conjugate(q))
+    return lp_norm(psi, q) - abs(grid_inner(witness, sample(phi, n, offset=0.0))) / lp_norm(witness, conjugate(q))
 
 
 #: How far the independent gap may lie from the solver's, in ulps of the
@@ -475,7 +475,8 @@ def test_printed_psi_is_exact(monkeypatch, w, degree, q):
     doc = json.loads(_json_text(triple))["extremal_kernel_coeffs"]
     printed = {term["alpha"][0]: complex(term["re"], term["im"]) for term in doc["terms"]}
     want = {k: c for (k,), c in phi.coeffs.items()}
-    want.update({-k: complex(x[k - 1], x[K + k - 1]).conjugate() for k in range(1, K + 1)})
+    want.update({-k: c.conjugate() for k, c in enumerate(x.view(np.complex128).tolist(), 1)})
+    assert len(want) == phi.bandwidth() + 1 + K
     assert printed == {k: c for k, c in want.items() if abs(c) > 1e-14}
     assert all(printed[k] == c for (k,), c in phi.coeffs.items())
 
@@ -493,7 +494,7 @@ def test_a_stalled_cap_hands_its_solution_to_the_next(monkeypatch):
     assert [a.certified for a in triple.attempts] == [False, False, True]
     assert not runs[0].x0.any()
     for run, prev in zip(runs[1:], runs):
-        np.testing.assert_array_equal(run.x0, _pad_solution(prev.x, run.x0.size // 2))
+        np.testing.assert_array_equal(run.x0, np.pad(prev.x, (0, run.x0.size - prev.x.size)))
 
 
 def test_a_stalled_cap_keeps_the_certificate_of_its_last_check(monkeypatch):
@@ -517,7 +518,7 @@ def test_a_stalled_cap_keeps_the_certificate_of_its_last_check(monkeypatch):
 @pytest.mark.parametrize(
     "w,degree,q",
     [(0.9, 20, 1.05), (0.95, 20, 1.1), (0.9, 40, 1.05), (0.8, 20, 64.0)],
-    ids=["stalls-twice", "escalates-on-line-search", "certifies-at-a-check", "certifies-after-7-checks"],
+    ids=["stalls-twice", "escalates-on-line-search", "certifies-at-a-check", "certifies-after-8-checks"],
 )
 def test_gap_checks_follow_the_stall_rule(monkeypatch, w, degree, q):
     phi, tol = truncated_szego_poly(w, degree), 1e-6
@@ -548,9 +549,9 @@ def test_gap_checks_follow_the_stall_rule(monkeypatch, w, degree, q):
     "w,degree,q,summary",
     [
         (0.9, 80, 4.0 / 3.0, (320, 2048, 39, 43, "line_search", True)),  # the benchmark's dual_direct
-        (0.9, 40, 1.05, (160, 1024, 137, 145, "line_search", True)),
-        (0.95, 50, 8.0, (200, 1024, 129, 137, "line_search", True)),
-        (0.8, 20, 64.0, (80, 512, 172, 187, "line_search", True)),
+        (0.9, 40, 1.05, (160, 1024, 139, 148, "line_search", True)),
+        (0.95, 50, 8.0, (200, 1024, 134, 146, "line_search", True)),
+        (0.8, 20, 64.0, (80, 512, 175, 191, "line_search", True)),
     ],
 )
 def test_gap_checks_leave_a_certifying_first_cap_alone(w, degree, q, summary):
@@ -616,36 +617,47 @@ def test_first_failed_line_search_ends_each_cap(monkeypatch):
     monkeypatch.setattr(optimize, "_line_search", spy_search)
     monkeypatch.setattr(extremal, "minimize", spy_minimize)
     triple = dual_extremal_solve(truncated_szego_poly(0.95, 20), q=1.1)
-    assert [a.stop for a in triple.attempts] == ["line_search"] * 2
-    assert len(failed) == 2
+    assert [a.stop for a in triple.attempts] == ["line_search"] * 3
+    assert len(failed) == 3
     for run in failed:
         assert run.count(True) == 1 and run[-1]
 
 
 @pytest.mark.parametrize(
-    "scale,q", [(1e-6, 1.5), (1e-6, 4.0), (0.01, 16.0)], ids=["1e-6-q1.5", "1e-6-q4", "0.01-q16"]
+    "scale,q",
+    [(1e-6, 1.5), (1e-6, 4.0), (0.01, 16.0), (1e-4, 16.0), (1e-6, 16.0), (1e-6, 64.0), (1e-7, 64.0)],
+    ids=["1e-6-q1.5", "1e-6-q4", "0.01-q16", "1e-4-q16", "1e-6-q16", "1e-6-q64", "1e-7-q64"],
 )
 def test_small_phi_is_solved_as_accurately_as_unit_scale(scale, q):
-    # the problem is 1-homogeneous in phi; no stopping rule on the absolute
-    # size of f or its gradient may end the small solve early
+    # the problem is 1-homogeneous in phi, and is solved at unit coefficient
+    # scale; at q = 16 and 64, |psi|^q of the small phi itself would leave
+    # the normal floats, and no line search could start
     phi = truncated_szego_poly(0.9, 40)
     unit = dual_extremal_solve(phi, q=q).value
     small = dual_extremal_solve(phi.scale(scale), q=q).value / scale
     assert abs(small - unit) <= 1e-13 * unit
 
 
+def test_overflowing_power_is_solved_at_unit_scale():
+    # |psi|^64 of 1e6 + 5e5 z overflows at the cold start; phi / 1e6 does not,
+    # and the solve at tol 1e-4 is the unit one at tol 1e-10, scaled back
+    phi, q = TrigPoly(1, {(0,): 1.0, (1,): 0.5}), 64.0
+    unit = dual_extremal_solve(phi, q=q, tol=1e-10).value
+    big = dual_extremal_solve(phi.scale(1e6), q=q, tol=1e-4)
+    assert big.attempts[-1].certified and big.duality_gap <= 1e-4
+    assert abs(big.value - 1e6 * unit) <= 1e-13 * 1e6 * unit
+
+
 @pytest.mark.parametrize("scale", [1e-6, 1e-7])
 def test_underflowing_power_certifies_no_false_value(scale):
     # at q = 64 mean |psi|^64 is subnormal for 1e-6 phi and 0 for 1e-7 phi,
-    # and so is N_64(psi); neither may pass for a primal and dual of 0.  A
-    # solve that certifies must lie within its gap of the true minimum.
+    # and so is N_64(psi); neither may pass for a primal and dual of 0.  At
+    # unit scale both certify the scaled unit-scale value.
     phi, q = truncated_szego_poly(0.9, 40), 64.0
     unit = dual_extremal_solve(phi, q=q).value
-    try:
-        triple = dual_extremal_solve(phi.scale(scale), q=q)
-    except NonconvergenceError:
-        return
-    assert abs(triple.value - scale * unit) <= triple.duality_gap
+    triple = dual_extremal_solve(phi.scale(scale), q=q)
+    assert triple.attempts[-1].certified
+    assert abs(triple.value - scale * unit) <= 1e-13 * scale * unit
 
 
 @pytest.mark.parametrize(

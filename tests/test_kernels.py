@@ -129,6 +129,15 @@ def test_coefficient_check_fails_just_above(q):
     assert report.first_violation == 1
 
 
+def test_coefficient_check_keeps_a_tiny_first_factor():
+    # near q = 1, s = p/q* = 4e-20 at p = 4/q*: the n = 1 factor must be s
+    # itself, not (s + 1) - 1 = 0, so the margin s - t^2 is exactly 0, no violation
+    q = 1.0000000001
+    report = coefficient_check(q=q, p=4.0 / conjugate(q), n_max=50)
+    assert report.margins[0] == 0.0
+    assert report.passed and report.first_violation is None
+
+
 def test_coefficient_check_json():
     doc = json.loads(_json_text(coefficient_check(q=3.0, p=1.0, n_max=5)))
     assert doc["q"] == 3.0 and doc["n_max"] == 5

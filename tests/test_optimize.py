@@ -4,7 +4,8 @@ from collections import deque
 import numpy as np
 import pytest
 
-from rieszlab.optimize import C1, C2, EPS, MAXCOR, OptimizeResult, _Memory, minimize
+from rieszlab import optimize
+from rieszlab.optimize import C1, C2, EPS, MAXCOR, OptimizeResult, _clip, _cubic_min, _Memory, _Point, minimize
 
 
 def quadratic(n=50, seed=0):
@@ -135,6 +136,33 @@ def test_search_stops_when_f_cannot_resolve_a_decrease():
     # |g|^2 alpha = 1e-13 for the first (rejected) step alpha = 1/|g|
     out = minimize(lambda x: (1e4 + 0.5 * x @ x, x.copy()), np.array([1e-13]), maxiter=10)
     assert (out.nit, out.nfev, out.stop) == (0, 2, "line_search")
+
+
+def test_too_short_a_step_is_extrapolated(monkeypatch):
+    # from 0 the first step 1/|g| lands at x = 1, where the slope is still
+    # 0.99 of the first, too steep for the curvature condition: the search
+    # grows the step, the cubic's minimizer clipped to [1.1, 4] widths on
+    clips = []
+
+    def spy(alpha, low, high):
+        clips.append((low, high))
+        return clip(alpha, low, high)
+
+    clip = optimize._clip
+    monkeypatch.setattr(optimize, "_clip", spy)
+    out = minimize(lambda x: ((x[0] - 100.0) ** 2, 2.0 * (x - 100.0)), np.zeros(1), maxiter=10)
+    assert len(clips) == 2
+    assert (out.nit, out.x[0]) == (3, 100.0)
+
+
+@pytest.mark.parametrize("f_r", [-2.0 / 3.0, -1.0], ids=["complex-critical-points", "a-line"])
+def test_cubic_without_a_minimizer_extrapolates_to_the_far_end(f_r):
+    # slope -1 at both ends: with phi(1) = -2/3 the cubic's critical points
+    # are complex, and phi(alpha) = -alpha is a line; either way _clip takes
+    # the far end of the extrapolation
+    alpha = _cubic_min(_Point(0.0, 0.0, -1.0, None), _Point(1.0, f_r, -1.0, None))
+    assert math.isnan(alpha)
+    assert _clip(alpha, 1.1, 4.0) == 4.0
 
 
 def test_nonfinite_start_raises():

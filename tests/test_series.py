@@ -50,6 +50,12 @@ def test_cap_hit_but_tail_negligible():
     assert require_converged(tally, "fast geometric") == pytest.approx(1.0 / 0.16, rel=1e-14)
 
 
+def test_tail_ratio_of_one_bounds_no_tail():
+    # a ratio rho >= 1 gives no geometric bound |t| rho / (1 - rho)
+    tally = sum_series(1.0, lambda n: 0.5, 1.0)
+    assert tally.value == 2.0 and tally.tail_bound == math.inf
+
+
 def test_tail_bound_is_a_bound():
     r = 0.9
     tally = sum_series(1.0, lambda n: r, r)
