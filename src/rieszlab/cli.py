@@ -149,27 +149,23 @@ def _load_poly(path: str) -> fourier.TrigPoly:
 
 
 def cmd_project(args) -> int:
-    if _is_grid_file(args.infile):
-        if args.axes is not None:
-            raise ValueError("partial projection is only defined for polynomial input")
-        grid = fourier.load_grid(args.infile)
-        proj = fourier.riesz_project_minus(grid) if args.minus else fourier.riesz_project(grid)
-        if not args.out:
-            raise ValueError("grid input requires --out for the binary result")
-        fourier.save_grid(proj, args.out)
-        if proj.aliasing_bound:
-            print(f"aliasing_bound {proj.aliasing_bound!r}", file=sys.stderr)
-        return 0
-    poly = _load_poly(args.infile)
     if args.axes is not None and args.minus:
         raise ValueError("--minus and --axes do not combine: a partial projection keeps P+ on its axes")
+    x = fourier.load_grid(args.infile) if _is_grid_file(args.infile) else _load_poly(args.infile)
     if args.axes is not None:
-        proj = fourier.partial_project(poly, _list(args.axes, int))
+        proj = fourier.partial_project(x, _list(args.axes, int))
     elif args.minus:
-        proj = fourier.riesz_project_minus(poly)
+        proj = fourier.riesz_project_minus(x)
     else:
-        proj = fourier.riesz_project(poly)
-    _write_text(_json_text(proj), args.out)
+        proj = fourier.riesz_project(x)
+    if isinstance(proj, fourier.TrigPoly):
+        _write_text(_json_text(proj), args.out)
+        return 0
+    if not args.out:
+        raise ValueError("grid input requires --out for the binary result")
+    fourier.save_grid(proj, args.out)
+    if proj.aliasing_bound:
+        print(f"aliasing_bound {proj.aliasing_bound!r}", file=sys.stderr)
     return 0
 
 

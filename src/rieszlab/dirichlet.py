@@ -61,7 +61,7 @@ def lattice_count(radius: float, dim: int) -> int:
 def spherical_dirichlet(spec: DirichletSpec) -> TrigPoly:
     """The kernel as a sparse polynomial with unit coefficients."""
     pts = lattice_points(spec.radius, spec.dim)
-    return TrigPoly(spec.dim, {tuple(int(v) for v in row): 1.0 + 0.0j for row in pts})
+    return TrigPoly._from_canonical(spec.dim, dict.fromkeys(map(tuple, pts.tolist()), 1.0 + 0.0j))
 
 
 def default_grid(spec: DirichletSpec, p: float) -> int:

@@ -296,7 +296,7 @@ def dual_extremal_solve(
         raise ValueError("dual_extremal_solve expects d=1 input")
     if not phi.coeffs:
         raise ValueError("phi must not be identically zero")
-    if not phi.is_analytic():
+    if len(riesz_project(phi).coeffs) != len(phi.coeffs):
         raise ValueError("phi must be analytic (nonnegative frequencies only)")
     q = float(q)
     if not 1.05 <= q <= 64.0:

@@ -16,7 +16,8 @@ reads.  :func:`sample` transforms only the slabs its coefficients occupy
 and equals the dense inverse FFT bit for bit.  :func:`grid_spectrum` and
 :func:`grid_from_spectrum` are plain normalized FFTs of the samples as
 they lie: a Fourier multiplier such as the Riesz projection commutes
-with the grid shift, so it needs no phase.
+with the grid shift, so it needs no phase.  Every projection is one
+frequency filter; on a grid it drops each bin at -N/2 on a filtered axis.
 
 Every FFT in the package goes through this module.  Inner products are
 normalized against Lebesgue measure of total mass one, i.e. plain means
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -111,16 +113,11 @@ class TrigPoly:
 
     def bandwidth(self) -> int:
         """Largest |alpha_i| over the support (0 for a constant)."""
-        if not self.coeffs:
-            return 0
-        return max(max(abs(a) for a in alpha) for alpha in self.coeffs)
+        return max(map(abs, chain.from_iterable(self.coeffs)), default=0)
 
     def l2_norm(self) -> float:
         """Parseval norm sqrt(sum |c_alpha|^2), free of overflow and underflow."""
         return math.hypot(*map(abs, self.coeffs.values()))
-
-    def is_analytic(self) -> bool:
-        return all(min(alpha) >= 0 for alpha in self.coeffs) if self.coeffs else True
 
     # -- algebra ---------------------------------------------------------
 
@@ -209,7 +206,7 @@ class GridFunction:
     order; ``dim`` and ``n_per_axis`` are read off its shape.
     ``aliasing_bound`` is populated by grid-space projections: it
     is the L^2 mass discarded from frequency bins that a length-N grid
-    cannot label unambiguously (any axis index at -N/2).
+    cannot label unambiguously (an index at -N/2 on a filtered axis).
     """
 
     samples: np.ndarray
@@ -255,10 +252,6 @@ def grid_from_function(
 # ---------------------------------------------------------------------------
 # spectra: plain normalized FFTs, fftfreq-indexed
 # ---------------------------------------------------------------------------
-
-
-def _int_freqs(n: int) -> np.ndarray:
-    return np.fft.fftfreq(n, d=1.0 / n).astype(int)
 
 
 def offset_phase(freqs: np.ndarray, n: int, offset: float) -> np.ndarray:
@@ -364,17 +357,26 @@ def coefficients(grid: GridFunction, cutoff: int) -> TrigPoly:
 # ---------------------------------------------------------------------------
 
 
-def _project_grid(grid: GridFunction, keep: Callable[[list[np.ndarray]], np.ndarray]) -> GridFunction:
-    n = grid.n_per_axis
-    spec = grid_spectrum(grid)  # a multiplier commutes with the grid shift: no phase
-    freqs = np.meshgrid(*([_int_freqs(n)] * grid.dim), indexing="ij")
+def _project(x: TrigPoly | GridFunction, axes: list[int], keep: Callable[[np.ndarray], np.ndarray]):
+    """x restricted to the frequencies alpha with keep(alpha_k) on each
+    0-based axis k in ``axes``.  A polynomial keeps its coefficients in
+    order; a grid also drops each bin at -N/2 on a filtered axis, whose
+    sign it cannot tell, and reports that L^2 mass as ``aliasing_bound``."""
+    if isinstance(x, TrigPoly):
+        # numpy widens past int64 (to object at worst); every dtype it picks keeps each sign
+        alphas = np.array(list(chain.from_iterable(x.coeffs))).reshape(-1, x.dim)
+        kept = keep(alphas[:, axes]).all(axis=1).tolist()
+        return TrigPoly._from_canonical(x.dim, dict(compress(x.coeffs.items(), kept)))
+    n = x.n_per_axis
+    spec = grid_spectrum(x)  # a multiplier commutes with the grid shift: no phase
+    freqs = np.meshgrid(*[np.fft.fftfreq(n, d=1.0 / n).astype(int)] * x.dim, indexing="ij", sparse=True)
+    mask = np.ones(spec.shape, dtype=bool)
     nyquist = np.zeros(spec.shape, dtype=bool)
-    for f in freqs:
-        nyquist |= f == -(n // 2)
+    for k in axes:
+        mask &= keep(freqs[k])
+        nyquist |= freqs[k] == -(n // 2)
     dropped = float(np.sqrt(np.sum(np.abs(spec[nyquist]) ** 2)))
-    mask = keep(freqs) & ~nyquist
-    out = np.where(mask, spec, 0.0)
-    return grid_from_spectrum(out, grid.offset, aliasing_bound=dropped)
+    return grid_from_spectrum(np.where(mask & ~nyquist, spec, 0.0), x.offset, aliasing_bound=dropped)
 
 
 def riesz_project(x: TrigPoly | GridFunction) -> TrigPoly | GridFunction:
@@ -384,35 +386,27 @@ def riesz_project(x: TrigPoly | GridFunction) -> TrigPoly | GridFunction:
     through the FFT at the grid's own resolution; the mass in ambiguous
     Nyquist bins is dropped and reported via ``aliasing_bound``.
     """
-    if isinstance(x, TrigPoly):
-        return TrigPoly(x.dim, {a: c for a, c in x.coeffs.items() if min(a) >= 0})
-    keep = lambda freqs: np.logical_and.reduce([f >= 0 for f in freqs])
-    return _project_grid(x, keep)
+    return _project(x, list(range(x.dim)), lambda f: f >= 0)
 
 
 def riesz_project_minus(x: TrigPoly | GridFunction) -> TrigPoly | GridFunction:
     """Complementary projection onto strictly negative frequencies (d=1)."""
     if x.dim != 1:
         raise ValueError("riesz_project_minus is defined for dim=1 only")
-    if isinstance(x, TrigPoly):
-        return TrigPoly(1, {a: c for a, c in x.coeffs.items() if a[0] < 0})
-    return _project_grid(x, lambda freqs: freqs[0] < 0)
+    return _project(x, [0], lambda f: f < 0)
 
 
-def partial_project(poly: TrigPoly, axes: Iterable[int]) -> TrigPoly:
+def partial_project(x: TrigPoly | GridFunction, axes: Iterable[int]) -> TrigPoly | GridFunction:
     """Project onto nonnegative frequencies along the given axes (1-based).
 
-    Composing over complementary axis sets equals the full projection.
+    Composing over complementary axis sets equals the full projection;
+    with no axes this is the identity.
     """
     axes = sorted(set(int(a) for a in axes))
     for a in axes:
-        if not 1 <= a <= poly.dim:
-            raise ValueError(f"axis {a} out of range for dim={poly.dim}")
-    keep = [a - 1 for a in axes]
-    return TrigPoly(
-        poly.dim,
-        {alpha: c for alpha, c in poly.coeffs.items() if all(alpha[k] >= 0 for k in keep)},
-    )
+        if not 1 <= a <= x.dim:
+            raise ValueError(f"axis {a} out of range for dim={x.dim}")
+    return _project(x, [a - 1 for a in axes], lambda f: f >= 0)
 
 
 # ---------------------------------------------------------------------------

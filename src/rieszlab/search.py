@@ -196,8 +196,8 @@ def _shifted_dirichlet_candidates(
         radius = float(rng.integers(1, int(max_r) + 1))
         pts = lattice_points(radius, dim)
         beta = rng.integers(0, int(radius) + 1, size=dim)
-        coeffs = {tuple(int(v) for v in row - beta): 1.0 + 0.0j for row in pts}
-        out.append((f"dirichlet(R={radius},shift={tuple(int(b) for b in beta)})", TrigPoly(dim, coeffs)))
+        psi = TrigPoly._from_canonical(dim, dict.fromkeys(map(tuple, (pts - beta).tolist()), 1.0 + 0.0j))
+        out.append((f"dirichlet(R={radius},shift={tuple(int(b) for b in beta)})", psi))
     return out
 
 

@@ -55,6 +55,10 @@ def check_partial_composition():
     poly = _random_poly(rng, 2, 3)
     both = partial_project(partial_project(poly, [1]), [2])
     assert both.distance(riesz_project(poly)) == 0.0, "partial projections do not compose"
+    grid = sample(poly, 16)
+    both = partial_project(partial_project(grid, [1]), [2]).samples
+    resid = float(np.max(np.abs(both - riesz_project(grid).samples)))
+    assert resid <= 1e-12 * poly.l2_norm(), f"partial projections do not compose on a grid: {resid}"
 
 
 def check_round_trip():

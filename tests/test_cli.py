@@ -247,12 +247,30 @@ def test_project_grid_requires_out(capsys, tmp_path):
     assert "--out" in err
 
 
-def test_project_grid_refuses_axes(capsys, tmp_path):
+def test_project_grid_axes_compose(capsys, tmp_path):
+    # P+ = P_{z1} P_{z2} on T^2, for a grid dump as for a polynomial
+    src = tmp_path / "in.rlgf"
+    save_grid(sample(TrigPoly(2, {(-1, 2): 1.0, (1, -2): 2.0, (1, 2): 3j, (0, -1): 4.0}), 8), str(src))
+    out = {name: tmp_path / f"{name}.rlgf" for name in ("full", "both", "first", "then")}
+    steps = [
+        ([], src, "full"),
+        (["--axes", "1,2"], src, "both"),
+        (["--axes", "1"], src, "first"),
+        (["--axes", "2"], out["first"], "then"),
+    ]
+    for flags, infile, name in steps:
+        assert run(capsys, ["project", *flags, "--in", str(infile), "--out", str(out[name])])[0] == 0
+    assert out["both"].read_bytes() == out["full"].read_bytes()
+    composed, full = load_grid(str(out["then"])), load_grid(str(out["full"]))
+    assert np.max(np.abs(composed.samples - full.samples)) <= 1e-12
+
+
+def test_project_grid_minus_with_axes_refused(capsys, tmp_path):
     src = tmp_path / "in.rlgf"
     save_grid(sample(PSI_L1, 32), str(src))
-    code, out, err = run(capsys, ["project", "--in", str(src), "--axes", "1", "--out", str(tmp_path / "o")])
+    code, out, err = run(capsys, ["project", "--in", str(src), "--minus", "--axes", "1", "--out", str(tmp_path / "o")])
     assert (code, out) == (2, "")
-    assert err == "error: partial projection is only defined for polynomial input\n"
+    assert err == "error: --minus and --axes do not combine: a partial projection keeps P+ on its axes\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -1,7 +1,7 @@
 import json
 import math
 import struct
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -355,12 +355,39 @@ def test_partial_projections_compose(f):
     assert partial_project(f, [1, 2]).distance(riesz_project(f)) == 0.0
 
 
+@given(st.integers(1, 3).flatmap(lambda dim: trig_polys(dim, max_degree=2**65)), st.data())
+def test_projections_of_polys_filter_like_the_loop(f, data):
+    # the filter reads a numpy index array, which may not be int64, and skips TrigPoly's
+    # validation: each result must be the loop's, in key order, and what validation would build
+    axes = data.draw(st.lists(st.integers(1, f.dim), max_size=f.dim))
+    cases = [
+        (riesz_project(f), lambda a: min(a) >= 0),
+        (partial_project(f, axes), lambda a: all(a[k - 1] >= 0 for k in axes)),
+    ]
+    if f.dim == 1:
+        cases.append((riesz_project_minus(f), lambda a: a[0] < 0))
+    for g, keep in cases:
+        assert list(g.coeffs.items()) == [(a, c) for a, c in f.coeffs.items() if keep(a)]
+        # repr tells an int from an np.int64 and a complex from an np.complex128
+        assert repr(TrigPoly(f.dim, g.coeffs)) == repr(g)
+
+
 def test_partial_project_axis_validation():
     f = TrigPoly.monomial((1, 1))
-    with pytest.raises(ValueError):
-        partial_project(f, [0])
-    with pytest.raises(ValueError):
-        partial_project(f, [3])
+    for x in (f, sample(f, 4)):
+        with pytest.raises(ValueError):
+            partial_project(x, [0])
+        with pytest.raises(ValueError):
+            partial_project(x, [3])
+
+
+def test_partial_project_no_axes_is_identity():
+    f = TrigPoly(2, {(-1, 2): 1.0, (1, -2): 2.0, (0, 0): 3j, (-2, -1): 4.0})
+    assert list(partial_project(f, []).coeffs.items()) == list(f.coeffs.items())
+    grid = sample(f, 8)
+    same = partial_project(grid, [])
+    assert same.aliasing_bound == 0.0
+    assert np.max(np.abs(same.samples - grid.samples)) <= 1e-12
 
 
 def test_projection_minus_only_1d():
@@ -371,14 +398,18 @@ def test_projection_minus_only_1d():
 @pytest.mark.parametrize("offset", [0.0, 0.25, 0.5])
 @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8), (3, 6)])
 def test_grid_projection_matches_poly_route(dim, n, offset):
-    # the projection is a multiplier on the unphased spectrum: it commutes with the grid shift
+    # each projection is a multiplier on the unphased spectrum: it commutes with the grid shift
     rng = np.random.default_rng(dim)
     f = TrigPoly(dim, {a: complex(*rng.standard_normal(2)) for a in product(range(-2, 3), repeat=dim)})
-    grid_route = riesz_project(sample(f, n, offset))
-    poly_route = sample(riesz_project(f), n, offset)
-    assert grid_route.offset == offset
-    assert np.max(np.abs(grid_route.samples - poly_route.samples)) <= 1e-12
-    assert grid_route.aliasing_bound == pytest.approx(0.0, abs=1e-12)
+    projections = [riesz_project, riesz_project_minus] if dim == 1 else [riesz_project]
+    for r in range(1, dim):
+        projections += [lambda x, axes=axes: partial_project(x, axes) for axes in combinations(range(1, dim + 1), r)]
+    for project in projections:
+        grid_route = project(sample(f, n, offset))
+        poly_route = sample(project(f), n, offset)
+        assert grid_route.offset == offset
+        assert np.max(np.abs(grid_route.samples - poly_route.samples)) <= 1e-12
+        assert grid_route.aliasing_bound == pytest.approx(0.0, abs=1e-12)
 
 
 def test_grid_projection_reports_nyquist_loss():
@@ -390,6 +421,20 @@ def test_grid_projection_reports_nyquist_loss():
     projected = riesz_project(grid)
     assert projected.aliasing_bound == pytest.approx(1.0, rel=1e-12)
     assert np.allclose(projected.samples, 0.0, atol=1e-12)
+
+
+def test_partial_grid_projection_drops_nyquist_on_filtered_axes_only():
+    n = 8
+    # unit mass in the bin (-N/2, 0): ambiguous on axis 1, nonnegative on axis 2
+    spec = np.zeros((n, n), dtype=np.complex128)
+    spec[n // 2, 0] = 1.0
+    grid = grid_from_spectrum(spec, 0.5)
+    dropped = partial_project(grid, [1])
+    assert dropped.aliasing_bound == pytest.approx(1.0, rel=1e-12)
+    assert np.allclose(dropped.samples, 0.0, atol=1e-12)
+    kept = partial_project(grid, [2])
+    assert kept.aliasing_bound == pytest.approx(0.0, abs=1e-12)
+    assert np.allclose(kept.samples, grid.samples, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
