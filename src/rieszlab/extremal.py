@@ -160,14 +160,14 @@ GAP_STALL_WINDOW = 5
 class CapAttempt(NamedTuple):
     """One truncation cap tried by the dual solver: its grid, the L-BFGS
     iteration and objective evaluation counts, why L-BFGS stopped
-    (``optimize.OptimizeResult.stop``: ``"max_iter"``, ``"line_search"``,
-    where the first line search that found no strong-Wolfe step ended the
-    run, or ``"gap_stall"``, where the gap checks made during the solve
-    found the gap stalled above tol with the truncation holding it there),
-    the duality gap at the end, which certified or did not, the number of
-    gap checks made during the solve, and the smallest gap seen by those
-    checks and the final one, with the evaluation count at which it was
-    seen."""
+    (``optimize.OptimizeResult.stop``: ``"certified"``, where a gap check
+    made during the solve certified tol, ``"gap_stall"``, where the checks
+    found the gap stalled above tol with the truncation holding it there,
+    ``"line_search"``, where the first line search that found no
+    strong-Wolfe step ended the run, or ``"max_iter"``), the duality gap
+    at the end, which certified or did not, the number of gap checks made
+    during the solve, and the smallest gap seen by those checks and the
+    final one, with the evaluation count at which it was seen."""
 
     trunc_degree: int
     n_per_axis: int
@@ -220,6 +220,7 @@ class ExtremalTriple:
         """The certifying cap's summary, every attempt, phi, and the
         coefficient table of psi with its radius (``_coeff_radius``);
         ``cli`` encodes the nested records."""
+        radius = _coeff_radius(self.q, self.value, self.duality_gap)
         return {
             "q": self.q,
             "q_star": self.q_star,
@@ -229,8 +230,10 @@ class ExtremalTriple:
             "trunc_degree": self.trunc_degree,
             "attempts": self.attempts,
             "natural_kernel": self.natural_kernel,
-            "coeff_radius": _coeff_radius(self.q, self.value, self.duality_gap),
-            "extremal_kernel_coeffs": self.extremal_kernel.prune(1e-14),
+            "coeff_radius": radius,
+            "extremal_kernel_coeffs": TrigPoly._from_canonical(
+                1, {a: c for a, c in self.extremal_kernel.coeffs.items() if a[0] >= 0 or abs(c) > radius}
+            ),
         }
 
 
@@ -280,17 +283,19 @@ def dual_extremal_solve(
         L-BFGS from zero; each later cap starts from the previous cap's
         solution, zero-padded.
     tol : required duality gap |primal - dual| at the solution; finite
-        and > 0.
+        and > 0.  Each cap stops at its first gap check within tol.
     n_per_axis : quadrature grid; defaults to a power of two resolving
         4x the combined bandwidth.  A given grid takes only the caps K it
         resolves, n >= 2 (deg(phi) + K + 1).
     max_iter : L-BFGS iteration cap for each truncation degree; >= 1.
 
     The problem is 1-homogeneous in phi, so it is solved for phi / s,
-    s = max |phi_k|, to tol / s, and the value, the gaps and conj(phi0)
-    are scaled back by s.  Every cap tried is recorded in ``attempts``.
-    Raises ``NonconvergenceError``, naming each cap's gap, when no cap
-    certifies.
+    s = max |phi_k|, to tol / max(s, 1), and the value, the gaps and
+    conj(phi0) are scaled back by s, so the printed gap is at most
+    tol min(1, s).  Every cap tried is recorded in ``attempts``.  Raises
+    ``NonconvergenceError``, naming each cap's gap, when no cap
+    certifies; for s > 1, where tol stays absolute, it also gives s and
+    the smallest gap as a share of the value.
     """
     if phi.dim != 1:
         raise ValueError("dual_extremal_solve expects d=1 input")
@@ -323,10 +328,11 @@ def dual_extremal_solve(
     attempts: list[CapAttempt] = []
     x = np.zeros(0)
     for cap in resolved:
-        x, attempt, value = _solve_at_degree(unit, q, cap, tol / s, n_per_axis, max_iter, x)
+        x, attempt, value = _solve_at_degree(unit, q, cap, tol / max(s, 1.0), n_per_axis, max_iter, x)
         attempts.append(attempt._replace(duality_gap=s * attempt.duality_gap, best_gap=s * attempt.best_gap))
         if attempt.certified:
             return ExtremalTriple(phi, _psi_poly(phi, s * x), s * value, q, tuple(attempts))
+    gap = min(a.best_gap for a in attempts)
     raise NonconvergenceError(
         f"duality gap above tol={tol:.1e} at every cap: "
         + "; ".join(
@@ -334,6 +340,12 @@ def dual_extremal_solve(
             for r in attempts
         )
         + ("; the grid resolves no larger cap" if len(resolved) < len(caps) else "")
+        + (
+            f"; --tol stays absolute above unit coefficient scale, and s = max|phi_k| = {s:.6g}:"
+            f" the smallest gap {gap:.3e} is {gap / (s * value):.1e} of the value"
+            if s > 1.0
+            else ""
+        )
     )
 
 
@@ -389,19 +401,21 @@ def _solve_at_degree(
     cap's attempt, which says whether the gap certified tol, and the
     q-norm of psi = phi + conj(phi0) at x.
 
-    Every ``GAP_CHECK_EVALS`` objective evaluations, until one certifies
-    tol, the solve checks the duality gap at its current iterate from the
-    objective's own (F, h): the primal is F^(1/q), nan where F is not a
-    normal float, and N_q(psi) has spectrum conj(h[-k]).  It stops with
-    ``"gap_stall"`` when the gap has stalled above tol, the smallest of
-    the last ``GAP_STALL_WINDOW`` checks being more than half the
-    smallest before them, and the truncation holds it there.  The cap-K
-    problem has its own witness, N_q(psi) less its frequencies -1..-K,
-    whose dual bound is at most the cap's minimum.  The gap less the
-    cap's own gap, primal minus that bound, estimates the part of the gap
-    that solving this cap exactly would leave; at the cap's minimizer the
-    cap's own gap is 0 and the estimate is exact.  While it is at most
-    tol, the optimization holds the gap up, and the solve goes on.
+    Every ``GAP_CHECK_EVALS`` objective evaluations the solve checks the
+    duality gap at its current iterate from the objective's own (F, h):
+    the primal is F^(1/q), nan where F is not a normal float, and N_q(psi)
+    has spectrum conj(h[-k]).  It stops with ``"certified"`` at the first
+    check whose gap is within tol, and with ``"gap_stall"`` when the gap
+    has stalled above tol, the smallest of the last ``GAP_STALL_WINDOW``
+    checks being more than half the smallest before them, and the
+    truncation holds it there.  The cap-K problem has its own witness,
+    N_q(psi) less its frequencies -1..-K, whose dual bound is at most the
+    cap's minimum.  The gap less the cap's own gap, primal minus that
+    bound, estimates the part of the gap that solving this cap exactly
+    would leave; at the cap's minimizer the cap's own gap is 0 and the
+    estimate is exact.  While it is at most tol, the optimization holds
+    the gap up, and the solve goes on.  A cap stopped at a check keeps
+    that check's primal and gap.
     """
     deg = phi.bandwidth()
     K = int(trunc_degree)
@@ -430,22 +444,24 @@ def _solve_at_degree(
         return primal, primal - dual(spec, inner, n // 2), spec, inner
 
     checks: list[tuple[float, int]] = []  # (gap, nfev) of each check
-    last = None  # the latest check's certificate, which a gap_stall stop keeps
+    last = None  # the latest check's certificate, which a stop at a check keeps
 
     def monitor(x: np.ndarray, nfev: int) -> str:
         nonlocal last
-        if nfev < (checks[-1][1] if checks else 0) + GAP_CHECK_EVALS or (checks and min(checks)[0] <= tol):
+        if nfev < (checks[-1][1] if checks else 0) + GAP_CHECK_EVALS:
             return ""
         primal, gap, spec, inner = last = certificate(x)
         checks.append((gap, nfev))
+        if gap <= tol:
+            return "certified"
         gaps = [g for g, _ in checks]
         recent, before = gaps[-GAP_STALL_WINDOW:], gaps[:-GAP_STALL_WINDOW]
-        if not (min(gaps) > tol and before and min(recent) > 0.5 * min(before)):
+        if not (before and min(recent) > 0.5 * min(before)):
             return ""
         return "gap_stall" if gap - (primal - dual(spec, inner, n - K)) > tol else ""  # the gap less the cap's own
 
     result = minimize(fun_and_grad, np.pad(x0, (0, 2 * K - x0.size)), maxiter=max_iter, monitor=monitor)
-    primal, gap, _, _ = last if result.stop == "gap_stall" else certificate(result.x)
+    primal, gap, _, _ = last if result.stop in ("certified", "gap_stall") else certificate(result.x)
     certified = math.isfinite(gap) and gap <= tol
     best_gap, best_nfev = min([*checks, (gap, result.nfev)])
     attempt = CapAttempt(

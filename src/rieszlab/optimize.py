@@ -21,7 +21,8 @@ s.y > -eps g.s, and the first line search that finds no strong-Wolfe step
 ends the run, also where g vanishes (there is no gradient floor).  A
 ``monitor`` hook sees each accepted iterate and its evaluation count, and
 ends the run by returning a reason, which the result carries as its
-``stop``: the dual solver stops a cap whose duality gap stalls this way.
+``stop``: the dual solver stops a cap this way when its duality gap
+certifies or stalls.
 
 ``extremal`` binds ``minimize`` at module level, where a profiler can
 rebind it.
@@ -49,7 +50,7 @@ class OptimizeResult(NamedTuple):
     evaluation counts, and why the run stopped: ``"max_iter"``,
     ``"line_search"`` (no strong-Wolfe step along the L-BFGS direction, as
     where g vanishes), or the reason the ``monitor`` returned (the dual
-    solver's ``"gap_stall"``)."""
+    solver's ``"certified"`` and ``"gap_stall"``)."""
 
     x: np.ndarray
     fun: float

@@ -479,6 +479,23 @@ def test_dual_extremal_grid_bounds_the_caps(capsys):
     assert err.endswith("; the grid resolves no larger cap\n")
 
 
+def test_dual_extremal_large_phi_says_tol_is_absolute(capsys, tmp_path):
+    # above unit coefficient scale --tol stays absolute: 1e6 + 5e5 z at q = 64
+    # stops near gap 1.4e-5, about 1e-11 of its value, and the message says so
+    src = tmp_path / "phi.json"
+    src.write_text(poly_json(TrigPoly(1, {(0,): 1e6, (1,): 5e5})))
+    argv = ["dual-extremal", "--in", str(src), "--q", "64"]
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.startswith("nonconvergence: duality gap above tol=1.0e-06") and err.count("\n") == 1
+    assert "--tol stays absolute above unit coefficient scale, and s = max|phi_k| = 1e+06:" in err
+    assert err.endswith("e-11 of the value\n")
+    code, out, err = run(capsys, [*argv, "--tol", "1e-4"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["attempts"][-1]["certified"] and doc["duality_gap"] <= 1e-4
+
+
 def test_dual_extremal_large_q_prints_no_warning(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

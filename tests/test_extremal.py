@@ -220,10 +220,17 @@ def test_solve_validation():
     ],
 )
 def test_solve_matches_pinned_values(w, degree, q, value):
-    # values from the solver on scipy's L-BFGS-B, which the numpy L-BFGS replaced
-    triple = dual_extremal_solve(truncated_szego_poly(w, degree), q=q)
-    assert abs(triple.value - value) <= 1e-9
+    # values from the solver on scipy's L-BFGS-B, which the numpy L-BFGS
+    # replaced; a cap stops at its first check within tol, so the pins hold
+    # at a tol below their bound
+    phi = truncated_szego_poly(w, degree)
+    tight = dual_extremal_solve(phi, q=q, tol=1e-10)
+    assert abs(tight.value - value) <= 1e-9
+    assert tight.duality_gap <= 1e-10
+    # at the default tol the value lies above the minimum by at most its gap
+    triple = dual_extremal_solve(phi, q=q)
     assert triple.duality_gap <= 1e-6
+    assert -1e-9 <= triple.value - value <= triple.duality_gap + 1e-9
 
 
 def direct_objective(phi, q, K, n, x):
@@ -458,8 +465,9 @@ GAP_ULPS = 4
     "w,degree,q", [(0.9, 80, 4.0 / 3.0), (0.9j, 20, 1.5)], ids=["dual_direct", "complex-w"]
 )
 def test_printed_psi_is_exact(monkeypatch, w, degree, q):
-    # the printed coefficients of psi = phi + conj(phi0) are phi's at k >= 0
-    # and conj(c_k) of the certifying solution at -k, pruned at 1e-14
+    # the printed coefficients of psi = phi + conj(phi0) are all of phi's at
+    # k >= 0, and conj(c_k) of the certifying solution at -k where
+    # |c_k| > coeff_radius; each one printed is exact
     ends = []
 
     def spy(fun, x0, **kwargs):
@@ -472,13 +480,15 @@ def test_printed_psi_is_exact(monkeypatch, w, degree, q):
     phi = truncated_szego_poly(w, degree)
     triple = dual_extremal_solve(phi, q=q)
     x, K = ends[-1], triple.trunc_degree
-    doc = json.loads(_json_text(triple))["extremal_kernel_coeffs"]
-    printed = {term["alpha"][0]: complex(term["re"], term["im"]) for term in doc["terms"]}
+    doc = json.loads(_json_text(triple))
+    radius = doc["coeff_radius"]
+    printed = {term["alpha"][0]: complex(term["re"], term["im"]) for term in doc["extremal_kernel_coeffs"]["terms"]}
     want = {k: c for (k,), c in phi.coeffs.items()}
     want.update({-k: c.conjugate() for k, c in enumerate(x.view(np.complex128).tolist(), 1)})
     assert len(want) == phi.bandwidth() + 1 + K
-    assert printed == {k: c for k, c in want.items() if abs(c) > 1e-14}
+    assert printed == {k: c for k, c in want.items() if k >= 0 or abs(c) > radius}
     assert all(printed[k] == c for (k,), c in phi.coeffs.items())
+    assert phi.bandwidth() + 1 < len(printed) < len(want)
 
 
 def stalled(gaps, truncation, tol):
@@ -489,7 +499,7 @@ def stalled(gaps, truncation, tol):
 def test_a_stalled_cap_hands_its_solution_to_the_next(monkeypatch):
     runs = record_runs(monkeypatch)
     triple = dual_extremal_solve(truncated_szego_poly(0.9, 20), q=1.05)
-    assert [a.stop for a in triple.attempts] == ["gap_stall", "gap_stall", "line_search"]
+    assert [a.stop for a in triple.attempts] == ["gap_stall", "gap_stall", "certified"]
     assert [a.trunc_degree for a in triple.attempts] == [80, 160, 320]
     assert [a.certified for a in triple.attempts] == [False, False, True]
     assert not runs[0].x0.any()
@@ -501,16 +511,14 @@ def test_a_stalled_cap_keeps_the_certificate_of_its_last_check(monkeypatch):
     phi, q = truncated_szego_poly(0.9, 20), 1.05
     runs = record_runs(monkeypatch)
     triple = dual_extremal_solve(phi, q=q)
-    assert [a.stop for a in triple.attempts] == ["gap_stall", "gap_stall", "line_search"]
+    assert [a.stop for a in triple.attempts] == ["gap_stall", "gap_stall", "certified"]
     for run, attempt in zip(runs, triple.attempts):
         # one (F, h) per check gives both of its dual bounds
         assert run.check_witnesses == [1] * attempt.gap_checks
-        # the check that stalled the cap measured its last iterate, and no
-        # (F, h) is computed again there; the certifying cap computes one
-        stalled_cap = attempt.stop == "gap_stall"
-        assert run.final_witnesses == (0 if stalled_cap else 1)
-        if stalled_cap:
-            np.testing.assert_array_equal(run.checks[-1][0], run.x)
+        # the check that stalled or certified the cap measured its last
+        # iterate, and no (F, h) is computed again there
+        assert run.final_witnesses == 0
+        np.testing.assert_array_equal(run.checks[-1][0], run.x)
         assert attempt.duality_gap == reference_gaps(phi, q, attempt, *run.spectra[-1])[0]
         assert abs(attempt.duality_gap - independent_gap(phi, q, attempt, run.x)) <= GAP_ULPS * math.ulp(triple.value)
 
@@ -532,10 +540,11 @@ def test_gap_checks_follow_the_stall_rule(monkeypatch, w, degree, q):
             assert abs(gap - independent_gap(phi, q, attempt, x)) <= GAP_ULPS * math.ulp(triple.value)
         assert len(gaps) == attempt.gap_checks > 0
         assert all(b - a >= GAP_CHECK_EVALS for a, b in zip([0, *nfevs], nfevs))
-        # no check after the first certified one, though the run goes on
+        # the first certified check ends the run, and its gap is the attempt's
         assert all(gap > tol for gap in gaps[:-1])
-        if gaps[-1] <= tol:
-            assert attempt.stop == "line_search" and run.calls[-1] >= nfevs[-1] + GAP_CHECK_EVALS
+        assert (gaps[-1] <= tol) == (attempt.stop == "certified") == attempt.certified
+        if attempt.certified:
+            assert run.calls[-1] == nfevs[-1] == attempt.nfev and attempt.duality_gap == gaps[-1]
         # the run stops at the first check after which the gaps have stalled
         # with the truncation holding them up
         assert not any(stalled(gaps[:i], truncation[i - 1], tol) for i in range(1, len(gaps)))
@@ -548,16 +557,43 @@ def test_gap_checks_follow_the_stall_rule(monkeypatch, w, degree, q):
 @pytest.mark.parametrize(
     "w,degree,q,summary",
     [
-        (0.9, 80, 4.0 / 3.0, (320, 2048, 39, 43, "line_search", True)),  # the benchmark's dual_direct
-        (0.9, 40, 1.05, (160, 1024, 139, 148, "line_search", True)),
-        (0.95, 50, 8.0, (200, 1024, 134, 146, "line_search", True)),
-        (0.8, 20, 64.0, (80, 512, 175, 191, "line_search", True)),
+        (0.9, 80, 4.0 / 3.0, (320, 2048, 18, 20, "certified", True)),  # the benchmark's dual_direct
+        (0.9, 40, 1.05, (160, 1024, 76, 80, "certified", True)),
+        (0.95, 50, 8.0, (200, 1024, 75, 80, "certified", True)),
+        (0.8, 20, 64.0, (80, 512, 149, 160, "certified", True)),
     ],
 )
 def test_gap_checks_leave_a_certifying_first_cap_alone(w, degree, q, summary):
-    # cap, grid, iterations, evaluations, stop and certified, as before the checks
+    # cap, grid, iterations, evaluations, stop and certified: the cap and grid
+    # are those from before the checks, and the first certified check ends it
     triple = dual_extremal_solve(truncated_szego_poly(w, degree), q=q)
     assert [(*a[:5], a.certified) for a in triple.attempts] == [summary]
+
+
+def test_a_certifying_check_ends_its_cap(monkeypatch):
+    phi, q, tol = truncated_szego_poly(0.9, 20), 1.05, 1e-6
+    runs = record_runs(monkeypatch)
+    triple = dual_extremal_solve(phi, q=q, tol=tol)
+    run, attempt = runs[-1], triple.attempts[-1]
+    assert (attempt.stop, attempt.certified, attempt.gap_checks) == ("certified", True, len(run.checks))
+    gaps = [reference_gaps(phi, q, attempt, F, h)[0] for _, _, (F, h) in run.checks]
+    assert all(gap > tol for gap in gaps[:-1]) and gaps[-1] <= tol
+    assert attempt.duality_gap == gaps[-1] == triple.duality_gap
+    # no monitor call and no (F, h) after the certifying check
+    assert run.calls[-1] == run.checks[-1][1] == attempt.nfev and run.final_witnesses == 0
+
+
+def test_slow_certifying_cap_stops_at_its_first_certified_check():
+    # a slowly converging cap: cap 1920 makes 61 checks before one
+    # certifies, and the solve ends there
+    triple = dual_extremal_solve(truncated_szego_poly(0.95, 60), q=1.05)
+    assert [(*a[:5], a.certified, a.gap_checks) for a in triple.attempts] == [
+        (240, 2048, 417, 420, "gap_stall", False, 21),
+        (480, 4096, 105, 120, "gap_stall", False, 6),
+        (960, 4096, 99, 120, "gap_stall", False, 6),
+        (1920, 8192, 1163, 1220, "certified", True, 61),
+    ]
+    assert triple.duality_gap <= 1e-6
 
 
 def test_fixed_cap_whose_gap_stalls_raises():
@@ -583,11 +619,16 @@ def test_coeff_radius_bounds_warm_against_cold(w, degree, q):
     n = warm.attempts[-1].n_per_axis
     assert len(warm.attempts) > 1 and n == cold.attempts[-1].n_per_axis
     warm_doc, cold_doc = warm.to_json_dict(), cold.to_json_dict()
-    radii = warm_doc["coeff_radius"] + cold_doc["coeff_radius"]
+    warm_radius, cold_radius = warm_doc["coeff_radius"], cold_doc["coeff_radius"]
+    radii = warm_radius + cold_radius
     assert 0.0 < radii < 0.1
-    diff = warm_doc["extremal_kernel_coeffs"] - cold_doc["extremal_kernel_coeffs"]
+    diff = warm.extremal_kernel - cold.extremal_kernel
     assert max(map(abs, diff.coeffs.values())) <= radii
-    assert lp_norm(sample(warm.extremal_kernel - cold.extremal_kernel, n), q) <= radii
+    assert lp_norm(sample(diff, n), q) <= radii
+    # a coefficient the printed table drops is at most its radius, so the
+    # minimizer's is at most 2 radii, and the other solution's 2 radii plus its own
+    dropped = warm.extremal_kernel.coeffs.keys() - warm_doc["extremal_kernel_coeffs"].coeffs.keys()
+    assert dropped and all(abs(cold.extremal_kernel.coeff(k)) <= 2 * warm_radius + cold_radius for k in dropped)
 
 
 @pytest.mark.parametrize("q", [1.05, 1.5, 2.0, 3.0, 64.0])
@@ -617,25 +658,30 @@ def test_first_failed_line_search_ends_each_cap(monkeypatch):
     monkeypatch.setattr(optimize, "_line_search", spy_search)
     monkeypatch.setattr(extremal, "minimize", spy_minimize)
     triple = dual_extremal_solve(truncated_szego_poly(0.95, 20), q=1.1)
-    assert [a.stop for a in triple.attempts] == ["line_search"] * 3
+    assert [a.stop for a in triple.attempts] == ["line_search", "line_search", "certified"]
     assert len(failed) == 3
-    for run in failed:
+    for run in failed[:2]:
         assert run.count(True) == 1 and run[-1]
+    # the cap that a gap check ended found a step at every line search
+    assert failed[2] and not any(failed[2])
 
 
 @pytest.mark.parametrize(
     "scale,q",
-    [(1e-6, 1.5), (1e-6, 4.0), (0.01, 16.0), (1e-4, 16.0), (1e-6, 16.0), (1e-6, 64.0), (1e-7, 64.0)],
-    ids=["1e-6-q1.5", "1e-6-q4", "0.01-q16", "1e-4-q16", "1e-6-q16", "1e-6-q64", "1e-7-q64"],
+    [(1e-6, 1.5), (1e-6, 4.0), (2**-7, 16.0), (2**-14, 16.0), (1e-6, 16.0), (1e-6, 64.0), (2**-24, 64.0)],
+    ids=["1e-6-q1.5", "1e-6-q4", "2^-7-q16", "2^-14-q16", "1e-6-q16", "1e-6-q64", "2^-24-q64"],
 )
 def test_small_phi_is_solved_as_accurately_as_unit_scale(scale, q):
     # the problem is 1-homogeneous in phi, and is solved at unit coefficient
-    # scale; at q = 16 and 64, |psi|^q of the small phi itself would leave
-    # the normal floats, and no line search could start
+    # scale to the same tol; at q = 16 and 64, |psi|^q of the small phi
+    # itself would leave the normal floats, and no line search could start.
+    # A power-of-two scale divides out exactly, so the two solves run the
+    # same iterates and stop at the same check.
     phi = truncated_szego_poly(0.9, 40)
-    unit = dual_extremal_solve(phi, q=q).value
-    small = dual_extremal_solve(phi.scale(scale), q=q).value / scale
-    assert abs(small - unit) <= 1e-13 * unit
+    unit = dual_extremal_solve(phi, q=q)
+    small = dual_extremal_solve(phi.scale(scale), q=q)
+    assert abs(small.value / scale - unit.value) <= 1e-13 * unit.value
+    assert small.duality_gap <= 1e-6 * scale
 
 
 def test_overflowing_power_is_solved_at_unit_scale():
@@ -648,9 +694,9 @@ def test_overflowing_power_is_solved_at_unit_scale():
     assert abs(big.value - 1e6 * unit) <= 1e-13 * 1e6 * unit
 
 
-@pytest.mark.parametrize("scale", [1e-6, 1e-7])
+@pytest.mark.parametrize("scale", [1e-6, 2**-24], ids=["1e-06", "2^-24"])
 def test_underflowing_power_certifies_no_false_value(scale):
-    # at q = 64 mean |psi|^64 is subnormal for 1e-6 phi and 0 for 1e-7 phi,
+    # at q = 64 mean |psi|^64 is subnormal for 1e-6 phi and 0 for 2^-24 phi,
     # and so is N_64(psi); neither may pass for a primal and dual of 0.  At
     # unit scale both certify the scaled unit-scale value.
     phi, q = truncated_szego_poly(0.9, 40), 64.0
