@@ -155,19 +155,27 @@ def holder_equality_residual(f: GridFunction, q_star: float) -> float:
 GAP_CHECK_EVALS = 20
 #: Checks over which a cap's gap must halve, or count as stalled.
 GAP_STALL_WINDOW = 5
+#: Share of a check's gap below which the cap's own gap counts as solved:
+#: the iterate is then that close to the cap's minimum, and the rest of
+#: the gap is the truncation's.
+GAP_OWN_SHARE = 0.1
 
 
 class CapAttempt(NamedTuple):
     """One truncation cap tried by the dual solver: its grid, the L-BFGS
     iteration and objective evaluation counts, why L-BFGS stopped
     (``optimize.OptimizeResult.stop``: ``"certified"``, where a gap check
-    made during the solve certified tol, ``"gap_stall"``, where the checks
-    found the gap stalled above tol with the truncation holding it there,
-    ``"line_search"``, where the first line search that found no
-    strong-Wolfe step ended the run, or ``"max_iter"``), the duality gap
-    at the end, which certified or did not, the number of gap checks made
-    during the solve, and the smallest gap seen by those checks and the
-    final one, with the evaluation count at which it was seen."""
+    made during the solve certified tol, ``"gap_stall"``, where a check
+    found that solving this cap further cannot certify, the truncation
+    holding more than tol of the gap, ``"line_search"``, where the first
+    line search that found no strong-Wolfe step ended the run, or
+    ``"max_iter"``), the duality gap at the end, which certified or did
+    not, and where it did not, the truncation gap: the part of it that the
+    truncation holds up, the gap less the cap-K problem's own gap (None on
+    a certified cap, whose gap needs no split).  Then the number of gap
+    checks made during the solve, and the smallest gap seen by those
+    checks and the final one, with the evaluation count at which it was
+    seen."""
 
     trunc_degree: int
     n_per_axis: int
@@ -175,6 +183,7 @@ class CapAttempt(NamedTuple):
     nfev: int
     stop: str
     duality_gap: float
+    truncation_gap: float | None
     certified: bool
     gap_checks: int
     best_gap: float
@@ -329,7 +338,8 @@ def dual_extremal_solve(
     x = np.zeros(0)
     for cap in resolved:
         x, attempt, value = _solve_at_degree(unit, q, cap, tol / max(s, 1.0), n_per_axis, max_iter, x)
-        attempts.append(attempt._replace(duality_gap=s * attempt.duality_gap, best_gap=s * attempt.best_gap))
+        gaps = ("duality_gap", "truncation_gap", "best_gap")
+        attempts.append(attempt._replace(**{k: s * v for k in gaps if (v := getattr(attempt, k)) is not None}))
         if attempt.certified:
             return ExtremalTriple(phi, _psi_poly(phi, s * x), s * value, q, tuple(attempts))
     gap = min(a.best_gap for a in attempts)
@@ -405,17 +415,20 @@ def _solve_at_degree(
     duality gap at its current iterate from the objective's own (F, h):
     the primal is F^(1/q), nan where F is not a normal float, and N_q(psi)
     has spectrum conj(h[-k]).  It stops with ``"certified"`` at the first
-    check whose gap is within tol, and with ``"gap_stall"`` when the gap
-    has stalled above tol, the smallest of the last ``GAP_STALL_WINDOW``
-    checks being more than half the smallest before them, and the
-    truncation holds it there.  The cap-K problem has its own witness,
+    check whose gap is within tol.  The cap-K problem has its own witness,
     N_q(psi) less its frequencies -1..-K, whose dual bound is at most the
-    cap's minimum.  The gap less the cap's own gap, primal minus that
-    bound, estimates the part of the gap that solving this cap exactly
+    cap's minimum, so the cap's own gap, primal minus that bound, bounds
+    how far the primal lies above that minimum.  The rest of the gap, the
+    truncation gap, estimates the part that solving this cap exactly
     would leave; at the cap's minimizer the cap's own gap is 0 and the
-    estimate is exact.  While it is at most tol, the optimization holds
-    the gap up, and the solve goes on.  A cap stopped at a check keeps
-    that check's primal and gap.
+    estimate is exact.  A check above tol stops the solve with
+    ``"gap_stall"`` when the truncation gap exceeds tol and either the
+    cap's own gap is below ``GAP_OWN_SHARE`` of the gap, or the gap has
+    stalled, the smallest of the last ``GAP_STALL_WINDOW`` checks being
+    more than half the smallest before them; the stall catches the caps
+    that L-BFGS converges slowly.  While the truncation gap is at most
+    tol, the optimization holds the gap up, and the solve goes on.  A cap
+    stopped at a check keeps that check's primal, gap and truncation gap.
     """
     deg = phi.bandwidth()
     K = int(trunc_degree)
@@ -432,16 +445,21 @@ def _solve_at_degree(
         denom = lp_norm(f, conjugate(q))
         return inner / denom if denom > 0 else 0.0
 
-    def certificate(x: np.ndarray) -> tuple[float, float, np.ndarray, float]:
-        """The primal ||psi||_q, the duality gap at x, the spectrum of N_q(psi)
-        (bins 0..n/2-1 are the gap's witness P+ N_q(psi), bins 0..n-K-1 the
-        cap-K witness) and |<f, phi>| for both, a sum over phi's bins 0..deg."""
+    def certificate(x: np.ndarray) -> tuple[float, float, float | None]:
+        """The primal ||psi||_q at x, the duality gap, and, for a gap above
+        tol, the part of it that the truncation holds up: the gap less the
+        cap's own gap, the cap-K witness's bound less the gap's.  One
+        spectrum of N_q(psi) holds both witnesses (bins 0..n/2-1 the gap's,
+        P+ N_q(psi), and bins 0..n-K-1 the cap's), and |<f, phi>| is one
+        sum over phi's bins 0..deg."""
         F, h = power_and_spectrum(x)
         # where |psi|^q under- or overflows, F^(1/q) is no norm: the gap is nan
         primal = F ** (1.0 / q) if np.finfo(float).tiny <= F < math.inf else math.nan
         spec = np.conj(h[-np.arange(n)])
         inner = float(abs(spec[: deg + 1] @ conj_phi))
-        return primal, primal - dual(spec, inner, n // 2), spec, inner
+        bound = dual(spec, inner, n // 2)
+        gap = primal - bound
+        return primal, gap, None if gap <= tol else dual(spec, inner, n - K) - bound
 
     checks: list[tuple[float, int]] = []  # (gap, nfev) of each check
     last = None  # the latest check's certificate, which a stop at a check keeps
@@ -450,21 +468,22 @@ def _solve_at_degree(
         nonlocal last
         if nfev < (checks[-1][1] if checks else 0) + GAP_CHECK_EVALS:
             return ""
-        primal, gap, spec, inner = last = certificate(x)
+        _, gap, truncation = last = certificate(x)
         checks.append((gap, nfev))
         if gap <= tol:
             return "certified"
+        if not truncation > tol:
+            return ""  # the optimization holds the gap up
         gaps = [g for g, _ in checks]
         recent, before = gaps[-GAP_STALL_WINDOW:], gaps[:-GAP_STALL_WINDOW]
-        if not (before and min(recent) > 0.5 * min(before)):
-            return ""
-        return "gap_stall" if gap - (primal - dual(spec, inner, n - K)) > tol else ""  # the gap less the cap's own
+        solved = gap - truncation < GAP_OWN_SHARE * gap
+        return "gap_stall" if solved or (before and min(recent) > 0.5 * min(before)) else ""
 
     result = minimize(fun_and_grad, np.pad(x0, (0, 2 * K - x0.size)), maxiter=max_iter, monitor=monitor)
-    primal, gap, _, _ = last if result.stop in ("certified", "gap_stall") else certificate(result.x)
+    primal, gap, truncation = last if result.stop in ("certified", "gap_stall") else certificate(result.x)
     certified = math.isfinite(gap) and gap <= tol
     best_gap, best_nfev = min([*checks, (gap, result.nfev)])
     attempt = CapAttempt(
-        K, n, result.nit, result.nfev, result.stop, gap, certified, len(checks), best_gap, best_nfev
+        K, n, result.nit, result.nfev, result.stop, gap, truncation, certified, len(checks), best_gap, best_nfev
     )
     return result.x, attempt, primal

@@ -457,6 +457,7 @@ def test_dual_extremal_reports_every_cap(capsys):
         "nfev",
         "stop",
         "duality_gap",
+        "truncation_gap",
         "certified",
         "gap_checks",
         "best_gap",
@@ -884,7 +885,7 @@ CERT = ViolationCertificate(1, 1.5, 1.2, TrigPoly.monomial((1,)), 1.01, 0, 256, 
         (lambda: threshold_scan(2.0, eps_list=(0.08,)), set(), {}),
         (lambda: threshold_scan(2.0, eps_list=(0.08,)).rows[0], set(), {}),
         (lambda: CERT, set(), {}),
-        (lambda: CapAttempt(8, 256, 3, 4, "line_search", 1e-9, True, 0, 1e-9, 4), set(), {}),
+        (lambda: CapAttempt(8, 256, 3, 4, "line_search", 1e-9, None, True, 0, 1e-9, 4), set(), {}),
         (lambda: SearchResult(CERT, 1.01, "kernel", 7, 1, 1.5, 1.2, 0), {"found", "method"}, {"found": True}),
         (lambda: threshold_scan(math.inf, eps_list=(0.08,)), set(), {"q": "inf"}),
     ],

@@ -14,6 +14,7 @@ from rieszlab.cli import _json_text
 from rieszlab.exponents import conjugate
 from rieszlab.extremal import (
     GAP_CHECK_EVALS,
+    GAP_OWN_SHARE,
     GAP_STALL_WINDOW,
     _coeff_radius,
     _objective,
@@ -491,9 +492,14 @@ def test_printed_psi_is_exact(monkeypatch, w, degree, q):
     assert phi.bandwidth() + 1 < len(printed) < len(want)
 
 
-def stalled(gaps, truncation, tol):
-    recent, before = gaps[-GAP_STALL_WINDOW:], gaps[:-GAP_STALL_WINDOW]
-    return min(gaps) > tol and bool(before) and min(recent) > 0.5 * min(before) and truncation > tol
+def leaves_cap(gaps, truncation, tol):
+    """Whether the checks so far end the cap with "gap_stall", the last
+    one's gap holding ``truncation`` from the truncation: the gap is above
+    tol, more than tol of it is the truncation's, and either the cap's own
+    gap, the rest, is below GAP_OWN_SHARE of it, or the gaps have stalled."""
+    gap, recent, before = gaps[-1], gaps[-GAP_STALL_WINDOW:], gaps[:-GAP_STALL_WINDOW]
+    stalled = bool(before) and min(recent) > 0.5 * min(before)
+    return min(gaps) > tol and truncation > tol and (gap - truncation < GAP_OWN_SHARE * gap or stalled)
 
 
 def test_a_stalled_cap_hands_its_solution_to_the_next(monkeypatch):
@@ -525,8 +531,14 @@ def test_a_stalled_cap_keeps_the_certificate_of_its_last_check(monkeypatch):
 
 @pytest.mark.parametrize(
     "w,degree,q",
-    [(0.9, 20, 1.05), (0.95, 20, 1.1), (0.9, 40, 1.05), (0.8, 20, 64.0)],
-    ids=["stalls-twice", "escalates-on-line-search", "certifies-at-a-check", "certifies-after-8-checks"],
+    [(0.9, 20, 1.05), (0.95, 20, 1.1), (0.9j, 5, 8.0), (0.9, 40, 1.05), (0.8, 20, 64.0)],
+    ids=[
+        "stalls-twice",
+        "leaves-each-cap-near-its-minimum",
+        "escalates-on-line-search",
+        "certifies-at-a-check",
+        "certifies-after-8-checks",
+    ],
 )
 def test_gap_checks_follow_the_stall_rule(monkeypatch, w, degree, q):
     phi, tol = truncated_szego_poly(w, degree), 1e-6
@@ -545,10 +557,16 @@ def test_gap_checks_follow_the_stall_rule(monkeypatch, w, degree, q):
         assert (gaps[-1] <= tol) == (attempt.stop == "certified") == attempt.certified
         if attempt.certified:
             assert run.calls[-1] == nfevs[-1] == attempt.nfev and attempt.duality_gap == gaps[-1]
-        # the run stops at the first check after which the gaps have stalled
-        # with the truncation holding them up
-        assert not any(stalled(gaps[:i], truncation[i - 1], tol) for i in range(1, len(gaps)))
-        assert stalled(gaps, truncation[-1], tol) == (attempt.stop == "gap_stall")
+        # the run stops at the first check after which solving the cap
+        # further cannot certify: the truncation holds more than tol of the
+        # gap, and the cap's own gap is small or the gaps have stalled
+        assert not any(leaves_cap(gaps[:i], truncation[i - 1], tol) for i in range(1, len(gaps)))
+        assert leaves_cap(gaps, truncation[-1], tol) == (attempt.stop == "gap_stall")
+        # the attempt's truncation gap is that of its printed gap, and a
+        # certified one has none
+        end_gap, end_truncation = reference_gaps(phi, q, attempt, *run.spectra[-1])
+        assert attempt.duality_gap == end_gap
+        assert attempt.truncation_gap == (None if attempt.certified else end_truncation)
         assert (attempt.best_gap, attempt.best_gap_nfev) == min(
             [*zip(gaps, nfevs), (attempt.duality_gap, attempt.nfev)]
         )
@@ -568,6 +586,59 @@ def test_gap_checks_leave_a_certifying_first_cap_alone(w, degree, q, summary):
     # are those from before the checks, and the first certified check ends it
     triple = dual_extremal_solve(truncated_szego_poly(w, degree), q=q)
     assert [(*a[:5], a.certified) for a in triple.attempts] == [summary]
+
+
+def test_gap_checks_leave_each_cap_of_dual_escalate_the_truncation_holds():
+    # the benchmark's dual_escalate: caps 800 and 1600 each stop at the
+    # first check where their own gap is below GAP_OWN_SHARE of the gap,
+    # the truncation holding the rest above tol, and cap 3200 certifies
+    tol = 1e-6
+    triple = dual_extremal_solve(truncated_szego_poly(0.99, 200), q=1.05, tol=tol)
+    assert [(*a[:5], a.certified) for a in triple.attempts] == [
+        (800, 4096, 193, 200, "gap_stall", False),
+        (1600, 8192, 50, 61, "gap_stall", False),
+        (3200, 16384, 6, 20, "certified", True),
+    ]
+    *escalated, last = triple.attempts
+    for a in escalated:
+        assert a.truncation_gap > tol and a.duality_gap - a.truncation_gap < GAP_OWN_SHARE * a.duality_gap
+    assert last.duality_gap <= tol and last.truncation_gap is None
+
+
+#: The degree-20 slice of the sweep w x q, every truncated Szego kernel
+#: solved to the default tol, and the number of caps each escalating one
+#: tries; every other solve certifies at its first cap.
+SWEEP_WS = (0.3, 0.6, 0.8, 0.9, 0.95, 0.98, 0.9j)
+SWEEP_QS = (1.05, 1.1, 4.0 / 3.0, 1.5, 2.0, 3.0, 4.0, 8.0, 64.0)
+SWEEP_CAPS = {
+    (0.9, 1.05): 3,
+    (0.9, 1.1): 4,
+    (0.95, 1.05): 2,
+    (0.95, 1.1): 3,
+    (0.95, 4.0 / 3.0): 2,
+    (0.95, 1.5): 2,
+    (0.95, 64.0): 2,
+    (0.98, 1.5): 2,
+    (0.98, 3.0): 2,
+    (0.98, 4.0): 2,
+    (0.98, 8.0): 2,
+    (0.98, 64.0): 2,
+    (0.9j, 1.05): 3,
+    (0.9j, 1.1): 4,
+}
+
+
+def test_sweep_certifies_every_solve_without_an_added_cap():
+    # a stop rule may leave a cap sooner, but never so soon that a solve
+    # needs a cap more, and every solve still certifies
+    caps = {}
+    for w in SWEEP_WS:
+        for q in SWEEP_QS:
+            triple = dual_extremal_solve(truncated_szego_poly(w, 20), q=q)
+            assert triple.attempts[-1].certified and triple.duality_gap <= 1e-6
+            caps[w, q] = len(triple.attempts)
+    assert len(caps) == 63
+    assert {k: n for k, n in caps.items() if n > SWEEP_CAPS.get(k, 1)} == {}
 
 
 def test_a_certifying_check_ends_its_cap(monkeypatch):
@@ -657,13 +728,13 @@ def test_first_failed_line_search_ends_each_cap(monkeypatch):
     line_search, minimize = optimize._line_search, extremal.minimize
     monkeypatch.setattr(optimize, "_line_search", spy_search)
     monkeypatch.setattr(extremal, "minimize", spy_minimize)
-    triple = dual_extremal_solve(truncated_szego_poly(0.95, 20), q=1.1)
-    assert [a.stop for a in triple.attempts] == ["line_search", "line_search", "certified"]
-    assert len(failed) == 3
-    for run in failed[:2]:
-        assert run.count(True) == 1 and run[-1]
+    # cap 20 makes a gap check that does not end it
+    triple = dual_extremal_solve(truncated_szego_poly(0.9j, 5), q=8.0)
+    assert [(a.stop, a.gap_checks) for a in triple.attempts] == [("line_search", 1), ("certified", 1)]
+    assert len(failed) == 2
+    assert failed[0].count(True) == 1 and failed[0][-1]
     # the cap that a gap check ended found a step at every line search
-    assert failed[2] and not any(failed[2])
+    assert failed[1] and not any(failed[1])
 
 
 @pytest.mark.parametrize(
