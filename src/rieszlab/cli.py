@@ -212,7 +212,10 @@ def cmd_dual_extremal(args) -> int:
     if (args.kernel is None) == (args.infile is None):
         raise ValueError("give exactly one of --kernel W or --in FILE")
     if args.kernel is not None:
-        phi = kernels.truncated_szego_poly(complex(args.kernel), args.degree)
+        degree = 40 if args.degree is None else args.degree
+        phi = kernels.truncated_szego_poly(complex(args.kernel), degree)
+    elif args.degree is not None:
+        raise ValueError("--degree sets the --kernel truncation and does not apply to --in")
     else:
         phi = _load_poly(args.infile)
     triple = extremal.dual_extremal_solve(
@@ -225,9 +228,8 @@ def cmd_dual_extremal(args) -> int:
     )
     doc = triple.to_json_dict()
     if args.kernel is not None:
-        # reported, not checked: (1-r)^{-1/q*} is the norm for the untruncated kernel
-        closed = (1.0 - abs(complex(args.kernel)) ** 2) ** (-1.0 / triple.q_star)
-        doc.update(closed_form=closed)
+        # reported, not checked: the norm for the untruncated kernel
+        doc.update(closed_form=kernels.extremal_kernel_norm(complex(args.kernel), triple.q))
     _write_text(_json_text(doc), args.out)
     return 0
 
@@ -382,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = add("dual-extremal", cmd_dual_extremal, "minimal-norm extension solver", "--out")
     sp.add_argument("--q", required=True, help="norm exponent (1 < q < inf)")
     sp.add_argument("--kernel", help="use a truncated point-evaluation kernel at this w")
-    sp.add_argument("--degree", type=int, default=40, help="kernel truncation degree")
+    sp.add_argument("--degree", type=int, help="--kernel truncation degree (default 40)")
     sp.add_argument("--in", dest="infile", help="analytic TrigPoly JSON to extend")
     sp.add_argument("--trunc-degree", type=int, help="degree cap for the co-analytic part")
     sp.add_argument("--max-iter", type=int, default=4000)

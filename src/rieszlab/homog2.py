@@ -13,11 +13,11 @@ norms of interest reduce to Gauss hypergeometric values in eps^2:
     b           = sum_j binom(q*/2-1, j) C(2j+1, j+1) eps^{2j} = 2F1(1-q*/2, 3/2; 2; -4 eps^2)
     phi         = a z1 z2 + eps b (z1^2 - z2^2),   x = b eps / a
     ||phi||_p   = a 2F1(-p/2, 1/2; 1; -4 x^2)^{1/p}
-    ||phi||_0   = a exp( (1/2) sum_{j>=1} ((-1)^{j+1}/j) C(2j, j) x^{2j} )
+    ||phi||_0   = a (1 + sqrt(1 + 4 x^2)) / 2,   ||phi||_inf = a sqrt(1 + 4 x^2)
 
-For 4x^2 > 1/2 ``series.hyp2f1`` uses the Pfaff transform, and the p = 0
-series is summed in its variable t = 4x^2/(1+4x^2), so ||phi||_p holds
-at every eps; Euler's transform is never needed here.
+The two closed forms are computed by their formulas.  For 4x^2 > 1/2
+``series.hyp2f1`` uses the Pfaff transform, so ||phi||_p holds at every
+eps; Euler's transform is never needed here.
 
 Everything stays 2-homogeneous (coefficient support on the line
 alpha_1 + alpha_2 = 2), which pins the structure of P+ psi to the two
@@ -36,7 +36,7 @@ import numpy as np
 from .exponents import conjugate
 from .fourier import GridFunction, TrigPoly, sample
 from .norms import nonlinear_map
-from .series import hyp2f1, require_converged, sum_series
+from .series import hyp2f1, require_converged
 
 
 def base_polynomial() -> TrigPoly:
@@ -68,7 +68,7 @@ class PerturbedFamily:
 
     @property
     def q(self) -> float:
-        return conjugate(self.q_star) if self.q_star > 1 else math.inf
+        return conjugate(self.q_star)
 
 
 def build_family(eps: float, q_star: float, n_per_axis: int = 128) -> GridFunction:
@@ -132,38 +132,25 @@ def projection_polynomial(fam: PerturbedFamily) -> TrigPoly:
 
 
 def projection_norm_series(fam: PerturbedFamily, p: float) -> float:
-    """||P+ psi||_p from the series; p = 0 gives the geometric mean.
-
-    With x = b eps / a the series converges for every x: for 4x^2 > 1/2
-    both the 2F1 and the p = 0 series are summed in t = 4x^2/(1+4x^2),
-    and log(||P+ psi||_0 / a) = log(1+4x^2)/2 - (1/2) sum_{j>=1}
-    (1/2)_j/(j j!) t^j.
-    """
+    """||P+ psi||_p: the closed forms at p = 0 and p = inf, and between
+    them the 2F1 series, which converges for every x = b eps / a: for
+    4x^2 > 1/2 ``series.hyp2f1`` sums it in t = 4x^2/(1+4x^2)."""
     p = float(p)
     if p < 0:
         raise ValueError("p must be >= 0")
+    if p == 0.0:
+        return projection_geometric_mean_closed(fam)
     a, b = projection_coefficients(fam)
     x = b * fam.eps / a
     if math.isinf(p):
         # |phi|^2 = a^2 + 4 (b eps)^2 sin^2(t1 - t2) peaks at sin^2 = 1
         return a * math.sqrt(1.0 + 4.0 * x * x)
-    x2 = x * x
-    if p > 0.0:
-        tally = hyp2f1(-p / 2.0, 0.5, 1.0, -4.0 * x2)
-        return a * require_converged(tally, f"projection norm series(p={p})") ** (1.0 / p)
-    # sum_{j>=1} -(1/2)_j/(j j!) (-4v)^j: v = x^2 directly, v = -t/4 after Pfaff
-    shift, v = (0.0, x2) if 4.0 * x2 <= 0.5 else (math.log1p(4.0 * x2), -x2 / (1.0 + 4.0 * x2))
-    tally = sum_series(
-        2.0 * v,  # j=1 term: (1/1) C(2,1) v
-        lambda j: -((j + 1.0) / (j + 2.0)) * (2.0 * (2 * j + 3.0) / (j + 2.0)) * v,
-        4.0 * abs(v),
-    )
-    log_sum = shift + require_converged(tally, "projection geometric-mean series")
-    return a * math.exp(0.5 * log_sum)
+    tally = hyp2f1(-p / 2.0, 0.5, 1.0, -4.0 * x * x)
+    return a * require_converged(tally, f"projection norm series(p={p})") ** (1.0 / p)
 
 
 def projection_geometric_mean_closed(fam: PerturbedFamily) -> float:
-    """Independent closed form for ||P+ psi||_0.
+    """||P+ psi||_0 = exp(mean log |P+ psi|) in closed form.
 
     On the grid |phi|^2 = a^2 + 4 eps^2 b^2 sin^2(t1 - t2), and the
     geometric mean of A + B cos has the classical closed form
@@ -214,8 +201,11 @@ def threshold_scan(
     the scanned range), and ``threshold_p = p_hi`` when the bound still
     holds at p_hi (the crossing lies above the window).  Only rows whose
     crossing the bisection located enter the extrapolation.  Needs
-    0 <= p_lo < p_hi < inf and a finite resolution > 0.
+    distinct eps, 0 <= p_lo < p_hi < inf and a finite resolution > 0.
     """
+    eps_sorted = sorted(map(float, eps_list), reverse=True)
+    if len(set(eps_sorted)) < len(eps_sorted):  # the Richardson step divides by e1^2 - e2^2
+        raise ValueError("eps values must be distinct")
     if not 0.0 <= p_lo < p_hi < math.inf:
         raise ValueError(f"p window needs 0 <= p_lo < p_hi < inf, got [{p_lo}, {p_hi}]")
     if not 0.0 < resolution < math.inf:
@@ -223,8 +213,8 @@ def threshold_scan(
     q = float(q)
     q_star = conjugate(q)
     rows, located = [], []
-    for eps in sorted(eps_list, reverse=True):
-        fam = PerturbedFamily(eps=float(eps), q_star=q_star)
+    for eps in eps_sorted:
+        fam = PerturbedFamily(eps=eps, q_star=q_star)
         psi_norm = kernel_norm_series(fam)
         a, b = projection_coefficients(fam)
         gm_gap = projection_norm_series(fam, 0.0) - psi_norm
@@ -245,10 +235,10 @@ def threshold_scan(
                 else:
                     hi = mid
             threshold = 0.5 * (lo + hi)
-            located.append((float(eps), threshold))
+            located.append((eps, threshold))
         rows.append(
             ScanRow(
-                eps=float(eps),
+                eps=eps,
                 threshold_p=threshold,
                 a=a,
                 b=b,

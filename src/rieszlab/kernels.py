@@ -1,14 +1,15 @@
-"""Point-evaluation kernels on the circle and their hypergeometric norm series.
+"""Point-evaluation kernels on the circle, their norm series and closed forms.
 
 For w in the open unit disc and k_w(z) = 1/(1 - conj(w) z), with
 r = |w|^2:
 
     ||k_w||_p^p           = sum_n binom(n-1+p/2, n)^2 r^n = 2F1(p/2, p/2; 1; r)
     min ||psi||_q over
-    {P+ psi = k_w}        = (1 - r)^{-s} = 2F1(s, 1; 1; r),   s = 1/q*
+    {P+ psi = k_w}        = (1 - r)^{-s} = sum_n binom(n-1+s, n) r^n,   s = 1/q*
 
-``series.hyp2f1`` sums both; for p > 2 it applies the Euler transform,
-(1-r)^{1-p} 2F1(1-p/2, 1-p/2; 1; r), which terminates for even p.
+``series.hyp2f1`` sums the first; for p > 2 it applies the Euler transform,
+(1-r)^{1-p} 2F1(1-p/2, 1-p/2; 1; r), which terminates for even p.  The
+second is computed by its closed form, at every |w| < 1.
 
 The comparison of the two series coefficientwise decides whether
 ||k_w||_p <= ||psi||_q can hold for all w: it does precisely when
@@ -25,7 +26,7 @@ import numpy as np
 
 from .exponents import conjugate
 from .fourier import GridFunction, TrigPoly, grid_from_function
-from .series import REL_TOL, hyp2f1, require_converged
+from .series import hyp2f1, require_converged
 
 
 def _point(w) -> tuple[complex, float]:
@@ -48,33 +49,13 @@ def szego_norm(w, p: float) -> float:
     return total ** (1.0 / p)
 
 
-@dataclass(frozen=True)
-class ExtremalKernelNorm:
-    """Closed form and independently summed series for the same quantity."""
-
-    closed_form: float
-    series: float
-
-
-def extremal_kernel_norm(w, q: float) -> ExtremalKernelNorm:
-    """(1-r)^{-1/q*} with its cross-check by the series 2F1(1/q*, 1; 1; r).
-
-    The two routes must agree within 10x the series tolerance; a larger
-    discrepancy is reported as nonconvergence.
-    """
+def extremal_kernel_norm(w, q: float) -> float:
+    """min ||psi||_q over {P+ psi = k_w}: the closed form (1-r)^{-1/q*}, q > 1."""
     q = float(q)
     if not q > 1:
         raise ValueError("q must exceed 1")
-    w, r = _point(w)
-    s = 1.0 / conjugate(q)
-    closed = (1.0 - r) ** (-s)
-    tally = hyp2f1(s, 1.0, 1.0, r)
-    total = require_converged(tally, f"extremal_kernel_norm(w={w}, q={q})")
-    if abs(total - closed) > 10.0 * REL_TOL * max(abs(closed), 1.0) + tally.tail_bound:
-        raise ArithmeticError(
-            f"series {total!r} and closed form {closed!r} disagree beyond tolerance"
-        )
-    return ExtremalKernelNorm(closed_form=closed, series=total)
+    _, r = _point(w)
+    return (1.0 - r) ** (-1.0 / conjugate(q))
 
 
 @dataclass(frozen=True)

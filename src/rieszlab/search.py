@@ -34,7 +34,7 @@ import numpy as np
 from .dirichlet import lattice_points
 from .exponents import conjugate
 from .fourier import DEFAULT_GRID, TrigPoly, axis_angles, coefficients, resolving_grid, riesz_project, sample
-from .homog2 import PerturbedFamily, build_family, kernel_polynomial
+from .homog2 import PerturbedFamily, build_family, family_polynomial, kernel_polynomial
 from .kernels import point_extremal_function
 from .norms import lp_norm, nonlinear_map
 
@@ -179,8 +179,9 @@ def _homog2_candidates(q: float, n_per_axis: int) -> list[tuple[str, TrigPoly]]:
         try:
             psi = kernel_polynomial(fam)  # exact when q* is an even integer
         except ValueError:
-            psi_grid = build_family(eps, q_star, n_per_axis)
-            psi = coefficients(psi_grid, min(16, n_per_axis // 2 - 1)).prune(1e-13)
+            n = resolving_grid(family_polynomial(eps), n_per_axis)
+            psi_grid = build_family(eps, q_star, n)
+            psi = coefficients(psi_grid, min(16, n // 2 - 1)).prune(1e-13)
         out.append((f"homog2(eps={eps})", psi))
     return out
 

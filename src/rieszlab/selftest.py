@@ -120,8 +120,7 @@ def check_nonlinear_map_norms():
 def check_kernel_norm_spot():
     val = kernels.szego_norm(0.5, 2.0)
     assert abs(val - math.sqrt(4.0 / 3.0)) <= 1e-12, f"||k_w||_2 spot value: {val}"
-    pair = kernels.extremal_kernel_norm(0.5, 4.0 / 3.0)
-    assert abs(pair.closed_form - 0.75**-0.25) <= 1e-12
+    assert abs(kernels.extremal_kernel_norm(0.5, 4.0 / 3.0) - 0.75**-0.25) <= 1e-12
 
 
 def check_coefficient_check_spot():

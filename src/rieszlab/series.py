@@ -1,14 +1,16 @@
 """Truncated power-series evaluation with tail accounting.
 
-Every norm series in this package is a Gauss 2F1(a, b; c; z), z < 1:
-2F1(p/2, p/2; 1; r) and 2F1(1/q*, 1; 1; r) in ``kernels``;
-2F1(-s, 1/2; 1; z), 2F1(-s, 3/2; 2; z) and 2F1(-p/2, 1/2; 1; z) in
-``homog2``.  ``hyp2f1`` sums them after a Pfaff transform when z < -1/2
-or an Euler transform when a + b > c + 1.  ``sum_series`` underneath
-takes the first term and a term-to-term ratio callback, adds terms until
-the running term drops below ``REL_TOL`` relative to the partial sum (or
-the ``MAX_TERMS`` cap is hit), and reports a geometric tail bound computed
-from the asymptotic term ratio.
+The package sums a series only for a value with no closed form, and
+every such series is a Gauss 2F1(a, b; c; z), z < 1: 2F1(p/2, p/2; 1; r)
+in ``kernels``; 2F1(-q*/2, 1/2; 1; z), 2F1(-s, 1/2; 1; z),
+2F1(-s, 3/2; 2; z) and 2F1(-p/2, 1/2; 1; z) in ``homog2``.  ``hyp2f1``
+sums them after a Pfaff transform when z < -1/2 or an Euler
+transform when a + b > c + 1.  ``sum_series`` underneath, which no
+module outside this one calls, takes the first term and a term-to-term
+ratio callback, adds terms until the running term drops below
+``REL_TOL`` relative to the partial sum (or the ``MAX_TERMS`` cap is
+hit), and reports a geometric tail bound computed from the asymptotic
+term ratio.
 """
 
 from __future__ import annotations

@@ -295,6 +295,7 @@ def test_project_grid_reports_aliasing_bound(capsys, tmp_path):
             "grid too small for phi plus the truncated phi0",
         ),
         (["dual-extremal", "--kernel", "0.5", "--q", "2", "--trunc-degree", "0"], "trunc_degree must be >= 1"),
+        (["d2-scan", "--q", "3", "--eps", "0.02,0.02"], "eps values must be distinct"),
     ],
     ids=[
         "d2-scan-empty-q",
@@ -303,6 +304,7 @@ def test_project_grid_reports_aliasing_bound(capsys, tmp_path):
         "rpk-check-r-negative",
         "dual-grid-small",
         "dual-trunc-0",
+        "d2-scan-repeated-eps",
     ],
 )
 def test_refused_input_exits_2_with_one_line(capsys, argv, message):
@@ -422,7 +424,7 @@ def test_rpk_check_r_outside_unit_interval_exits_2(r):
 
 
 def test_d2_scan_near_q_1_converges(capsys):
-    # q* = 1001 puts x = b eps / a outside 4x^2 < 1/2; the p = 0 series needs Pfaff's variable
+    # q* = 1001 puts x = b eps / a outside 4x^2 < 1/2, where hyp2f1 sums in Pfaff's variable
     code, out, _ = run(capsys, ["d2-scan", "--q", "1.001", "--eps", "0.249,0.24", "--format", "json"])
     assert code == 0
     scan = json.loads(out)["scans"][0]
@@ -442,6 +444,17 @@ def test_dual_extremal_kernel(capsys):
     assert abs(float(doc["duality_gap"])) < 1e-6
     assert doc["closed_form"] == pytest.approx(0.75 ** (-0.25), rel=1e-15)
     assert "closed_form_diff" not in doc  # value minus closed_form has no bound to check it against
+
+
+def test_dual_extremal_degree_shapes_only_the_kernel(capsys, tmp_path):
+    argv = ["dual-extremal", "--kernel", "0.5", "--q", "1.3333333333333333"]
+    assert run(capsys, argv) == run(capsys, [*argv, "--degree", "40"])  # the default degree
+    src = tmp_path / "phi.json"
+    src.write_text(poly_json(TrigPoly(1, {(0,): 1.0, (1,): 0.5})))
+    argv = ["dual-extremal", "--in", str(src), "--q", "1.5"]
+    message = "error: --degree sets the --kernel truncation and does not apply to --in\n"
+    assert run(capsys, [*argv, "--degree", "7"]) == (2, "", message)
+    assert run(capsys, argv)[0] == 0
 
 
 def test_dual_extremal_reports_every_cap(capsys):
@@ -717,6 +730,15 @@ def test_search_refuses_homog2_family_that_overflows(capsys, recwarn):
     assert code == 2 and out == ""
     assert err == "error: N_q* f overflows float64 at q* = 1e+07\n"
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_search_grid_is_a_floor_at_d2(capsys):
+    # the homog2 family samples on resolving_grid(f, N), so --grid 4 runs and --grid 128 is the default
+    argv = ["search", "--d", "2", "--q", "3", "--p", "2.6"]
+    code, out, err = run(capsys, [*argv, "--grid", "4"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["evaluations"] == 200
+    assert run(capsys, [*argv, "--grid", "128"]) == run(capsys, argv)
 
 
 def test_selftest_green(capsys):

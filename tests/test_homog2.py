@@ -136,13 +136,20 @@ def test_projection_norm_series_vs_quadrature(p):
     assert got == pytest.approx(quad, abs=tol, rel=1e-6 if p == math.inf else 1e-9)
 
 
-def test_geometric_mean_closed_form_agrees_with_series():
-    for q_star in (1.0, 1.5, 2.0, 3.0, 4.0):
-        for eps in EPS_GRID:
-            fam = PerturbedFamily(eps=eps, q_star=q_star)
-            series = projection_norm_series(fam, 0.0)
-            closed = projection_geometric_mean_closed(fam)
-            assert series == pytest.approx(closed, rel=1e-12)
+def test_geometric_mean_closed_form_agrees_with_mpmath_quadrature():
+    # |phi|^2 = a^2 + 4 (b eps)^2 sin^2(t1 - t2), so exp(mean log |phi|) is a 1-d mean
+    points = [(q_star, eps) for q_star in (1.0, 1.5, 2.0, 3.0, 4.0) for eps in EPS_GRID]
+    x2s = []
+    for q_star, eps in points + [(1001.0, 0.2), (1001.0, 0.249)]:
+        fam = PerturbedFamily(eps=eps, q_star=q_star)
+        a, b = projection_coefficients(fam)
+        x2s.append((b * eps / a) ** 2)
+        with mpmath.workdps(40):
+            a, c = mpmath.mpf(a), 2 * mpmath.mpf(b) * mpmath.mpf(eps)
+            mean_log = mpmath.quad(lambda t: mpmath.log(a**2 + (c * mpmath.sin(t)) ** 2), [0, mpmath.pi / 2])
+            exact = float(mpmath.exp(mean_log / mpmath.pi))  # (1/2) the mean of log |phi|^2 over [0, pi/2]
+        assert projection_geometric_mean_closed(fam) == pytest.approx(exact, rel=1e-15)
+    assert min(x2s) < 1 / 8 < max(x2s)  # 4x^2 both below and above 1/2
 
 
 def test_projection_norm_rejects_negative_p():
@@ -267,6 +274,13 @@ def test_geometric_mean_violation_below_minimal_q():
     scan = threshold_scan(1.2, eps_list=(0.02,))
     assert scan.rows[0].gm_gap > 0.0
     assert scan.rows[0].threshold_p is None
+
+
+def test_scan_refuses_repeated_eps():
+    # two located rows at one eps would put e1^2 - e2^2 = 0 under the Richardson step
+    for eps_list in ((0.02, 0.02), (0.08, 0.04, 0.08)):
+        with pytest.raises(ValueError, match="eps values must be distinct"):
+            threshold_scan(3.0, eps_list=eps_list)
 
 
 def test_scan_json_shape():

@@ -11,8 +11,9 @@ thread, so ``cli._lazy``'s ``LazyLoader``, which takes no lock before
 Python 3.12, never runs a module's first use on a second thread.  The
 exponent formulas, the series and the bound tables run without numpy: at
 module level they import neither numpy nor a rieszlab module outside
-that set.  Every norm series goes through
-``series.hyp2f1``; only the p = 0 series of homog2 calls ``sum_series``.
+that set.  A closed form is computed by its formula, and every series
+goes through ``series.hyp2f1``: no module outside ``series`` calls
+``sum_series``.
 Every FFT goes through ``fourier``, and one function there computes the
 grid-offset phase e^{2 pi i offset k / N}.  A public module-level function,
 or a public method of a module-level class, that no library module
@@ -225,14 +226,14 @@ def test_scanner_finds_sum_series_calls():
     assert sum_series_sites(source, "m") == ["m", "m.inner"]
 
 
-def test_one_sum_series_site_outside_series():
+def test_no_sum_series_site_outside_series():
     sites = [
         site
         for path in MODULES
         if path.name != "series.py"
         for site in sum_series_sites(path.read_text(), path.stem)
     ]
-    assert sites == ["homog2.projection_norm_series"]
+    assert sites == []
 
 
 def fft_references(source: str) -> list[str]:
@@ -307,7 +308,6 @@ KEPT = {
     "extremal.l1_equality_certificate": "the equality case q = 1 of the paper's L^1 bound",
     "extremal.outer_from_modulus": "the outer factor, whose value at 0 is an independent geometric mean",
     "fourier.TrigPoly.evaluate": "test_sample_matches_evaluate and the algebra tests compare against direct evaluation",
-    "homog2.projection_geometric_mean_closed": "an independent route to ||phi||_0 (ROADMAP item 5)",
     "homog2.projection_polynomial": "a cross-check of the coefficients (a, b) of P+ psi",
     "kernels.poisson_kernel": "its mean 1 cross-checks ||k_w||_2^2 = 1/(1 - |w|^2) (ROADMAP item 5)",
     "exponents.riesz_projection_norm": "the classical constant (1/sin(pi/q))^d",

@@ -19,7 +19,7 @@ from rieszlab.kernels import (
     truncated_szego_poly,
 )
 from rieszlab.norms import lp_norm
-from rieszlab.series import NonconvergenceError
+from rieszlab.series import REL_TOL, NonconvergenceError, hyp2f1
 
 
 def quadrature_norm(w, p, n=4096):
@@ -74,18 +74,29 @@ def test_nonconvergence_near_boundary():
 
 
 def test_extremal_kernel_norm_closed_vs_series():
-    for q in (4.0 / 3.0, 1.5, 2.0, 3.0):
-        q_star = conjugate(q)
-        for r in (0.1, 0.4, 0.7):
-            pair = extremal_kernel_norm(math.sqrt(r), q)
-            assert pair.closed_form == pytest.approx((1.0 - r) ** (-1.0 / q_star), rel=1e-14)
-            assert pair.series == pytest.approx(pair.closed_form, rel=1e-12)
+    # the series 2F1(1/q*, 1; 1; r) converges within MAX_TERMS up to r = 0.81
+    for q in (1.05, 4.0 / 3.0, 1.5, 2.0, 3.0, 8.0):
+        for r in (0.1, 0.4, 0.7, 0.81):
+            closed = extremal_kernel_norm(math.sqrt(r), q)
+            tally = hyp2f1(1.0 / conjugate(q), 1.0, 1.0, r)
+            assert tally.converged
+            assert abs(closed - tally.value) <= 10.0 * REL_TOL * max(closed, 1.0) + tally.tail_bound
+
+
+def test_extremal_kernel_norm_vs_mpmath_up_to_the_boundary():
+    # no series limits the closed form: |w| = 0.9999 is as exact as |w| = 0.5
+    for q in (1.05, 4.0 / 3.0, 2.0, 8.0):
+        for w in (0.5, 0.9, 0.95, 0.99, 0.9999):
+            r = abs(complex(w)) ** 2
+            with mpmath.workdps(40):
+                exact = float((1 - mpmath.mpf(r)) ** (1 / mpmath.mpf(q) - 1))
+            assert extremal_kernel_norm(w, q) == pytest.approx(exact, rel=1e-15)
 
 
 def test_extremal_kernel_norm_q2_is_szego_norm():
     r = 0.5
-    pair = extremal_kernel_norm(math.sqrt(r), 2.0)
-    assert pair.closed_form == pytest.approx(szego_norm(math.sqrt(r), 2.0), rel=1e-13)
+    closed = extremal_kernel_norm(math.sqrt(r), 2.0)
+    assert closed == pytest.approx(szego_norm(math.sqrt(r), 2.0), rel=1e-13)
 
 
 def test_extremal_function_saturates_norm():
