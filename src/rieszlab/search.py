@@ -12,11 +12,16 @@ candidate is the one an exhaustive scan picks.  Ascent trials are
 scored incrementally on running sample arrays (one coefficient
 changes, so the samples change by one separable wave; no FFT), and a
 trial that would undo the move just accepted is skipped, since it
-always loses; the ratio the search reports for the ascended polynomial
-is recomputed from scratch by :func:`projection_ratio`.  A certificate is emitted only when the
-measured ratio clears 1 + RATIO_MARGIN *and* survives re-verification
-on a grid of twice the resolution; merely grazing 1 proves nothing at
-grid accuracy.
+always loses.  At 1 <= p < inf and q < inf the trials are scored on
+ASCENT_OVERSAMPLE times the smallest grid that resolves the candidate
+when that is below the floor grid; at p < 1 (|psi|^p is singular at
+psi's zeros), p = inf or q = inf (a sup norm is a grid maximum) they
+are scored on the floor grid.  Either way the ratio the search reports
+for the ascended polynomial is recomputed from scratch by
+:func:`projection_ratio` on the floor grid.  A certificate is
+emitted only when the measured ratio clears 1 + RATIO_MARGIN *and*
+survives re-verification on a grid of twice the resolution; merely
+grazing 1 proves nothing at grid accuracy.
 
 Everything is deterministic for a fixed seed: candidates are generated
 up front, scored one at a time in descending bound, and ties are broken
@@ -45,6 +50,9 @@ RATIO_MARGIN = 1e-8
 BOUND_MARGIN = 1e-9
 #: Each kernel candidate keeps its coefficients with |alpha| <= this cutoff.
 KERNEL_CUTOFF = 24
+#: At 1 <= p < inf and q < inf the ascent scores its trials on this many
+#: times the smallest grid that resolves the candidate, if below the floor.
+ASCENT_OVERSAMPLE = 8
 
 
 def projection_ratio(psi: TrigPoly, p: float, q: float, n_per_axis: int, offset: float = 0.5) -> float:
@@ -217,8 +225,9 @@ def _ascend(
     when alpha >= 0 (otherwise the numerator norm is reused).  On the
     grid that wave is an outer product of cached 1-D exponentials, so a
     trial is scored in O(N^d) on running sample arrays, with no FFT.
-    The returned ratio is recomputed from scratch by
-    :func:`projection_ratio`.
+    The returned ratio is the running one on this grid, which
+    :func:`violation_search` may pick below its floor; it recomputes
+    the ascended polynomial's ratio from scratch on the floor grid.
 
     A visit to c_alpha tries +delta, -delta, +i delta and -i delta with
     one step size, so after +delta or +i delta is accepted the next
@@ -290,11 +299,7 @@ def _ascend(
                     improved = True
         if not improved:
             step *= 0.5
-    del cur, cur_plus, trial  # free the running samples before resampling
-    best = TrigPoly(dim, coeffs)
-    if best.coeffs != psi.coeffs:
-        best_ratio = projection_ratio(best, p, q, n_per_axis, offset)
-    return best, best_ratio, evals
+    return TrigPoly(dim, coeffs), best_ratio, evals
 
 
 def violation_search(
@@ -362,11 +367,16 @@ def violation_search(
     ascent_budget = max(0, budget - evaluations)
     if ascent_budget > 10:
         grid = resolving_grid(best_poly, n)
-        improved, improved_ratio, used = _ascend(best_poly, p, q, grid, offset, ascent_budget)
+        trial_grid = grid
+        if 1 <= p < math.inf and q < math.inf:
+            trial_grid = min(grid, ASCENT_OVERSAMPLE * resolving_grid(best_poly, 2))
+        improved, _, used = _ascend(best_poly, p, q, trial_grid, offset, ascent_budget)
         evaluations += used
-        if improved_ratio > best_ratio:
-            best_poly, best_ratio = improved, improved_ratio
-            best_family = best_family + "+ascent"
+        if improved.coeffs != best_poly.coeffs:
+            improved_ratio = projection_ratio(improved, p, q, grid, offset)
+            if improved_ratio > best_ratio:
+                best_poly, best_ratio = improved, improved_ratio
+                best_family = best_family + "+ascent"
 
     certificate = None
     if best_ratio > 1.0 + RATIO_MARGIN:

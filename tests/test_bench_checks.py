@@ -1,6 +1,6 @@
 """Every benchmark workload command passes the benchmark's own output
 check (``bench/checks.Checker``) at seed 0, and the search-grid commands
-match their pins at seeds 1, 2, 7, 11, 23 and 49 as well.
+match their pins at seeds 1, 2, 7, 11, 13, 23 and 49 as well.
 
 The commands run in-process through ``cli.main`` with the stdin bytes
 that ``bench/workloads`` gives them, so an output the benchmark would
@@ -26,8 +26,9 @@ SEED = 0
 COMMANDS = [cmd for make in workloads.WORKLOADS.values() for cmd in make(SEED)]
 
 #: More pinned seeds for the search-grid commands, whose best ratios move
-#: with any change to the samples or the search.
-PIN_SEEDS = (1, 2, 7, 11, 23, 49)
+#: with any change to the samples or the search.  At seed 13 the d = 3
+#: winner has bandwidth 2, so its ascent scores on 48^3, not 32^3.
+PIN_SEEDS = (1, 2, 7, 11, 13, 23, 49)
 SEARCH_GRID = [(seed, cmd) for seed in PIN_SEEDS for cmd in workloads.search_grid(seed)]
 
 

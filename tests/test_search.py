@@ -227,8 +227,47 @@ def test_ascent_skips_exactly_the_undo_trials(monkeypatch, dim, q, p, n, steps):
     got = _ascend(psi, p, q, n, 0.5, steps)
     assert got[0].coeffs == want[0].coeffs != psi.coeffs
     assert got[2] == want[2]  # every trial counts, scored or skipped
-    # the start, every trial but the undo ones, and the from-scratch recompute
-    assert len(denominators) == 1 + (want[2] - 1 - len(undos)) + 1
+    # the start and every trial but the undo ones; the caller recomputes from scratch
+    assert len(denominators) == 1 + (want[2] - 1 - len(undos))
+
+
+def spy_ascent_grids(monkeypatch):
+    """Record (psi, grid) for every call of ``_ascend`` the search makes."""
+    grids = []
+    real = search._ascend
+    monkeypatch.setattr(search, "_ascend", lambda psi, p, q, n, *rest: grids.append((psi, n)) or real(psi, p, q, n, *rest))
+    return grids
+
+
+@pytest.mark.parametrize("dim,q,p", [(3, 3.0, 0.0), (3, 3.0, 0.5), (2, 3.0, math.inf), (3, math.inf, 2.6)])
+def test_ascent_scores_on_the_floor_where_the_norms_are_not_smooth(monkeypatch, dim, q, p):
+    # |psi|^p is singular at psi's zeros when p < 1, and a sup norm is a grid maximum
+    grids = spy_ascent_grids(monkeypatch)
+    violation_search(dim, q, p, budget=60, seed=0)
+    [(psi, n)] = grids
+    assert n == resolving_grid(psi, DEFAULT_GRID[dim]) > search.ASCENT_OVERSAMPLE * 2 * (psi.bandwidth() + 1)
+
+
+@pytest.mark.parametrize("dim,q,p", [(3, 3.0, 2.6), (3, 1.5, 1.0), (3, 4.0, 3.0), (2, 4.0 / 3.0, 1.2)])
+def test_ascent_scores_on_the_oversampled_resolving_grid(monkeypatch, dim, q, p):
+    grids = spy_ascent_grids(monkeypatch)
+    violation_search(dim, q, p, budget=60, seed=0)
+    [(psi, n)] = grids
+    assert n == search.ASCENT_OVERSAMPLE * 2 * (psi.bandwidth() + 1) < DEFAULT_GRID[dim]
+
+
+def test_ascent_grid_never_exceeds_the_floor(monkeypatch):
+    grids = spy_ascent_grids(monkeypatch)
+    violation_search(3, 3.0, 2.6, budget=60, seed=0, n_per_axis=8)
+    [(psi, n)] = grids
+    assert n == resolving_grid(psi, 8) == 8
+
+
+@pytest.mark.parametrize("q,p", [(3.0, 2.6), (1.5, 1.05), (4.0, 3.0)])
+def test_oversampled_ascent_matches_the_floor_ascent_at_d3(monkeypatch, q, p):
+    coarse = [violation_search(3, q, p, budget=120, seed=seed) for seed in range(5)]
+    monkeypatch.setattr(search, "ASCENT_OVERSAMPLE", 10**6)  # min() now picks the floor grid
+    assert coarse == [violation_search(3, q, p, budget=120, seed=seed) for seed in range(5)]
 
 
 def test_incremental_ascent_without_analytic_part():
